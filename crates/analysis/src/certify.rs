@@ -787,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn long_serial_history_stays_on_the_fast_path() {
+    fn long_serial_history_needs_no_enumeration() {
         // 50 committed activities in commit order: the induced order is
         // total, so no enumeration happens regardless of activity count.
         let x = paper::X;

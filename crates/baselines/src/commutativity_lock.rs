@@ -1,16 +1,14 @@
 //! Commutativity-table locking (Schwarz & Spector 82).
 
 use crate::locks::ModeLock;
+use crate::{invalid_operation, Deferred};
 use atomicity_core::trace::ObjectMetrics;
 use atomicity_core::{
     Admission, AdmissionOutcome, AdmissionRequest, AtomicObject, CommutesRel, HistoryLog,
     Participant, Txn, TxnError, TxnManager,
 };
-use atomicity_spec::{
-    ActivityId, Event, ObjectId, OpResult, Operation, SequentialSpec, Timestamp, Value,
-};
+use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
 /// A static commutativity predicate over operations: `true` iff the two
@@ -97,14 +95,9 @@ pub struct CommutativityLockedObject<S: SequentialSpec> {
     commutes: Arc<dyn CommutesRel>,
     log: HistoryLog,
     lock: ModeLock<Operation>,
-    state: Mutex<State<S>>,
+    state: Mutex<Deferred<S>>,
     metrics: ObjectMetrics,
     self_ref: Weak<CommutativityLockedObject<S>>,
-}
-
-struct State<S: SequentialSpec> {
-    committed: Vec<S::State>,
-    intentions: BTreeMap<ActivityId, Vec<OpResult>>,
 }
 
 impl<S: SequentialSpec> CommutativityLockedObject<S> {
@@ -122,17 +115,14 @@ impl<S: SequentialSpec> CommutativityLockedObject<S> {
         mgr: &TxnManager,
         commutes: Arc<dyn CommutesRel>,
     ) -> Arc<Self> {
-        let initial = vec![spec.initial()];
+        let state = Mutex::new(Deferred::new(&spec));
         Arc::new_cyclic(|self_ref| CommutativityLockedObject {
             id,
             spec,
             commutes,
             log: mgr.log(),
             lock: ModeLock::new(),
-            state: Mutex::new(State {
-                committed: initial,
-                intentions: BTreeMap::new(),
-            }),
+            state,
             metrics: mgr.metrics().object(id),
             self_ref: self_ref.clone(),
         })
@@ -142,45 +132,23 @@ impl<S: SequentialSpec> CommutativityLockedObject<S> {
     pub fn holder_count(&self) -> usize {
         self.lock.holder_count()
     }
-
-    fn self_participant(&self) -> Arc<dyn Participant> {
-        self.self_ref
-            .upgrade()
-            .expect("CommutativityLockedObject used after its Arc was dropped")
-    }
 }
 
 impl<S: SequentialSpec> AtomicObject for CommutativityLockedObject<S> {
     fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
-        txn.register(self.self_participant());
-        self.admit_one(&AdmissionRequest::from_txn(txn, operation))
-            .into_result(self.id)
+        self.try_admit(txn, operation).into_result(self.id)
     }
 
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
         if !txn.is_active() {
             return Err(TxnError::NotActive { txn: txn.id() });
         }
-        txn.register(self.self_participant());
+        self.register_txn(txn);
         let me = txn.id();
         // Validity pre-check so ill-typed operations leave no events.
-        {
-            let st = self.state.lock();
-            let empty = Vec::new();
-            let own = st.intentions.get(&me).unwrap_or(&empty);
-            let frontier = crate::replay(&self.spec, &st.committed, own);
-            let valid = frontier
-                .iter()
-                .any(|s| !self.spec.step(s, &operation).is_empty());
-            if !valid {
-                return Err(TxnError::InvalidOperation {
-                    object: self.id,
-                    operation: operation.to_string(),
-                });
-            }
+        let results = self.state.lock().results_for(&self.spec, me, &operation);
+        if results.is_empty() {
+            return Err(invalid_operation(self.id, &operation));
         }
         self.log
             .record(Event::invoke(me, self.id, operation.clone()));
@@ -199,25 +167,7 @@ impl<S: SequentialSpec> AtomicObject for CommutativityLockedObject<S> {
             }
             self.metrics.record_block_wait(&block_sw);
         }
-        let mut st = self.state.lock();
-        let empty = Vec::new();
-        let own = st.intentions.get(&me).unwrap_or(&empty);
-        let frontier = crate::replay(&self.spec, &st.committed, own);
-        let mut candidates: Vec<Value> = Vec::new();
-        for s in &frontier {
-            for (v, _) in self.spec.step(s, &operation) {
-                if !candidates.contains(&v) {
-                    candidates.push(v);
-                }
-            }
-        }
-        debug_assert!(!candidates.is_empty(), "validity pre-check passed");
-        candidates.sort();
-        let v = candidates.remove(0);
-        st.intentions
-            .entry(me)
-            .or_default()
-            .push((operation, v.clone()));
+        let v = self.execute_locked(me, operation)?;
         self.metrics.record_admission(me, &invoke_sw);
         self.log.record(Event::respond(me, self.id, v.clone()));
         Ok(v)
@@ -229,38 +179,21 @@ impl<S: SequentialSpec> AtomicObject for CommutativityLockedObject<S> {
 }
 
 impl<S: SequentialSpec> CommutativityLockedObject<S> {
+    /// Executes `operation` for `me`, whose operation lock is already held.
     fn execute_locked(&self, me: ActivityId, operation: Operation) -> Result<Value, TxnError> {
+        let invalid = invalid_operation(self.id, &operation);
         let mut st = self.state.lock();
-        let empty = Vec::new();
-        let own = st.intentions.get(&me).unwrap_or(&empty);
-        let frontier = crate::replay(&self.spec, &st.committed, own);
-        let mut candidates: Vec<Value> = Vec::new();
-        for s in &frontier {
-            for (v, _) in self.spec.step(s, &operation) {
-                if !candidates.contains(&v) {
-                    candidates.push(v);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return Err(TxnError::InvalidOperation {
-                object: self.id,
-                operation: operation.to_string(),
-            });
-        }
-        candidates.sort();
-        let v = candidates.remove(0);
-        st.intentions
-            .entry(me)
-            .or_default()
-            .push((operation, v.clone()));
-        Ok(v)
+        st.execute(&self.spec, me, operation).ok_or(invalid)
     }
 }
 
 impl<S: SequentialSpec> Admission for CommutativityLockedObject<S> {
     fn register_txn(&self, txn: &Txn) {
-        txn.register(self.self_participant());
+        txn.register(
+            self.self_ref
+                .upgrade()
+                .expect("CommutativityLockedObject used after its Arc was dropped"),
+        );
     }
 
     fn admit_one(&self, request: &AdmissionRequest) -> AdmissionOutcome {
@@ -273,7 +206,7 @@ impl<S: SequentialSpec> Admission for CommutativityLockedObject<S> {
             return AdmissionOutcome::Blocked { holders };
         }
         // Mode taken; on an invalid operation it stays held until
-        // commit/abort, as in the classic path.
+        // commit/abort, as in the blocking path.
         match self.execute_locked(me, operation.clone()) {
             Ok(v) => {
                 self.metrics.record_admission(me, &invoke_sw);
@@ -295,12 +228,7 @@ impl<S: SequentialSpec> Participant for CommutativityLockedObject<S> {
 
     fn commit(&self, txn: ActivityId, ts: Option<Timestamp>) {
         let mut st = self.state.lock();
-        if let Some(list) = st.intentions.remove(&txn) {
-            let next = crate::replay(&self.spec, &st.committed, &list);
-            if !next.is_empty() {
-                st.committed = next;
-            }
-        }
+        st.install(&self.spec, txn);
         let event = match ts {
             Some(t) => Event::commit_ts(txn, self.id, t),
             None => Event::commit(txn, self.id),
@@ -312,7 +240,7 @@ impl<S: SequentialSpec> Participant for CommutativityLockedObject<S> {
     }
 
     fn abort(&self, txn: ActivityId) {
-        self.state.lock().intentions.remove(&txn);
+        self.state.lock().discard(txn);
         self.metrics.record_abort(txn);
         self.log.record(Event::abort(txn, self.id));
         self.lock.release_all(txn);

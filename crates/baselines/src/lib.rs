@@ -38,30 +38,83 @@ pub use reed_rw::ReedRegister;
 pub use rw_2pl::TwoPhaseLockedObject;
 pub use scheduler_model::SchedulerModel;
 
-use atomicity_spec::{OpResult, SequentialSpec};
+use atomicity_core::engine::{candidates, replay_frontier};
+use atomicity_core::TxnError;
+use atomicity_spec::{ActivityId, ObjectId, OpResult, Operation, SequentialSpec, Value};
+use std::collections::BTreeMap;
 
-/// Applies `ops` to every state in `frontier`, keeping the states in which
-/// each operation returned its recorded result (shared by the baselines'
-/// deferred-update machinery).
-pub(crate) fn replay<S: SequentialSpec>(
-    spec: &S,
-    frontier: &[S::State],
-    ops: &[OpResult],
-) -> Vec<S::State> {
-    let mut states: Vec<S::State> = frontier.to_vec();
-    for (op, expected) in ops {
-        let mut next: Vec<S::State> = Vec::new();
-        for s in &states {
-            for (value, s2) in spec.step(s, op) {
-                if &value == expected && !next.contains(&s2) {
-                    next.push(s2);
-                }
+/// The error for an operation `object`'s specification never permits.
+pub(crate) fn invalid_operation(object: ObjectId, operation: &Operation) -> TxnError {
+    TxnError::InvalidOperation {
+        object,
+        operation: operation.to_string(),
+    }
+}
+
+/// The deferred-update state both lock baselines keep behind their
+/// `state` mutex: the committed frontier and, per active transaction,
+/// the intentions list applied to it at commit.
+pub(crate) struct Deferred<S: SequentialSpec> {
+    committed: Vec<S::State>,
+    intentions: BTreeMap<ActivityId, Vec<OpResult>>,
+}
+
+impl<S: SequentialSpec> Deferred<S> {
+    pub(crate) fn new(spec: &S) -> Self {
+        Deferred {
+            committed: vec![spec.initial()],
+            intentions: BTreeMap::new(),
+        }
+    }
+
+    /// The results `operation` may return for `me` now, its own pending
+    /// intentions applied. Empty: the specification never permits it.
+    pub(crate) fn results_for(
+        &self,
+        spec: &S,
+        me: ActivityId,
+        operation: &Operation,
+    ) -> Vec<Value> {
+        let own: &[OpResult] = self.intentions.get(&me).map_or(&[], Vec::as_slice);
+        candidates(
+            spec,
+            &replay_frontier(spec, &self.committed, own),
+            operation,
+        )
+    }
+
+    /// Executes `operation` for `me` (whose lock is already held): picks
+    /// the result and appends the intention. `None` if the specification
+    /// never permits the operation.
+    pub(crate) fn execute(
+        &mut self,
+        spec: &S,
+        me: ActivityId,
+        operation: Operation,
+    ) -> Option<Value> {
+        let v = self.results_for(spec, me, &operation).into_iter().next()?;
+        self.intentions
+            .entry(me)
+            .or_default()
+            .push((operation, v.clone()));
+        Some(v)
+    }
+
+    /// Applies `txn`'s intentions list to the committed frontier. (Not
+    /// named `commit`: the lock-order scan resolves calls by name, and a
+    /// `commit` made under the `state` guard would read as
+    /// [`atomicity_core::Participant::commit`].)
+    pub(crate) fn install(&mut self, spec: &S, txn: ActivityId) {
+        if let Some(list) = self.intentions.remove(&txn) {
+            let next = replay_frontier(spec, &self.committed, &list);
+            if !next.is_empty() {
+                self.committed = next;
             }
         }
-        if next.is_empty() {
-            return Vec::new();
-        }
-        states = next;
     }
-    states
+
+    /// Discards `txn`'s intentions list.
+    pub(crate) fn discard(&mut self, txn: ActivityId) {
+        self.intentions.remove(&txn);
+    }
 }

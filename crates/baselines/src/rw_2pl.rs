@@ -1,17 +1,15 @@
 //! Strict two-phase locking with read/write locks.
 
 use crate::locks::{LockMode, ModeLock};
+use crate::{invalid_operation, Deferred};
 use atomicity_core::stats::StatsSnapshot;
 use atomicity_core::trace::ObjectMetrics;
 use atomicity_core::{
     Admission, AdmissionOutcome, AdmissionRequest, AtomicObject, HistoryLog, Participant, Txn,
     TxnError, TxnManager,
 };
-use atomicity_spec::{
-    ActivityId, Event, ObjectId, OpResult, Operation, SequentialSpec, Timestamp, Value,
-};
+use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
 /// An object protected by strict two-phase read/write locking.
@@ -47,29 +45,21 @@ pub struct TwoPhaseLockedObject<S: SequentialSpec> {
     spec: S,
     log: HistoryLog,
     lock: ModeLock<LockMode>,
-    state: Mutex<State<S>>,
+    state: Mutex<Deferred<S>>,
     metrics: ObjectMetrics,
     self_ref: Weak<TwoPhaseLockedObject<S>>,
-}
-
-struct State<S: SequentialSpec> {
-    committed: Vec<S::State>,
-    intentions: BTreeMap<ActivityId, Vec<OpResult>>,
 }
 
 impl<S: SequentialSpec> TwoPhaseLockedObject<S> {
     /// Creates the object and wires it to the manager's history log.
     pub fn new(id: ObjectId, spec: S, mgr: &TxnManager) -> Arc<Self> {
-        let initial = vec![spec.initial()];
+        let state = Mutex::new(Deferred::new(&spec));
         Arc::new_cyclic(|self_ref| TwoPhaseLockedObject {
             id,
             spec,
             log: mgr.log(),
             lock: ModeLock::new(),
-            state: Mutex::new(State {
-                committed: initial,
-                intentions: BTreeMap::new(),
-            }),
+            state,
             metrics: mgr.metrics().object(id),
             self_ref: self_ref.clone(),
         })
@@ -84,50 +74,24 @@ impl<S: SequentialSpec> TwoPhaseLockedObject<S> {
     pub fn stats(&self) -> StatsSnapshot {
         self.metrics.stats()
     }
-
-    fn self_participant(&self) -> Arc<dyn Participant> {
-        self.self_ref
-            .upgrade()
-            .expect("TwoPhaseLockedObject used after its Arc was dropped")
-    }
 }
 
 impl<S: SequentialSpec> AtomicObject for TwoPhaseLockedObject<S> {
     fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
-        txn.register(self.self_participant());
-        self.admit_one(&AdmissionRequest::from_txn(txn, operation))
-            .into_result(self.id)
+        self.try_admit(txn, operation).into_result(self.id)
     }
 
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
         if !txn.is_active() {
             return Err(TxnError::NotActive { txn: txn.id() });
         }
-        txn.register(self.self_participant());
+        self.register_txn(txn);
         let me = txn.id();
-        let mode = if self.spec.is_read_only(&operation) {
-            LockMode::Read
-        } else {
-            LockMode::Write
-        };
+        let mode = self.mode_of(&operation);
         // Validity pre-check so ill-typed operations leave no events.
-        {
-            let st = self.state.lock();
-            let empty = Vec::new();
-            let own = st.intentions.get(&me).unwrap_or(&empty);
-            let frontier = crate::replay(&self.spec, &st.committed, own);
-            let valid = frontier
-                .iter()
-                .any(|s| !self.spec.step(s, &operation).is_empty());
-            if !valid {
-                return Err(TxnError::InvalidOperation {
-                    object: self.id,
-                    operation: operation.to_string(),
-                });
-            }
+        let results = self.state.lock().results_for(&self.spec, me, &operation);
+        if results.is_empty() {
+            return Err(invalid_operation(self.id, &operation));
         }
         self.log
             .record(Event::invoke(me, self.id, operation.clone()));
@@ -148,25 +112,7 @@ impl<S: SequentialSpec> AtomicObject for TwoPhaseLockedObject<S> {
             }
             self.metrics.record_block_wait(&block_sw);
         }
-        let mut st = self.state.lock();
-        let empty = Vec::new();
-        let own = st.intentions.get(&me).unwrap_or(&empty);
-        let frontier = crate::replay(&self.spec, &st.committed, own);
-        let mut candidates: Vec<Value> = Vec::new();
-        for s in &frontier {
-            for (v, _) in self.spec.step(s, &operation) {
-                if !candidates.contains(&v) {
-                    candidates.push(v);
-                }
-            }
-        }
-        debug_assert!(!candidates.is_empty(), "validity pre-check passed");
-        candidates.sort();
-        let v = candidates.remove(0);
-        st.intentions
-            .entry(me)
-            .or_default()
-            .push((operation, v.clone()));
+        let v = self.execute_locked(me, operation)?;
         self.metrics.record_admission(me, &invoke_sw);
         self.log.record(Event::respond(me, self.id, v.clone()));
         Ok(v)
@@ -178,48 +124,35 @@ impl<S: SequentialSpec> AtomicObject for TwoPhaseLockedObject<S> {
 }
 
 impl<S: SequentialSpec> TwoPhaseLockedObject<S> {
+    fn mode_of(&self, operation: &Operation) -> LockMode {
+        if self.spec.is_read_only(operation) {
+            LockMode::Read
+        } else {
+            LockMode::Write
+        }
+    }
+
+    /// Executes `operation` for `me`, whose lock mode is already held.
     fn execute_locked(&self, me: ActivityId, operation: Operation) -> Result<Value, TxnError> {
+        let invalid = invalid_operation(self.id, &operation);
         let mut st = self.state.lock();
-        let empty = Vec::new();
-        let own = st.intentions.get(&me).unwrap_or(&empty);
-        let frontier = crate::replay(&self.spec, &st.committed, own);
-        let mut candidates: Vec<Value> = Vec::new();
-        for s in &frontier {
-            for (v, _) in self.spec.step(s, &operation) {
-                if !candidates.contains(&v) {
-                    candidates.push(v);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return Err(TxnError::InvalidOperation {
-                object: self.id,
-                operation: operation.to_string(),
-            });
-        }
-        candidates.sort();
-        let v = candidates.remove(0);
-        st.intentions
-            .entry(me)
-            .or_default()
-            .push((operation, v.clone()));
-        Ok(v)
+        st.execute(&self.spec, me, operation).ok_or(invalid)
     }
 }
 
 impl<S: SequentialSpec> Admission for TwoPhaseLockedObject<S> {
     fn register_txn(&self, txn: &Txn) {
-        txn.register(self.self_participant());
+        txn.register(
+            self.self_ref
+                .upgrade()
+                .expect("TwoPhaseLockedObject used after its Arc was dropped"),
+        );
     }
 
     fn admit_one(&self, request: &AdmissionRequest) -> AdmissionOutcome {
         let me = request.txn;
         let operation = &request.operation;
-        let mode = if self.spec.is_read_only(operation) {
-            LockMode::Read
-        } else {
-            LockMode::Write
-        };
+        let mode = self.mode_of(operation);
         let invoke_sw = self.metrics.stopwatch();
         if let Err(holders) = self.lock.try_acquire_id(me, mode, |a, b| a.compatible(*b)) {
             self.metrics.record_block_round(me);
@@ -227,7 +160,7 @@ impl<S: SequentialSpec> Admission for TwoPhaseLockedObject<S> {
         }
         // Lock taken; execute and record invoke+respond atomically. On an
         // invalid operation the mode stays held until commit/abort, as in
-        // the classic path.
+        // the blocking path.
         match self.execute_locked(me, operation.clone()) {
             Ok(v) => {
                 self.metrics.record_admission(me, &invoke_sw);
@@ -249,12 +182,7 @@ impl<S: SequentialSpec> Participant for TwoPhaseLockedObject<S> {
 
     fn commit(&self, txn: ActivityId, ts: Option<Timestamp>) {
         let mut st = self.state.lock();
-        if let Some(list) = st.intentions.remove(&txn) {
-            let next = crate::replay(&self.spec, &st.committed, &list);
-            if !next.is_empty() {
-                st.committed = next;
-            }
-        }
+        st.install(&self.spec, txn);
         let event = match ts {
             Some(t) => Event::commit_ts(txn, self.id, t),
             None => Event::commit(txn, self.id),
@@ -266,7 +194,7 @@ impl<S: SequentialSpec> Participant for TwoPhaseLockedObject<S> {
     }
 
     fn abort(&self, txn: ActivityId) {
-        self.state.lock().intentions.remove(&txn);
+        self.state.lock().discard(txn);
         self.metrics.record_abort(txn);
         self.log.record(Event::abort(txn, self.id));
         self.lock.release_all(txn);

@@ -15,7 +15,7 @@
 //! queue history (dequeues `1,2,1,2` after interleaved enqueues) is
 //! impossible, even though it is dynamic atomic.
 
-use crate::replay;
+use atomicity_core::engine::replay_frontier;
 use atomicity_spec::{EventKind, History, ObjectId, Operation, SequentialSpec, Value};
 use parking_lot::Mutex;
 
@@ -112,7 +112,8 @@ impl<S: SequentialSpec> SchedulerModel<S> {
                     // The storage module applies the invocation now; the
                     // recorded result must be one of its possible results.
                     applied.push((operation, value.clone()));
-                    frontier = replay(&self.spec, &frontier, &applied[applied.len() - 1..]);
+                    frontier =
+                        replay_frontier(&self.spec, &frontier, &applied[applied.len() - 1..]);
                     if frontier.is_empty() {
                         return false;
                     }

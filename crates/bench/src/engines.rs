@@ -38,63 +38,23 @@ fn generated(adt: &str) -> Arc<dyn CommutesRel> {
     )
 }
 
-/// Which hot-path admission variant a run drives an engine through —
-/// recorded in report headers so bench trajectories stay comparable
-/// across PRs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPath {
-    /// Classic per-operation admission under the object mutex.
-    Locked,
-    /// Synthesized-table fast path installed
-    /// ([`EngineBuilder::fast_path`]): commuting operations skip
-    /// permutation replay, hybrid reads skip the mutex.
-    FastPath,
-    /// Fast path plus flat-combined batch admission
-    /// ([`atomicity_core::Combiner`]).
-    Batched,
-}
-
-impl AdmissionPath {
-    /// Stable label used in JSON report headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            AdmissionPath::Locked => "locked",
-            AdmissionPath::FastPath => "fast-path",
-            AdmissionPath::Batched => "batched",
-        }
-    }
-}
-
-impl fmt::Display for AdmissionPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// The single construction point for every engine: one match instead of
 /// one per object shape, returning the unified [`Admission`] surface.
 /// `table` is the commutativity relation the
-/// [`Engine::CommutativityLocking`] baseline locks against — and, with
-/// `fast` set, the fast-path relation installed into the dynamic and
-/// hybrid engines; the static engine and 2PL ignore it.
+/// [`Engine::CommutativityLocking`] baseline locks against and the
+/// dynamic and hybrid engines consult before permutation replay; the
+/// static engine and 2PL ignore it.
 fn construct<S: SequentialSpec>(
     engine: Engine,
     id: ObjectId,
     spec: S,
     mgr: &TxnManager,
     table: Arc<dyn CommutesRel>,
-    fast: bool,
 ) -> Arc<dyn Admission> {
     match engine {
-        Engine::Dynamic if fast => {
-            atomicity_core::DynamicObject::with_relation(id, spec, mgr, table) as _
-        }
-        Engine::Dynamic => atomicity_core::DynamicObject::new(id, spec, mgr) as _,
+        Engine::Dynamic => atomicity_core::DynamicObject::with_relation(id, spec, mgr, table) as _,
         Engine::Static => atomicity_core::StaticObject::new(id, spec, mgr) as _,
-        Engine::Hybrid if fast => {
-            atomicity_core::HybridObject::with_relation(id, spec, mgr, table) as _
-        }
-        Engine::Hybrid => atomicity_core::HybridObject::new(id, spec, mgr) as _,
+        Engine::Hybrid => atomicity_core::HybridObject::with_relation(id, spec, mgr, table) as _,
         Engine::TwoPhaseLocking => TwoPhaseLockedObject::new(id, spec, mgr) as _,
         Engine::CommutativityLocking => {
             CommutativityLockedObject::with_relation(id, spec, mgr, table) as _
@@ -221,7 +181,6 @@ impl Engine {
             BankAccountSpec::with_initial(initial),
             mgr,
             generated("bank"),
-            false,
         )
     }
 
@@ -240,37 +199,22 @@ impl Engine {
             KvMapSpec::with_initial(entries),
             mgr,
             generated("map"),
-            false,
         )
     }
 
     /// A FIFO-queue object under this engine.
     pub fn queue(self, id: ObjectId, mgr: &TxnManager) -> Arc<dyn Admission> {
-        construct(
-            self,
-            id,
-            FifoQueueSpec::new(),
-            mgr,
-            generated("queue"),
-            false,
-        )
+        construct(self, id, FifoQueueSpec::new(), mgr, generated("queue"))
     }
 
     /// An integer-set object under this engine.
     pub fn set(self, id: ObjectId, mgr: &TxnManager) -> Arc<dyn Admission> {
-        construct(self, id, IntSetSpec::new(), mgr, generated("set"), false)
+        construct(self, id, IntSetSpec::new(), mgr, generated("set"))
     }
 
     /// A semiqueue object (§5.2's weak queue) under this engine.
     pub fn semiqueue(self, id: ObjectId, mgr: &TxnManager) -> Arc<dyn Admission> {
-        construct(
-            self,
-            id,
-            SemiqueueSpec::new(),
-            mgr,
-            generated("semiqueue"),
-            false,
-        )
+        construct(self, id, SemiqueueSpec::new(), mgr, generated("semiqueue"))
     }
 
     /// An escrow counter (initial quantity) under this engine — the fully
@@ -283,7 +227,6 @@ impl Engine {
             EscrowCounterSpec::with_initial(initial),
             mgr,
             generated("escrow"),
-            false,
         )
     }
 }
@@ -312,21 +255,18 @@ pub struct EngineBuilder {
     policy: DeadlockPolicy,
     log: Option<HistoryLog>,
     metrics: MetricsRegistry,
-    fast: bool,
     certify: CertifyMode,
 }
 
 impl EngineBuilder {
     /// Starts a builder for `engine` with the default deadlock policy, a
-    /// fresh sharded history log, metrics disabled, and the classic
-    /// locked admission path.
+    /// fresh sharded history log, and metrics disabled.
     pub fn new(engine: Engine) -> Self {
         EngineBuilder {
             engine,
             policy: DeadlockPolicy::default(),
             log: None,
             metrics: MetricsRegistry::disabled(),
-            fast: false,
             certify: CertifyMode::Off,
         }
     }
@@ -337,16 +277,6 @@ impl EngineBuilder {
     /// calls [`EngineHandle::start_online`].
     pub fn certify(mut self, mode: CertifyMode) -> Self {
         self.certify = mode;
-        self
-    }
-
-    /// Installs the synthesized-table fast path into the dynamic and
-    /// hybrid engines built from this handle: commuting update pairs are
-    /// admitted without permutation replay, and hybrid read-only
-    /// activities admit off the seqlock snapshot without the object
-    /// mutex. Other engines are unaffected.
-    pub fn fast_path(mut self, fast: bool) -> Self {
-        self.fast = fast;
         self
     }
 
@@ -387,7 +317,6 @@ impl EngineBuilder {
         EngineHandle {
             engine: self.engine,
             mgr: b.build(),
-            fast: self.fast,
             certify: self.certify,
         }
     }
@@ -402,7 +331,6 @@ impl EngineBuilder {
 pub struct EngineHandle {
     engine: Engine,
     mgr: TxnManager,
-    fast: bool,
     certify: CertifyMode,
 }
 
@@ -410,12 +338,6 @@ impl EngineHandle {
     /// Which engine this handle runs.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// Whether the fast admission path is installed (see
-    /// [`EngineBuilder::fast_path`]).
-    pub fn fast(&self) -> bool {
-        self.fast
     }
 
     /// The online-certification mode selected at build time.
@@ -511,7 +433,7 @@ impl EngineHandle {
         spec: S,
         table: Arc<dyn CommutesRel>,
     ) -> Arc<dyn Admission> {
-        construct(self.engine, id, spec, &self.mgr, table, self.fast)
+        construct(self.engine, id, spec, &self.mgr, table)
     }
 
     /// A bank-account object with the given initial balance.
@@ -582,7 +504,7 @@ pub fn build_object<S: SequentialSpec>(
     mgr: &TxnManager,
 ) -> Arc<dyn Admission> {
     let serial: Arc<dyn CommutesRel> = Arc::new(|_: &Operation, _: &Operation| false);
-    construct(engine, id, spec, mgr, serial, false)
+    construct(engine, id, spec, mgr, serial)
 }
 
 /// The hand-written kv-map table: different keys always commute; same-key

@@ -15,7 +15,7 @@
 //! | E8  | recorder contention under threaded stress | [`workloads::stress`] |
 //! | E10 | observability: latency percentiles + abort taxonomy | [`report`] |
 //! | E12 | deterministic simulation: seed sweep + failure shrinking | [`workloads::e12`] |
-//! | E14 | contended hot-path admission: locked vs fast-path vs batched | [`workloads::e14`] |
+//! | E14 | contended admission: synthesized table vs replay-only reference | [`workloads::e14`] |
 //! | E15 | partitioned scale-out + dependency-logged parallel recovery | [`workloads::e15`] |
 //! | E16 | online streaming certifier: equality, memory bound, overhead | [`workloads::e16`] |
 //!
@@ -37,7 +37,6 @@ pub mod table;
 pub mod workloads;
 
 pub use engines::{
-    map_commutativity, synthesized_suite, AdmissionPath, CertifyMode, Engine, EngineBuilder,
-    EngineHandle,
+    map_commutativity, synthesized_suite, CertifyMode, Engine, EngineBuilder, EngineHandle,
 };
 pub use table::Table;

@@ -16,18 +16,18 @@ use std::collections::BTreeMap;
 /// `BENCH_*.json` file changes shape incompatibly, so CI artifact
 /// consumers can tell stale reports from current ones.
 ///
-/// v3: [`ReportHeader::admission_path`] records which admission-path
-/// variant(s) produced the report's rows.
-///
 /// v4: [`ReportHeader::topology`] records the execution topology the
 /// rows were measured on — `"single-node"` for the in-process engines,
 /// `"coordinator+Nsh"` for the partitioned service sweeps (E15).
-pub const REPORT_SCHEMA_VERSION: u32 = 4;
+///
+/// v5: the header's `admission_path` field is gone — there is one
+/// admission path; E14 rows say whether they are the replay-only
+/// reference ([`ContentionRow::reference`]).
+pub const REPORT_SCHEMA_VERSION: u32 = 5;
 
 /// The header every benchmark report (`BENCH_e10.json`, `BENCH_e14.json`)
 /// carries, so an artifact is self-identifying: which experiment produced
-/// it, under which schema, from which commit, through which admission
-/// path.
+/// it, under which schema, from which commit, on which topology.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReportHeader {
     /// Report layout version ([`REPORT_SCHEMA_VERSION`] at write time).
@@ -37,11 +37,6 @@ pub struct ReportHeader {
     /// Short git commit the binary was run from, or `"unknown"` outside a
     /// git checkout.
     pub git_commit: String,
-    /// The admission-path variant the rows were driven through
-    /// ([`crate::AdmissionPath::label`]), `"+"`-joined when the report
-    /// sweeps several variants (E14). Empty in pre-v3 artifacts.
-    #[serde(default)]
-    pub admission_path: String,
     /// The execution topology: `"single-node"`, or
     /// `"coordinator+<N>sh"` with the shard count for the partitioned
     /// service (`"+"`-joined when a report sweeps shard counts). Empty
@@ -51,23 +46,15 @@ pub struct ReportHeader {
 }
 
 impl ReportHeader {
-    /// Builds a header for `experiment` on the classic locked admission
-    /// path, stamping the current git commit.
+    /// Builds a single-node header for `experiment`, stamping the current
+    /// git commit.
     pub fn new(experiment: &str) -> Self {
         ReportHeader {
             schema_version: REPORT_SCHEMA_VERSION,
             experiment: experiment.to_string(),
             git_commit: current_git_commit(),
-            admission_path: crate::AdmissionPath::Locked.label().to_string(),
             topology: "single-node".to_string(),
         }
-    }
-
-    /// Overrides the recorded admission path (e.g. the `"+"`-joined
-    /// variant list of a sweep).
-    pub fn with_admission_path(mut self, path: impl Into<String>) -> Self {
-        self.admission_path = path.into();
-        self
     }
 
     /// Overrides the recorded topology (e.g. the `"+"`-joined shard
@@ -252,8 +239,9 @@ impl ObservabilityReport {
 pub struct ContentionRow {
     /// Engine label (see `Engine::label`).
     pub engine: String,
-    /// Admission-path variant driven ([`crate::AdmissionPath::label`]).
-    pub admission_path: String,
+    /// Whether this is the engine's replay-only reference row (built
+    /// without the synthesized table).
+    pub reference: bool,
     /// Update workers.
     pub threads: usize,
     /// Update transactions committed.
@@ -278,7 +266,7 @@ impl ContentionRow {
     pub fn from_outcome(out: &crate::workloads::e14::E14Outcome) -> Self {
         ContentionRow {
             engine: out.engine.label().to_string(),
-            admission_path: out.path.label().to_string(),
+            reference: out.reference,
             threads: out.threads,
             committed: out.committed,
             aborted: out.aborted,
@@ -312,16 +300,15 @@ impl From<&crate::workloads::e14::E14Params> for ContentionParams {
     }
 }
 
-/// The complete E14 report: the admission-path sweep on one contended
-/// object (`BENCH_e14.json`).
+/// The complete E14 report: the contended-admission sweep on one object
+/// (`BENCH_e14.json`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ContentionReport {
-    /// Shared report header (`experiment: "e14"`, the `"+"`-joined
-    /// variant list in `admission_path`).
+    /// Shared report header (`experiment: "e14"`).
     pub header: ReportHeader,
     /// The workload every cell ran.
     pub params: ContentionParams,
-    /// Per-cell rows (engine × path × thread count).
+    /// Per-cell rows (engine × reference? × thread count).
     pub rows: Vec<ContentionRow>,
 }
 
@@ -331,35 +318,18 @@ impl ContentionReport {
         params: &crate::workloads::e14::E14Params,
         outcomes: &[crate::workloads::e14::E14Outcome],
     ) -> Self {
-        let mut paths: Vec<&str> = Vec::new();
-        for o in outcomes {
-            if !paths.contains(&o.path.label()) {
-                paths.push(o.path.label());
-            }
-        }
         ContentionReport {
-            header: ReportHeader::new("e14").with_admission_path(paths.join("+")),
+            header: ReportHeader::new("e14"),
             params: params.into(),
             rows: outcomes.iter().map(ContentionRow::from_outcome).collect(),
         }
     }
 
-    /// The measured throughput of one cell, if it was run.
-    pub fn throughput_at(&self, engine: &str, path: &str, threads: usize) -> Option<f64> {
+    /// The row of one cell, if it was run.
+    pub fn row(&self, engine: &str, reference: bool, threads: usize) -> Option<&ContentionRow> {
         self.rows
             .iter()
-            .find(|r| r.engine == engine && r.admission_path == path && r.threads == threads)
-            .map(|r| r.throughput)
-    }
-
-    /// The best throughput any admission path reached for `engine` at
-    /// `threads` workers.
-    pub fn best_throughput_at(&self, engine: &str, threads: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .filter(|r| r.engine == engine && r.threads == threads)
-            .map(|r| r.throughput)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
+            .find(|r| r.engine == engine && r.reference == reference && r.threads == threads)
     }
 
     /// Pretty-printed JSON.

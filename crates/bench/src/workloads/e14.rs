@@ -1,53 +1,44 @@
-//! E14 — contended hot-path admission: the unified [`Admission`] API
-//! measured across its three variants on ONE shared object.
+//! E14 — contended admission: every worker deposits into ONE shared bank
+//! account, so admission itself is the serialization point.
 //!
-//! Every worker deposits into the same bank account, so admission itself
-//! is the serialization point. The three variants compared:
-//!
-//! - **locked** — the classic path: every operation takes the object
-//!   mutex and (dynamic/hybrid) replays permutations of the pending
-//!   intentions; past the `max_check` bound the engine conservatively
-//!   conflicts, so 8 deposit-only workers serialize even though every
-//!   pair of deposits commutes.
-//! - **fast-path** — the synthesized conflict table
-//!   (`atomicity_lint::standard_syntheses`) is installed
-//!   ([`crate::EngineBuilder::fast_path`]): commuting pairs are admitted
-//!   in O(pending ops) without permutation replay and without the
-//!   `max_check` bail, and hybrid read-only activities admit off the
-//!   [`atomicity_core::SeqlockCell`] snapshot without the object mutex.
-//! - **batched** — fast path plus flat combining
-//!   ([`atomicity_core::Combiner`]): threads enqueue detached requests
-//!   and one combiner drains the queue through
-//!   [`Admission::admit_batch`], one object-lock acquisition per batch.
+//! The dynamic and hybrid engines consult the synthesized conflict table
+//! (`atomicity_lint::standard_syntheses`) before permutation replay:
+//! commuting pairs are admitted in O(pending ops) and past the
+//! `max_check` bound, and hybrid read-only activities admit off the
+//! [`atomicity_core::SeqlockCell`] snapshot without the object mutex.
+//! Each of the two also runs once as a **replay-only reference** — built
+//! here with [`DynamicObject::new`] / [`HybridObject::new`], no table —
+//! where every operation replays permutations of the pending intentions
+//! and, past `max_check`, conservatively conflicts, so 8 deposit-only
+//! workers serialize even though every pair of deposits commutes. The
+//! lock baselines are the floor.
 //!
 //! With [`E14Params::verify`] set, every run ends with the post-hoc
 //! correctness gate: the recorded history must be certified by the
 //! linear-time certifier ([`atomicity_lint::certify()`]) under the
 //! engine's property, and the committed balance must equal the committed
-//! deposits — the fast paths must be invisible to the history.
+//! deposits — the table path must be invisible to the history.
 
-use crate::engines::{AdmissionPath, Engine};
+use crate::engines::Engine;
 use crate::workloads::hold;
-use atomicity_core::{Admission, AdmissionOutcome, Combiner, Protocol, StatsSnapshot, TxnManager};
+use atomicity_core::{Admission, DynamicObject, HybridObject, Protocol, StatsSnapshot, TxnManager};
 use atomicity_lint::{certify, certify_with_relation, Property};
 use atomicity_spec::specs::BankAccountSpec;
 use atomicity_spec::{op, ObjectId, SystemSpec, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The engine/path matrix E14 sweeps: the two engines with a table fast
-/// path under all three variants, and the lock baselines (for which the
-/// variants coincide) under the classic path as the floor.
-pub fn e14_matrix() -> Vec<(Engine, AdmissionPath)> {
+/// The rows E14 sweeps, as (engine, replay-only reference?): the two
+/// engines with a table path beside their replay-only reference, and the
+/// lock baselines.
+pub fn e14_matrix() -> Vec<(Engine, bool)> {
     vec![
-        (Engine::Dynamic, AdmissionPath::Locked),
-        (Engine::Dynamic, AdmissionPath::FastPath),
-        (Engine::Dynamic, AdmissionPath::Batched),
-        (Engine::Hybrid, AdmissionPath::Locked),
-        (Engine::Hybrid, AdmissionPath::FastPath),
-        (Engine::Hybrid, AdmissionPath::Batched),
-        (Engine::CommutativityLocking, AdmissionPath::Locked),
-        (Engine::TwoPhaseLocking, AdmissionPath::Locked),
+        (Engine::Dynamic, false),
+        (Engine::Dynamic, true),
+        (Engine::Hybrid, false),
+        (Engine::Hybrid, true),
+        (Engine::CommutativityLocking, false),
+        (Engine::TwoPhaseLocking, false),
     ]
 }
 
@@ -111,13 +102,13 @@ impl E14Params {
     }
 }
 
-/// Measured outcome of one E14 cell (engine × path × thread count).
+/// Measured outcome of one E14 cell (row × thread count).
 #[derive(Debug, Clone)]
 pub struct E14Outcome {
     /// The engine measured.
     pub engine: Engine,
-    /// The admission-path variant driven.
-    pub path: AdmissionPath,
+    /// Whether this is the engine's replay-only reference (no table).
+    pub reference: bool,
     /// Update workers.
     pub threads: usize,
     /// Wall-clock duration of the run.
@@ -141,29 +132,23 @@ pub struct E14Outcome {
 /// With [`E14Params::verify`] set, panics if the linear certifier rejects
 /// the recorded history or the committed balance disagrees with the
 /// committed deposits.
-pub fn run_e14(
-    engine: Engine,
-    path: AdmissionPath,
-    threads: usize,
-    params: &E14Params,
-) -> E14Outcome {
-    let handle = engine
-        .builder()
-        .fast_path(path != AdmissionPath::Locked)
-        .build();
-    let mgr = handle.manager().clone();
-    let obj = handle.account(ObjectId::new(1), 0);
-    let combiner = (path == AdmissionPath::Batched).then(|| Arc::new(Combiner::new()));
+pub fn run_e14(engine: Engine, reference: bool, threads: usize, params: &E14Params) -> E14Outcome {
+    let mgr = engine.manager();
+    let id = ObjectId::new(1);
+    let obj: Arc<dyn Admission> = match (engine, reference) {
+        (Engine::Dynamic, true) => DynamicObject::new(id, BankAccountSpec::new(), &mgr),
+        (Engine::Hybrid, true) => HybridObject::new(id, BankAccountSpec::new(), &mgr),
+        _ => engine.account(id, &mgr, 0),
+    };
 
     let start = Instant::now();
     let mut workers = Vec::new();
     for _ in 0..threads {
         let mgr = mgr.clone();
         let obj = Arc::clone(&obj);
-        let combiner = combiner.clone();
         let params = params.clone();
         workers.push(std::thread::spawn(move || {
-            update_worker(&mgr, &obj, combiner.as_deref(), &params)
+            update_worker(&mgr, &obj, &params)
         }));
     }
     let mut auditors = Vec::new();
@@ -193,7 +178,7 @@ pub fn run_e14(
 
     E14Outcome {
         engine,
-        path,
+        reference,
         threads,
         wall,
         committed,
@@ -205,40 +190,14 @@ pub fn run_e14(
 }
 
 /// One update worker: `txns_per_thread` transactions of commuting
-/// deposits, driven through the path variant's admission entry.
-fn update_worker(
-    mgr: &TxnManager,
-    obj: &Arc<dyn Admission>,
-    combiner: Option<&Combiner>,
-    params: &E14Params,
-) -> (u64, u64) {
+/// deposits through the blocking `invoke`.
+fn update_worker(mgr: &TxnManager, obj: &Arc<dyn Admission>, params: &E14Params) -> (u64, u64) {
     let (mut committed, mut aborted) = (0u64, 0u64);
     for _ in 0..params.txns_per_thread {
         let txn = mgr.begin();
-        let mut failed = false;
-        for _ in 0..params.ops_per_txn {
-            let operation = op("deposit", [1]);
-            let ok = match combiner {
-                // Batched: enqueue on the combiner and spin on Blocked —
-                // the combiner answers on some thread's drain.
-                Some(c) => loop {
-                    match c.submit(obj.as_ref(), &txn, operation.clone()) {
-                        AdmissionOutcome::Admitted(_) => break true,
-                        AdmissionOutcome::Blocked { .. } => std::thread::yield_now(),
-                        AdmissionOutcome::Rejected(_) => break false,
-                    }
-                },
-                // Locked / fast-path: the classic blocking invoke, which
-                // now routes through the same admission core.
-                None => obj.invoke(&txn, operation).is_ok(),
-            };
-            if !ok {
-                failed = true;
-                break;
-            }
-        }
+        let ok = (0..params.ops_per_txn).all(|_| obj.invoke(&txn, op("deposit", [1])).is_ok());
         hold(params.hold_micros);
-        if failed {
+        if !ok {
             mgr.abort(txn);
             aborted += 1;
         } else if mgr.commit(txn).is_ok() {
@@ -251,8 +210,7 @@ fn update_worker(
 }
 
 /// One hybrid auditor: timestamped read-only balance reads through
-/// [`Admission::read_at`] — the mutex-free seqlock path when the fast
-/// path is installed.
+/// [`Admission::read_at`] — the mutex-free seqlock path.
 fn read_worker(mgr: &TxnManager, obj: &Arc<dyn Admission>, reads: usize) -> u64 {
     let mut committed = 0u64;
     for _ in 0..reads {
@@ -268,7 +226,7 @@ fn read_worker(mgr: &TxnManager, obj: &Arc<dyn Admission>, reads: usize) -> u64 
     committed
 }
 
-/// The correctness gate: whatever the admission path skipped, the
+/// The correctness gate: whatever the table path skipped, the
 /// recorded history must still satisfy the engine's property (linear
 /// certifier) and the committed state must equal the committed deposits.
 fn verify_run(
@@ -329,18 +287,18 @@ mod tests {
             hold_micros: 0,
             verify: true,
         };
-        for (engine, path) in e14_matrix() {
-            let out = run_e14(engine, path, 3, &params);
-            assert_eq!(out.committed + out.aborted, 18, "{engine}/{path}");
-            assert!(out.stats.admissions > 0, "{engine}/{path}");
+        for (engine, reference) in e14_matrix() {
+            let out = run_e14(engine, reference, 3, &params);
+            assert_eq!(out.committed + out.aborted, 18, "{engine}/{reference}");
+            assert!(out.stats.admissions > 0, "{engine}/{reference}");
             if engine.protocol() == Protocol::Hybrid {
-                assert_eq!(out.reads_committed, 5, "{engine}/{path}");
+                assert_eq!(out.reads_committed, 5, "{engine}/{reference}");
             }
         }
     }
 
     #[test]
-    fn fast_path_grants_table_admissions_under_contention() {
+    fn the_table_grants_admissions_under_contention() {
         let params = E14Params {
             threads: vec![8],
             txns_per_thread: 8,
@@ -353,11 +311,11 @@ mod tests {
             hold_micros: 100,
             verify: true,
         };
-        let out = run_e14(Engine::Dynamic, AdmissionPath::FastPath, 8, &params);
+        let out = run_e14(Engine::Dynamic, false, 8, &params);
         assert_eq!(out.committed, 64);
         assert!(
             out.stats.fast_admissions > 0,
-            "contended commuting deposits must hit the table fast path"
+            "contended commuting deposits must be granted by the table"
         );
     }
 }

@@ -1,26 +1,38 @@
 //! Cross-cutting properties of the unified [`Admission`] API.
 //!
-//! Two guarantees the redesign leans on:
+//! Three guarantees the design leans on:
 //!
 //! 1. **Batch ≡ sequential** — [`Admission::admit_batch`] (one lock
-//!    acquisition draining many requests, the flat-combining entry) must
-//!    admit exactly what the same requests admitted one
-//!    [`Admission::admit_one`] call at a time, outcome for outcome, on
-//!    every engine and baseline, with and without the synthesized table
-//!    fast path. Proptested over random scripts of deposits, withdrawals
-//!    and balance reads spread across transactions.
+//!    acquisition draining many requests) must admit exactly what the
+//!    same requests admitted one [`Admission::admit_one`] call at a time,
+//!    outcome for outcome, on every engine and baseline. Proptested over
+//!    random scripts of deposits, withdrawals and balance reads spread
+//!    across transactions.
 //!
-//! 2. **Seqlock reads are invisible** — under threaded contention the
+//! 2. **Hybrid updates ≡ dynamic** — §4.3 processes updates "exactly as
+//!    under dynamic atomicity", and the two engines share one admission
+//!    core to make that true by construction. For the same request
+//!    sequence over every synthesized ADT they must return identical
+//!    outcomes and record identical invoke/respond events — the guard
+//!    against the two re-forking.
+//!
+//! 3. **Seqlock reads are invisible** — under threaded contention the
 //!    hybrid mutex-free read path may only serve committed,
 //!    timestamp-consistent snapshots: per-reader balances are monotone
 //!    (deposit-only workload), the final history is certified by the
 //!    linear certifier, and the committed balance matches the oracle.
 
-use atomicity_bench::Engine;
-use atomicity_core::{AdmissionOutcome, AdmissionRequest};
+use atomicity_bench::{synthesized_suite, Engine};
+use atomicity_core::{AdmissionOutcome, AdmissionRequest, CommutesRel};
+use atomicity_lint::audit::{bank_universe, queue_universe, semiqueue_universe, set_universe};
+use atomicity_lint::synth::{escrow_universe, map_universe};
 use atomicity_lint::{certify, Property};
-use atomicity_spec::specs::BankAccountSpec;
-use atomicity_spec::{op, ObjectId, SystemSpec, Value};
+use atomicity_spec::specs::{
+    BankAccountSpec, EscrowCounterSpec, FifoQueueSpec, IntSetSpec, KvMapSpec, SemiqueueSpec,
+};
+use atomicity_spec::{
+    op, Event, EventKind, ObjectId, Operation, SequentialSpec, SystemSpec, Value,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -30,7 +42,7 @@ type Step = (usize, u8, i64);
 
 const TXN_SLOTS: usize = 4;
 
-fn operation_of(selector: u8, amount: i64) -> atomicity_spec::Operation {
+fn operation_of(selector: u8, amount: i64) -> Operation {
     match selector {
         0 => op("deposit", [amount]),
         1 => op("withdraw", [amount]),
@@ -42,8 +54,8 @@ fn operation_of(selector: u8, amount: i64) -> atomicity_spec::Operation {
 /// through one `admit_batch` call or request-by-request. Transaction
 /// slots map to transactions begun in a fixed order, so mirrored runs
 /// see identical activity ids and (Lamport) timestamps.
-fn run_script(engine: Engine, fast: bool, batched: bool, script: &[Step]) -> Vec<AdmissionOutcome> {
-    let handle = engine.builder().fast_path(fast).build();
+fn run_script(engine: Engine, batched: bool, script: &[Step]) -> Vec<AdmissionOutcome> {
+    let handle = engine.builder().build();
     let obj = handle.account(ObjectId::new(1), 10);
     let mgr = handle.manager();
     let txns: Vec<_> = (0..TXN_SLOTS).map(|_| mgr.begin()).collect();
@@ -65,36 +77,123 @@ fn run_script(engine: Engine, fast: bool, batched: bool, script: &[Step]) -> Vec
     }
 }
 
+/// One step of the hybrid-vs-dynamic mirror: (transaction slot, action,
+/// operation index). Action 0 commits the slot's transaction, 1 aborts
+/// it (a fresh one takes the slot), anything else requests
+/// `universe[index % len]`.
+type MirrorStep = (usize, u8, usize);
+
+/// Drives `script` through `engine` (dynamic or hybrid, synthesized table
+/// of `adt` installed) and returns the outcomes and the invoke/respond
+/// events the object recorded.
+fn mirror_run<S: SequentialSpec>(
+    engine: Engine,
+    adt: &str,
+    spec: S,
+    universe: &[Operation],
+    script: &[MirrorStep],
+) -> (Vec<AdmissionOutcome>, Vec<Event>) {
+    let table: Arc<dyn CommutesRel> = Arc::new(
+        synthesized_suite()
+            .table(adt)
+            .expect("every shipped ADT has a synthesized table")
+            .clone(),
+    );
+    let handle = engine.builder().build();
+    let obj = handle.make(ObjectId::new(1), spec, table);
+    let mgr = handle.manager();
+    let mut txns: Vec<_> = (0..TXN_SLOTS).map(|_| mgr.begin()).collect();
+    let mut outcomes = Vec::new();
+    for &(slot, action, index) in script {
+        match action {
+            0 | 1 => {
+                let done = std::mem::replace(&mut txns[slot], mgr.begin());
+                if action == 0 {
+                    mgr.commit(done).expect("admitted intentions commit");
+                } else {
+                    mgr.abort(done);
+                }
+            }
+            _ => {
+                let operation = universe[index % universe.len()].clone();
+                outcomes.push(obj.try_admit(&txns[slot], operation));
+            }
+        }
+    }
+    let events = mgr
+        .history()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Invoke(_) | EventKind::Respond(_)))
+        .cloned()
+        .collect();
+    (outcomes, events)
+}
+
+fn assert_hybrid_mirrors_dynamic<S: SequentialSpec + Clone>(
+    adt: &str,
+    spec: S,
+    universe: &[Operation],
+    script: &[MirrorStep],
+) -> Result<(), TestCaseError> {
+    let dynamic = mirror_run(Engine::Dynamic, adt, spec.clone(), universe, script);
+    let hybrid = mirror_run(Engine::Hybrid, adt, spec, universe, script);
+    prop_assert!(
+        dynamic.0 == hybrid.0,
+        "{} outcomes diverged: dynamic {:?} vs hybrid {:?}",
+        adt,
+        dynamic.0,
+        hybrid.0
+    );
+    prop_assert!(
+        dynamic.1 == hybrid.1,
+        "{} events diverged: dynamic {:?} vs hybrid {:?}",
+        adt,
+        dynamic.1,
+        hybrid.1
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `admit_batch` admits exactly the same set — same outcomes, same
     /// values, same blockers — as sequential `admit_one`, on every
-    /// engine and baseline, with and without the table fast path.
+    /// engine and baseline.
     #[test]
     fn batch_admission_equals_sequential(
         script in prop::collection::vec((0..TXN_SLOTS, 0u8..3, 1i64..16), 1..24)
     ) {
-        for engine in [
-            Engine::Dynamic,
-            Engine::Static,
-            Engine::Hybrid,
-            Engine::TwoPhaseLocking,
-            Engine::CommutativityLocking,
-        ] {
-            for fast in [false, true] {
-                let batch = run_script(engine, fast, true, &script);
-                let sequential = run_script(engine, fast, false, &script);
-                prop_assert!(
-                    batch == sequential,
-                    "engine {} (fast={}) diverged: batch {:?} vs sequential {:?}",
-                    engine,
-                    fast,
-                    batch,
-                    sequential
-                );
-            }
+        for engine in Engine::ALL {
+            let batch = run_script(engine, true, &script);
+            let sequential = run_script(engine, false, &script);
+            prop_assert!(
+                batch == sequential,
+                "engine {} diverged: batch {:?} vs sequential {:?}",
+                engine,
+                batch,
+                sequential
+            );
         }
+    }
+
+    /// Update admission under the hybrid engine is update admission under
+    /// the dynamic engine: same outcomes (values and blockers), same
+    /// invoke/respond events, for every synthesized ADT.
+    #[test]
+    fn hybrid_update_admission_equals_dynamic(
+        script in prop::collection::vec((0..TXN_SLOTS, 0u8..8, 0usize..16), 1..32)
+    ) {
+        assert_hybrid_mirrors_dynamic(
+            "bank", BankAccountSpec::with_initial(10), &bank_universe(), &script)?;
+        assert_hybrid_mirrors_dynamic("queue", FifoQueueSpec::new(), &queue_universe(), &script)?;
+        assert_hybrid_mirrors_dynamic("set", IntSetSpec::new(), &set_universe(), &script)?;
+        assert_hybrid_mirrors_dynamic(
+            "semiqueue", SemiqueueSpec::new(), &semiqueue_universe(), &script)?;
+        assert_hybrid_mirrors_dynamic(
+            "map", KvMapSpec::with_initial([(1, 5)]), &map_universe(), &script)?;
+        assert_hybrid_mirrors_dynamic(
+            "escrow", EscrowCounterSpec::with_initial(6), &escrow_universe(), &script)?;
     }
 }
 
@@ -110,7 +209,7 @@ fn seqlock_reads_stay_consistent_under_threaded_stress() {
     const READERS: usize = 3;
     const READS_PER_READER: usize = 150;
 
-    let handle = Engine::Hybrid.builder().fast_path(true).build();
+    let handle = Engine::Hybrid.builder().build();
     let obj = handle.account(ObjectId::new(1), 0);
     let mgr = handle.manager().clone();
 

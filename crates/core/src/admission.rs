@@ -1,45 +1,30 @@
 //! The unified admission API: one surface through which every engine and
-//! baseline admits operations, plus the hot-path machinery behind it.
+//! baseline admits operations.
 //!
-//! Historically each engine grew its own admission entry points
-//! ([`crate::AtomicObject::invoke`] with engine-specific blocking loops,
-//! `try_invoke` variants, baseline lock paths), and every caller — the
-//! benches, the simulator, the lint gate — had to know which one it was
-//! talking to. The [`Admission`] trait replaces that tangle with three
-//! verbs and an explicit [`AdmissionOutcome`]:
+//! The [`Admission`] trait is three verbs and an explicit
+//! [`AdmissionOutcome`]:
 //!
 //! - [`Admission::try_admit`] — one non-blocking admission attempt;
-//! - [`Admission::admit_batch`] — admit a whole queue of pending
-//!   intentions under **one** acquisition of the object's internal lock
-//!   (the flat-combining building block);
+//! - [`Admission::admit_batch`] — admit a whole queue of requests under
+//!   **one** acquisition of the object's internal lock;
 //! - [`Admission::read_at`] — the read-only entry, which the hybrid
 //!   engine serves from a [`SeqlockCell`]-published version without ever
 //!   touching the object mutex.
 //!
-//! The module also provides the hot-path primitives themselves:
-//! [`SeqlockCell`] (a safe epoch/seqlock publication cell),
-//! [`Combiner`] (flat-combining submission: threads enqueue requests and
-//! one thread drains the queue through `admit_batch` on behalf of all),
-//! and [`IntentionArena`] (recycles intentions-list allocations across
-//! transactions).
+//! Each engine implements them over its one admission step (see
+//! [`crate::engine`]); blocking stays with [`AtomicObject::invoke`]. The
+//! module also
+//! provides [`SeqlockCell`], the safe epoch/seqlock publication cell
+//! behind the hybrid read path.
 
 use crate::error::TxnError;
 use crate::object::AtomicObject;
 use crate::txn::{Txn, TxnKind};
-use atomicity_spec::{ActivityId, ObjectId, OpResult, Operation, Timestamp, Value};
-use parking_lot::{Condvar, Mutex};
+use atomicity_spec::{ActivityId, ObjectId, Operation, Timestamp, Value};
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long a combiner-queue waiter sleeps between checks for its filled
-/// result slot (a safety net on top of combiner notifications).
-const COMBINE_WAIT_SLICE: Duration = Duration::from_millis(1);
-
-/// Intentions lists recycled by an [`IntentionArena`] beyond this count
-/// are dropped instead of pooled.
-const ARENA_POOL_CAP: usize = 256;
 
 /// The explicit result of one admission attempt.
 ///
@@ -51,7 +36,8 @@ pub enum AdmissionOutcome {
     /// The operation was admitted with this result; events were recorded
     /// and the intention installed.
     Admitted(Value),
-    /// The operation is currently inadmissible; nothing was recorded.
+    /// The operation is currently inadmissible; no event was recorded
+    /// (the object's metrics count one block round).
     Blocked {
         /// The transactions whose pending intentions conflict (empty when
         /// the implementation does not attribute the conflict).
@@ -99,7 +85,7 @@ impl AdmissionOutcome {
 }
 
 /// One admission request, detached from the (thread-pinned, non-`Clone`)
-/// [`Txn`] handle so it can cross threads in a combiner queue.
+/// [`Txn`] handle so a queue of them can be admitted as one batch.
 ///
 /// The submitting thread must have registered the object as a
 /// participant first ([`Admission::register_txn`]); the request then
@@ -131,7 +117,7 @@ impl AdmissionRequest {
 /// The unified admission surface every engine and baseline implements.
 ///
 /// Callers that hold a live [`Txn`] use [`Admission::try_admit`] /
-/// [`Admission::read_at`]; batch machinery ([`Combiner`]) uses
+/// [`Admission::read_at`]; batch callers use
 /// [`Admission::register_txn`] + [`Admission::admit_batch`] with
 /// detached [`AdmissionRequest`]s. Blocking behaviour stays with
 /// [`AtomicObject::invoke`] — admission itself never blocks.
@@ -251,160 +237,9 @@ impl<T> SeqlockCell<T> {
     }
 }
 
-/// A pool of intentions-list allocations.
-///
-/// Engines embed one inside their lock-protected state: lists are taken
-/// from the pool when a transaction first touches the object and
-/// returned (cleared, capacity kept) when it commits or aborts, so the
-/// steady-state hot path allocates nothing per transaction. The arena is
-/// deliberately *not* synchronized — its owner already holds the lock
-/// guarding the intentions table.
-#[derive(Debug, Default)]
-pub struct IntentionArena {
-    pool: Vec<Vec<OpResult>>,
-}
-
-impl IntentionArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        IntentionArena { pool: Vec::new() }
-    }
-
-    /// A cleared list, recycled if one is pooled.
-    pub fn acquire(&mut self) -> Vec<OpResult> {
-        self.pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a list to the pool (cleared; dropped once the pool is
-    /// full).
-    pub fn release(&mut self, mut list: Vec<OpResult>) {
-        if self.pool.len() < ARENA_POOL_CAP && list.capacity() > 0 {
-            list.clear();
-            self.pool.push(list);
-        }
-    }
-
-    /// Lists currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-}
-
-/// A filled-in-place result slot a submitting thread waits on.
-#[derive(Debug, Default)]
-struct Slot {
-    out: Mutex<Option<AdmissionOutcome>>,
-    cv: Condvar,
-}
-
-impl Slot {
-    fn fill(&self, outcome: AdmissionOutcome) {
-        *self.out.lock() = Some(outcome);
-        self.cv.notify_all();
-    }
-
-    fn take(&self) -> Option<AdmissionOutcome> {
-        self.out.lock().take()
-    }
-
-    fn wait(&self) -> Option<AdmissionOutcome> {
-        let mut g = self.out.lock();
-        if g.is_none() {
-            self.cv.wait_for(&mut g, COMBINE_WAIT_SLICE);
-        }
-        g.take()
-    }
-}
-
-/// Flat-combining admission: submitting threads enqueue their requests;
-/// whichever thread finds the combiner role free drains the whole queue
-/// through [`Admission::admit_batch`] — one object-lock acquisition for
-/// the entire batch — and distributes the outcomes.
-///
-/// One combiner typically fronts one heavily contended object, but the
-/// combiner holds no object reference: the target is passed per submit,
-/// so a combiner can also front a group of objects serialized together.
-#[derive(Debug, Default)]
-pub struct Combiner {
-    queue: Mutex<Vec<(AdmissionRequest, Arc<Slot>)>>,
-    combine: Mutex<()>,
-}
-
-impl Combiner {
-    /// An empty combiner.
-    pub fn new() -> Self {
-        Combiner::default()
-    }
-
-    /// Admits `operation` for `txn` at `object` through the combining
-    /// queue and waits for the outcome. Registration happens on the
-    /// calling thread (the transaction's own), then the detached request
-    /// may be admitted by any thread currently holding the combiner
-    /// role.
-    pub fn submit(
-        &self,
-        object: &dyn Admission,
-        txn: &Txn,
-        operation: Operation,
-    ) -> AdmissionOutcome {
-        if !txn.is_active() {
-            return AdmissionOutcome::Rejected(TxnError::NotActive { txn: txn.id() });
-        }
-        object.register_txn(txn);
-        let slot = Arc::new(Slot::default());
-        let request = AdmissionRequest::from_txn(txn, operation);
-        self.queue.lock().push((request, Arc::clone(&slot)));
-        loop {
-            if let Some(outcome) = slot.take() {
-                return outcome;
-            }
-            match self.combine.try_lock() {
-                Some(_combining) => {
-                    self.drain(object);
-                    // Everything enqueued before we took the role — our
-                    // own request included — is now answered.
-                    if let Some(outcome) = slot.take() {
-                        return outcome;
-                    }
-                }
-                None => {
-                    // Another thread is combining on our behalf.
-                    if let Some(outcome) = slot.wait() {
-                        return outcome;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains the queue until empty, answering every waiter. Called with
-    /// the combiner role held.
-    fn drain(&self, object: &dyn Admission) {
-        loop {
-            let batch = std::mem::take(&mut *self.queue.lock());
-            if batch.is_empty() {
-                return;
-            }
-            let (requests, slots): (Vec<AdmissionRequest>, Vec<Arc<Slot>>) =
-                batch.into_iter().unzip();
-            let outcomes = object.admit_batch(&requests);
-            debug_assert_eq!(outcomes.len(), requests.len());
-            for (slot, outcome) in slots.iter().zip(outcomes) {
-                slot.fill(outcome);
-            }
-        }
-    }
-
-    /// Requests currently queued (waiting for a combiner).
-    pub fn queued(&self) -> usize {
-        self.queue.lock().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomicity_spec::op;
 
     #[test]
     fn outcome_result_round_trip() {
@@ -486,23 +321,5 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(cell.load().as_deref(), Some(&(2000, 6000)));
-    }
-
-    #[test]
-    fn arena_recycles_capacity() {
-        let mut arena = IntentionArena::new();
-        let mut list = arena.acquire();
-        list.push((op("deposit", [1]), Value::ok()));
-        list.reserve(32);
-        let cap = list.capacity();
-        arena.release(list);
-        assert_eq!(arena.pooled(), 1);
-        let recycled = arena.acquire();
-        assert!(recycled.is_empty());
-        assert_eq!(recycled.capacity(), cap, "capacity survives recycling");
-        assert_eq!(arena.pooled(), 0);
-        // Zero-capacity lists are not worth pooling.
-        arena.release(Vec::new());
-        assert_eq!(arena.pooled(), 0);
     }
 }

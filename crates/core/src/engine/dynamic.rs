@@ -17,31 +17,18 @@
 //! scheduler-model counterexample), while genuinely order-sensitive
 //! interleavings still block.
 
-use crate::admission::{Admission, AdmissionOutcome, AdmissionRequest, IntentionArena};
+use crate::admission::{Admission, AdmissionOutcome, AdmissionRequest};
 use crate::conflict::CommutesRel;
-use crate::engine::{all_orders_replay, replay_frontier};
+use crate::engine::{attempt, invoke_blocking, DynamicCore, Engine, Intentions, DEFAULT_MAX_CHECK};
 use crate::error::TxnError;
-use crate::log::HistoryLog;
 use crate::manager::TxnManager;
 use crate::object::{AtomicObject, Participant};
 use crate::stats::StatsSnapshot;
 use crate::trace::ObjectMetrics;
 use crate::txn::Txn;
-use atomicity_spec::{
-    ActivityId, Event, ObjectId, OpResult, Operation, SequentialSpec, Timestamp, Value,
-};
+use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
-
-/// Upper bound on concurrently checked intention lists; above it the
-/// engine conservatively blocks instead of enumerating permutations.
-const DEFAULT_MAX_CHECK: usize = 6;
-
-/// How long a blocked invocation sleeps between admission retries (a
-/// safety net on top of commit/abort notifications).
-const WAIT_SLICE: Duration = Duration::from_millis(5);
 
 /// An atomic object guaranteeing **dynamic atomicity** for a sequential
 /// specification `S`.
@@ -61,36 +48,10 @@ const WAIT_SLICE: Duration = Duration::from_millis(5);
 /// # Ok::<(), atomicity_core::TxnError>(())
 /// ```
 pub struct DynamicObject<S: SequentialSpec> {
-    id: ObjectId,
-    spec: S,
-    log: HistoryLog,
-    mu: Mutex<Inner<S>>,
+    core: DynamicCore<S>,
+    mu: Mutex<Intentions<S>>,
     cv: Condvar,
-    max_check: usize,
-    /// Optional state-independent commutativity relation (a synthesized
-    /// conflict table): operations that commute with every pending
-    /// operation are admitted without permutation replay.
-    fast_rel: Option<Arc<dyn CommutesRel>>,
-    metrics: ObjectMetrics,
     self_ref: Weak<DynamicObject<S>>,
-}
-
-struct Inner<S: SequentialSpec> {
-    /// All abstract states consistent with the committed prefix (a set,
-    /// because specifications may be non-deterministic). Invariant:
-    /// non-empty.
-    committed: Vec<S::State>,
-    /// Intentions list per active transaction, in execution order.
-    intentions: BTreeMap<ActivityId, Vec<OpResult>>,
-    /// Recycles intentions-list allocations across transactions.
-    arena: IntentionArena,
-}
-
-/// The outcome of one admission attempt.
-enum Admit {
-    Granted(Value),
-    Invalid,
-    Conflict(BTreeSet<ActivityId>),
 }
 
 impl<S: SequentialSpec> DynamicObject<S> {
@@ -128,34 +89,25 @@ impl<S: SequentialSpec> DynamicObject<S> {
         spec: S,
         mgr: &TxnManager,
         max_check: usize,
-        fast_rel: Option<Arc<dyn CommutesRel>>,
+        table: Option<Arc<dyn CommutesRel>>,
     ) -> Arc<Self> {
-        let initial = vec![spec.initial()];
+        let (core, initial) = DynamicCore::new(id, spec, mgr, max_check, table);
         Arc::new_cyclic(|self_ref| DynamicObject {
-            id,
-            spec,
-            log: mgr.log(),
-            mu: Mutex::new(Inner {
-                committed: initial,
-                intentions: BTreeMap::new(),
-                arena: IntentionArena::new(),
-            }),
+            core,
+            mu: Mutex::new(initial),
             cv: Condvar::new(),
-            max_check,
-            fast_rel,
-            metrics: mgr.metrics().object(id),
             self_ref: self_ref.clone(),
         })
     }
 
     /// Contention statistics for this object.
     pub fn stats(&self) -> StatsSnapshot {
-        self.metrics.stats()
+        self.core.metrics.stats()
     }
 
     /// The object's sequential specification.
     pub fn spec(&self) -> &S {
-        &self.spec
+        &self.core.spec
     }
 
     /// A copy of the committed abstract state set (for inspection/tests).
@@ -165,265 +117,105 @@ impl<S: SequentialSpec> DynamicObject<S> {
 
     /// Number of transactions with pending intentions at this object.
     pub fn active_count(&self) -> usize {
-        self.mu.lock().intentions.len()
+        self.mu.lock().pending.len()
+    }
+}
+
+impl<S: SequentialSpec> Engine for DynamicObject<S> {
+    type Guarded = Intentions<S>;
+
+    fn meter(&self) -> &ObjectMetrics {
+        &self.core.metrics
     }
 
-    fn self_participant(&self) -> Arc<dyn Participant> {
-        self.self_ref
-            .upgrade()
-            .expect("DynamicObject used after its Arc was dropped")
+    fn admission_step(
+        &self,
+        state: &mut Intentions<S>,
+        request: &AdmissionRequest,
+        invoked: bool,
+    ) -> AdmissionOutcome {
+        self.core.admission_step(state, request, invoked)
     }
 
-    fn decide_admit(&self, inner: &Inner<S>, me: ActivityId, op: &Operation) -> Admit {
-        let empty = Vec::new();
-        let own = inner.intentions.get(&me).unwrap_or(&empty);
-        let own_frontier = replay_frontier(&self.spec, &inner.committed, own);
-        debug_assert!(!own_frontier.is_empty(), "own intentions must replay");
-
-        // Candidate results, deterministically ordered.
-        let mut candidates: Vec<Value> = Vec::new();
-        for s in &own_frontier {
-            for (v, _) in self.spec.step(s, op) {
-                if !candidates.contains(&v) {
-                    candidates.push(v);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return Admit::Invalid;
-        }
-        candidates.sort();
-
-        let others: Vec<(&ActivityId, &Vec<OpResult>)> = inner
-            .intentions
-            .iter()
-            .filter(|(id, list)| **id != me && !list.is_empty())
-            .collect();
-        if others.is_empty() {
-            return Admit::Granted(candidates.remove(0));
-        }
-        // Table fast path: a deterministic operation that commutes (per the
-        // installed state-independent relation) with every pending operation
-        // of every other active transaction replays identically in all
-        // orders, so it is admissible without permutation enumeration — and
-        // without the conservative block above `max_check`. Misses fall
-        // through to the state-dependent check, so the engine stays at
-        // least as permissive as with no relation installed.
-        if candidates.len() == 1 {
-            if let Some(rel) = &self.fast_rel {
-                if others
-                    .iter()
-                    .all(|(_, list)| list.iter().all(|(q, _)| rel.commutes(op, q)))
-                {
-                    self.metrics.record_fast_admission();
-                    return Admit::Granted(candidates.remove(0));
-                }
-            }
-        }
-        if others.len() + 1 > self.max_check {
-            return Admit::Conflict(others.iter().map(|(id, _)| **id).collect());
-        }
-
-        for v in candidates {
-            let mut mine = own.clone();
-            mine.push((op.clone(), v.clone()));
-            let mut lists: Vec<&[OpResult]> = others.iter().map(|(_, l)| l.as_slice()).collect();
-            lists.push(&mine);
-            if all_orders_replay(&self.spec, &inner.committed, &lists) {
-                return Admit::Granted(v);
-            }
-        }
-        Admit::Conflict(others.iter().map(|(id, _)| **id).collect())
-    }
-
-    /// Appends `(op, v)` to `me`'s intentions list, drawing the list
-    /// allocation from the arena on first use.
-    fn push_intention(inner: &mut Inner<S>, me: ActivityId, op: Operation, v: Value) {
-        if !inner.intentions.contains_key(&me) {
-            let fresh = inner.arena.acquire();
-            inner.intentions.insert(me, fresh);
-        }
-        inner
-            .intentions
-            .get_mut(&me)
-            .expect("intentions list just ensured")
-            .push((op, v));
-    }
-
-    /// One admission attempt with the object lock already held: the shared
-    /// core of [`Admission::admit_one`], [`Admission::admit_batch`] and the
-    /// non-blocking `try_invoke`. Events are recorded only on a grant, so a
-    /// blocked attempt is as if the invocation never happened.
-    fn admit_locked(&self, inner: &mut Inner<S>, req: &AdmissionRequest) -> AdmissionOutcome {
-        let me = req.txn;
-        let invoke_sw = self.metrics.stopwatch();
-        match self.decide_admit(inner, me, &req.operation) {
-            Admit::Invalid => AdmissionOutcome::Rejected(TxnError::InvalidOperation {
-                object: self.id,
-                operation: req.operation.to_string(),
-            }),
-            Admit::Granted(v) => {
-                self.log.record_all([
-                    Event::invoke(me, self.id, req.operation.clone()),
-                    Event::respond(me, self.id, v.clone()),
-                ]);
-                Self::push_intention(inner, me, req.operation.clone(), v.clone());
-                self.metrics.record_admission(me, &invoke_sw);
-                AdmissionOutcome::Admitted(v)
-            }
-            Admit::Conflict(holders) => AdmissionOutcome::Blocked { holders },
-        }
+    fn record_invoke(&self, _state: &mut Intentions<S>, request: &AdmissionRequest) {
+        self.core.record_invoke(request);
     }
 }
 
 impl<S: SequentialSpec> Admission for DynamicObject<S> {
     fn register_txn(&self, txn: &Txn) {
-        txn.register(self.self_participant());
+        txn.register(
+            self.self_ref
+                .upgrade()
+                .expect("DynamicObject used after its Arc was dropped"),
+        );
     }
 
     fn admit_one(&self, request: &AdmissionRequest) -> AdmissionOutcome {
-        let mut inner = self.mu.lock();
-        self.admit_locked(&mut inner, request)
+        let mut state = self.mu.lock();
+        attempt(self, &mut state, request)
     }
 
     fn admit_batch(&self, requests: &[AdmissionRequest]) -> Vec<AdmissionOutcome> {
-        let mut inner = self.mu.lock();
+        let mut state = self.mu.lock();
         requests
             .iter()
-            .map(|r| self.admit_locked(&mut inner, r))
+            .map(|r| attempt(self, &mut state, r))
             .collect()
     }
 }
 
 impl<S: SequentialSpec> AtomicObject for DynamicObject<S> {
     fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        self.try_invoke_once(txn, operation)
+        self.try_admit(txn, operation).into_result(self.core.id)
     }
 
     fn metrics(&self) -> ObjectMetrics {
-        self.metrics.clone()
+        self.core.metrics.clone()
     }
 
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
         if !txn.is_active() {
             return Err(TxnError::NotActive { txn: txn.id() });
         }
-        txn.register(self.self_participant());
-        let me = txn.id();
-        let invoke_sw = self.metrics.stopwatch();
-        let mut block_sw = crate::trace::Stopwatch::disarmed();
-        let mut inner = self.mu.lock();
-        let mut invoked = false;
-        loop {
-            match self.decide_admit(&inner, me, &operation) {
-                Admit::Invalid => {
-                    // Nothing was recorded: the operation never happened.
-                    return Err(TxnError::InvalidOperation {
-                        object: self.id,
-                        operation: operation.to_string(),
-                    });
-                }
-                Admit::Granted(v) => {
-                    let mut events = Vec::with_capacity(2);
-                    if !invoked {
-                        events.push(Event::invoke(me, self.id, operation.clone()));
-                    }
-                    events.push(Event::respond(me, self.id, v.clone()));
-                    Self::push_intention(&mut inner, me, operation, v.clone());
-                    self.log.record_all(events);
-                    if block_sw.is_armed() {
-                        self.metrics.record_block_wait(&block_sw);
-                    }
-                    self.metrics.record_admission(me, &invoke_sw);
-                    return Ok(v);
-                }
-                Admit::Conflict(holders) => {
-                    if !invoked {
-                        self.log
-                            .record(Event::invoke(me, self.id, operation.clone()));
-                        invoked = true;
-                    }
-                    match txn.request_wait(&holders) {
-                        crate::deadlock::WaitDecision::Die => {
-                            txn.clear_wait();
-                            self.metrics.record_deadlock_kill(me);
-                            return Err(TxnError::Deadlock {
-                                txn: me,
-                                object: self.id,
-                            });
-                        }
-                        crate::deadlock::WaitDecision::Wait => {
-                            if !block_sw.is_armed() {
-                                block_sw = self.metrics.stopwatch();
-                            }
-                            self.metrics.record_block_round(me);
-                            self.cv.wait_for(&mut inner, WAIT_SLICE);
-                            txn.clear_wait();
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<S: SequentialSpec> DynamicObject<S> {
-    /// One non-blocking admission attempt (see
-    /// [`AtomicObject::try_invoke`]).
-    fn try_invoke_once(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
-        txn.register(self.self_participant());
-        let mut inner = self.mu.lock();
-        self.admit_locked(&mut inner, &AdmissionRequest::from_txn(txn, operation))
-            .into_result(self.id)
+        self.register_txn(txn);
+        let request = AdmissionRequest::from_txn(txn, operation);
+        let invoke_sw = self.core.metrics.stopwatch();
+        let mut state = self.mu.lock();
+        invoke_blocking(self, txn, &request, &mut state, &self.cv, &invoke_sw)
     }
 }
 
 impl<S: SequentialSpec> Participant for DynamicObject<S> {
     fn object_id(&self) -> ObjectId {
-        self.id
+        self.core.id
     }
 
     fn commit(&self, txn: ActivityId, ts: Option<Timestamp>) {
-        let mut inner = self.mu.lock();
-        if let Some(list) = inner.intentions.remove(&txn) {
-            let next = replay_frontier(&self.spec, &inner.committed, &list);
-            debug_assert!(
-                !next.is_empty(),
-                "admitted intentions must replay at commit"
-            );
-            if !next.is_empty() {
-                inner.committed = next;
-            }
-            inner.arena.release(list);
-        }
+        let mut state = self.mu.lock();
+        self.core.install(&mut state, txn);
         let event = match ts {
-            Some(t) => Event::commit_ts(txn, self.id, t),
-            None => Event::commit(txn, self.id),
+            Some(t) => Event::commit_ts(txn, self.core.id, t),
+            None => Event::commit(txn, self.core.id),
         };
-        self.log.record(event);
-        self.metrics.record_commit(txn);
+        self.core.log.record(event);
+        self.core.metrics.record_commit(txn);
         self.cv.notify_all();
     }
 
     fn abort(&self, txn: ActivityId) {
-        let mut inner = self.mu.lock();
-        if let Some(list) = inner.intentions.remove(&txn) {
-            inner.arena.release(list);
-        }
-        self.log.record(Event::abort(txn, self.id));
-        self.metrics.record_abort(txn);
+        let mut state = self.mu.lock();
+        state.pending.remove(&txn);
+        self.core.log.record(Event::abort(txn, self.core.id));
+        self.core.metrics.record_abort(txn);
         self.cv.notify_all();
-        drop(inner);
     }
 }
 
 impl<S: SequentialSpec> std::fmt::Debug for DynamicObject<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DynamicObject")
-            .field("id", &self.id)
+            .field("id", &self.core.id)
             .field("active", &self.active_count())
             .finish()
     }
@@ -436,6 +228,7 @@ mod tests {
     use atomicity_spec::atomicity::{is_atomic, is_dynamic_atomic};
     use atomicity_spec::specs::{BankAccountSpec, FifoQueueSpec, SemiqueueSpec};
     use atomicity_spec::{op, SystemSpec};
+    use std::time::Duration;
 
     fn x() -> ObjectId {
         ObjectId::new(1)
@@ -502,10 +295,8 @@ mod tests {
         let acct2 = Arc::clone(&acct);
         let mgr2_handle = std::thread::spawn({
             let c = mgr.begin();
-            let mgr_log = mgr.log();
             move || {
                 let v = acct2.invoke(&c, op("withdraw", [3])).unwrap();
-                let _ = mgr_log; // silence unused in this closure shape
                 (c, v)
             }
         });
@@ -778,7 +569,6 @@ mod tests {
         }
         let committed = handles
             .into_iter()
-            .filter(|_| true)
             .map(|h| h.join().unwrap())
             .filter(|ok| *ok)
             .count();

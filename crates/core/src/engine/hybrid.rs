@@ -14,28 +14,22 @@
 //! the implementation of hybrid atomicity do not interfere with any
 //! updates").
 
-use crate::admission::{
-    Admission, AdmissionOutcome, AdmissionRequest, IntentionArena, SeqlockCell,
-};
+use crate::admission::{Admission, AdmissionOutcome, AdmissionRequest, SeqlockCell};
 use crate::conflict::CommutesRel;
-use crate::engine::{all_orders_replay, replay_frontier};
+use crate::engine::{
+    attempt, candidates, invalid_operation, invoke_blocking, DynamicCore, Engine, Intentions,
+    DEFAULT_MAX_CHECK,
+};
 use crate::error::TxnError;
-use crate::log::HistoryLog;
 use crate::manager::TxnManager;
 use crate::object::{AtomicObject, Participant};
 use crate::stats::StatsSnapshot;
 use crate::trace::ObjectMetrics;
 use crate::txn::{Txn, TxnKind};
-use atomicity_spec::{
-    ActivityId, Event, ObjectId, OpResult, Operation, SequentialSpec, Timestamp, Value,
-};
+use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Weak};
-use std::time::Duration;
-
-const DEFAULT_MAX_CHECK: usize = 6;
-const WAIT_SLICE: Duration = Duration::from_millis(5);
 
 /// An atomic object guaranteeing **hybrid atomicity** for a sequential
 /// specification `S`.
@@ -62,15 +56,10 @@ const WAIT_SLICE: Duration = Duration::from_millis(5);
 /// # Ok::<(), atomicity_core::TxnError>(())
 /// ```
 pub struct HybridObject<S: SequentialSpec> {
-    id: ObjectId,
-    spec: S,
-    log: HistoryLog,
+    /// Update admission, exactly as under dynamic atomicity.
+    core: DynamicCore<S>,
     mu: Mutex<Inner<S>>,
     cv: Condvar,
-    max_check: usize,
-    /// Optional state-independent commutativity relation (a synthesized
-    /// conflict table) used as an update-admission fast path.
-    fast_rel: Option<Arc<dyn CommutesRel>>,
     /// The newest committed version, published for the lock-free read
     /// path. The manager's commit gate orders every publish with
     /// timestamp below a reader's start timestamp before that reader
@@ -80,25 +69,15 @@ pub struct HybridObject<S: SequentialSpec> {
     /// Read-only transactions that have touched this object. Kept outside
     /// `mu` so the read path never contends with update admission.
     readers: Mutex<BTreeSet<ActivityId>>,
-    metrics: ObjectMetrics,
     self_ref: Weak<HybridObject<S>>,
 }
 
-struct Inner<S: SequentialSpec> {
-    /// The newest committed state frontier (admission base for updates).
-    current: Vec<S::State>,
+pub(crate) struct Inner<S: SequentialSpec> {
+    /// The update transactions' intentions over the newest committed
+    /// state frontier.
+    updates: Intentions<S>,
     /// Committed versions, ascending by commit timestamp.
     versions: Vec<(Timestamp, Vec<S::State>)>,
-    /// Intentions list per active update transaction.
-    intentions: BTreeMap<ActivityId, Vec<OpResult>>,
-    /// Recycles intentions-list allocations across transactions.
-    arena: IntentionArena,
-}
-
-enum Admit {
-    Granted(Value),
-    Invalid,
-    Conflict(BTreeSet<ActivityId>),
 }
 
 impl<S: SequentialSpec> HybridObject<S> {
@@ -113,7 +92,7 @@ impl<S: SequentialSpec> HybridObject<S> {
     }
 
     /// Creates the object with a state-independent commutativity relation
-    /// used as an update-admission fast path (see
+    /// consulted before permutation replay (see
     /// [`DynamicObject::with_relation`](crate::DynamicObject::with_relation)
     /// — update admission is identical under hybrid atomicity).
     pub fn with_relation(
@@ -130,32 +109,25 @@ impl<S: SequentialSpec> HybridObject<S> {
         spec: S,
         mgr: &TxnManager,
         max_check: usize,
-        fast_rel: Option<Arc<dyn CommutesRel>>,
+        table: Option<Arc<dyn CommutesRel>>,
     ) -> Arc<Self> {
-        let initial = vec![spec.initial()];
+        let (core, updates) = DynamicCore::new(id, spec, mgr, max_check, table);
         Arc::new_cyclic(|self_ref| HybridObject {
-            id,
-            spec,
-            log: mgr.log(),
+            core,
             mu: Mutex::new(Inner {
-                current: initial,
+                updates,
                 versions: Vec::new(),
-                intentions: BTreeMap::new(),
-                arena: IntentionArena::new(),
             }),
             cv: Condvar::new(),
-            max_check,
-            fast_rel,
             latest: SeqlockCell::new(),
             readers: Mutex::new(BTreeSet::new()),
-            metrics: mgr.metrics().object(id),
             self_ref: self_ref.clone(),
         })
     }
 
     /// Contention statistics for this object.
     pub fn stats(&self) -> StatsSnapshot {
-        self.metrics.stats()
+        self.core.metrics.stats()
     }
 
     /// Number of retained committed versions.
@@ -175,82 +147,9 @@ impl<S: SequentialSpec> HybridObject<S> {
         inner.versions.drain(..keep_from);
     }
 
-    fn self_participant(&self) -> Arc<dyn Participant> {
-        self.self_ref
-            .upgrade()
-            .expect("HybridObject used after its Arc was dropped")
-    }
-
-    /// The state frontier visible to a reader with timestamp `ts`: the
-    /// newest version committed strictly before `ts`.
-    fn snapshot_at(&self, inner: &Inner<S>, ts: Timestamp) -> Vec<S::State> {
-        let idx = inner.versions.partition_point(|(vts, _)| *vts < ts);
-        if idx == 0 {
-            vec![self.spec.initial()]
-        } else {
-            inner.versions[idx - 1].1.clone()
-        }
-    }
-
-    fn try_admit_update(&self, inner: &Inner<S>, me: ActivityId, op: &Operation) -> Admit {
-        let empty = Vec::new();
-        let own = inner.intentions.get(&me).unwrap_or(&empty);
-        let own_frontier = replay_frontier(&self.spec, &inner.current, own);
-        debug_assert!(!own_frontier.is_empty());
-
-        let mut candidates: Vec<Value> = Vec::new();
-        for s in &own_frontier {
-            for (v, _) in self.spec.step(s, op) {
-                if !candidates.contains(&v) {
-                    candidates.push(v);
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return Admit::Invalid;
-        }
-        candidates.sort();
-
-        let others: Vec<(&ActivityId, &Vec<OpResult>)> = inner
-            .intentions
-            .iter()
-            .filter(|(id, list)| **id != me && !list.is_empty())
-            .collect();
-        if others.is_empty() {
-            return Admit::Granted(candidates.remove(0));
-        }
-        // Table fast path — see `DynamicObject::decide_admit`: a
-        // deterministic operation commuting with every pending operation
-        // replays identically in all orders, so it is admissible without
-        // permutation enumeration and without the `max_check` block.
-        if candidates.len() == 1 {
-            if let Some(rel) = &self.fast_rel {
-                if others
-                    .iter()
-                    .all(|(_, list)| list.iter().all(|(q, _)| rel.commutes(op, q)))
-                {
-                    self.metrics.record_fast_admission();
-                    return Admit::Granted(candidates.remove(0));
-                }
-            }
-        }
-        if others.len() + 1 > self.max_check {
-            return Admit::Conflict(others.iter().map(|(id, _)| **id).collect());
-        }
-        for v in candidates {
-            let mut mine = own.clone();
-            mine.push((op.clone(), v.clone()));
-            let mut lists: Vec<&[OpResult]> = others.iter().map(|(_, l)| l.as_slice()).collect();
-            lists.push(&mine);
-            if all_orders_replay(&self.spec, &inner.current, &lists) {
-                return Admit::Granted(v);
-            }
-        }
-        Admit::Conflict(others.iter().map(|(id, _)| **id).collect())
-    }
-
-    /// The state frontier a reader with timestamp `ts` observes, taken
-    /// from the seqlock-published newest version when possible.
+    /// The state frontier a reader with timestamp `ts` observes — the
+    /// newest version committed strictly before `ts` — and whether it
+    /// came off the mutex-free seqlock path.
     ///
     /// Lock-free case: the manager's commit gate serializes commit-
     /// timestamp assignment and version publication against read-only
@@ -259,176 +158,92 @@ impl<S: SequentialSpec> HybridObject<S> {
     /// timestamp. Hence if the published newest version predates `ts`, it
     /// *is* the reader's snapshot. Only historical readers (pinned below
     /// the newest version) fall back to the version chain under `mu`.
-    /// Returns the snapshot states and whether they came off the
-    /// mutex-free seqlock path.
     fn read_snapshot(&self, ts: Timestamp) -> (Vec<S::State>, bool) {
-        if let Some(latest) = self.latest.load() {
-            if latest.0 < ts {
-                return (latest.1.clone(), true);
-            }
-            let inner = self.mu.lock();
-            return (self.snapshot_at(&inner, ts), false);
+        let Some(latest) = self.latest.load() else {
+            // Nothing published: no update with a timestamp below `ts`
+            // has committed, so the reader sees the initial state.
+            return (vec![self.core.spec.initial()], true);
+        };
+        if latest.0 < ts {
+            return (latest.1.clone(), true);
         }
-        // Nothing published: no update with a timestamp below `ts` has
-        // committed, so the reader sees the initial state.
-        (vec![self.spec.initial()], true)
+        let inner = self.mu.lock();
+        let idx = inner.versions.partition_point(|(vts, _)| *vts < ts);
+        let states = match idx.checked_sub(1) {
+            Some(newest_before) => inner.versions[newest_before].1.clone(),
+            None => vec![self.core.spec.initial()],
+        };
+        (states, false)
     }
 
     /// One read-only admission against the reader's timestamped snapshot.
-    /// Never touches `mu` unless the read is historical.
+    /// Never touches `mu` unless the read is historical, and never blocks.
     fn admit_read_only(&self, req: &AdmissionRequest) -> AdmissionOutcome {
-        let me = req.txn;
+        let (me, id) = (req.txn, self.core.id);
         let operation = &req.operation;
         let Some(ts) = req.start_ts else {
             return AdmissionOutcome::Rejected(TxnError::ProtocolMismatch {
-                object: self.id,
+                object: id,
                 detail: "read-only transactions require a start timestamp".into(),
             });
         };
-        if !self.spec.is_read_only(operation) {
+        if !self.core.spec.is_read_only(operation) {
             return AdmissionOutcome::Rejected(TxnError::ProtocolMismatch {
-                object: self.id,
+                object: id,
                 detail: format!("operation {operation} may modify state"),
             });
         }
-        let invoke_sw = self.metrics.stopwatch();
+        let invoke_sw = self.core.metrics.stopwatch();
         let (states, fast) = self.read_snapshot(ts);
-        let mut candidates: Vec<Value> = Vec::new();
-        for s in &states {
-            for (v, _) in self.spec.step(s, operation) {
-                if !candidates.contains(&v) {
-                    candidates.push(v);
-                }
-            }
+        let mut results = candidates(&self.core.spec, &states, operation);
+        if results.is_empty() {
+            return invalid_operation(id, operation);
         }
-        if candidates.is_empty() {
-            return AdmissionOutcome::Rejected(TxnError::InvalidOperation {
-                object: self.id,
-                operation: operation.to_string(),
-            });
-        }
-        candidates.sort();
-        let v = candidates.remove(0);
+        let v = results.remove(0);
         let mut events = Vec::with_capacity(3);
         if self.readers.lock().insert(me) {
-            events.push(Event::initiate(me, self.id, ts));
+            events.push(Event::initiate(me, id, ts));
         }
-        events.push(Event::invoke(me, self.id, operation.clone()));
-        events.push(Event::respond(me, self.id, v.clone()));
-        self.log.record_all(events);
+        events.push(Event::invoke(me, id, operation.clone()));
+        events.push(Event::respond(me, id, v.clone()));
+        self.core.log.record_all(events);
         if fast {
-            self.metrics.record_fast_admission();
+            self.core.metrics.record_fast_admission();
         }
-        self.metrics.record_admission(me, &invoke_sw);
+        self.core.metrics.record_admission(me, &invoke_sw);
         AdmissionOutcome::Admitted(v)
     }
+}
 
-    fn invoke_read_only(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        txn.register(self.self_participant());
-        self.admit_read_only(&AdmissionRequest::from_txn(txn, operation))
-            .into_result(self.id)
+impl<S: SequentialSpec> Engine for HybridObject<S> {
+    type Guarded = Inner<S>;
+
+    fn meter(&self) -> &ObjectMetrics {
+        &self.core.metrics
     }
 
-    fn invoke_update(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        txn.register(self.self_participant());
-        let me = txn.id();
-        let invoke_sw = self.metrics.stopwatch();
-        let mut block_sw = crate::trace::Stopwatch::disarmed();
-        let mut inner = self.mu.lock();
-        let mut invoked = false;
-        loop {
-            match self.try_admit_update(&inner, me, &operation) {
-                Admit::Invalid => {
-                    return Err(TxnError::InvalidOperation {
-                        object: self.id,
-                        operation: operation.to_string(),
-                    });
-                }
-                Admit::Granted(v) => {
-                    let mut events = Vec::with_capacity(2);
-                    if !invoked {
-                        events.push(Event::invoke(me, self.id, operation.clone()));
-                    }
-                    events.push(Event::respond(me, self.id, v.clone()));
-                    Self::push_intention(&mut inner, me, operation, v.clone());
-                    self.log.record_all(events);
-                    if block_sw.is_armed() {
-                        self.metrics.record_block_wait(&block_sw);
-                    }
-                    self.metrics.record_admission(me, &invoke_sw);
-                    return Ok(v);
-                }
-                Admit::Conflict(holders) => {
-                    if !invoked {
-                        self.log
-                            .record(Event::invoke(me, self.id, operation.clone()));
-                        invoked = true;
-                    }
-                    match txn.request_wait(&holders) {
-                        crate::deadlock::WaitDecision::Die => {
-                            txn.clear_wait();
-                            self.metrics.record_deadlock_kill(me);
-                            return Err(TxnError::Deadlock {
-                                txn: me,
-                                object: self.id,
-                            });
-                        }
-                        crate::deadlock::WaitDecision::Wait => {
-                            if !block_sw.is_armed() {
-                                block_sw = self.metrics.stopwatch();
-                            }
-                            self.metrics.record_block_round(me);
-                            self.cv.wait_for(&mut inner, WAIT_SLICE);
-                            txn.clear_wait();
-                        }
-                    }
-                }
-            }
-        }
+    fn admission_step(
+        &self,
+        inner: &mut Inner<S>,
+        request: &AdmissionRequest,
+        invoked: bool,
+    ) -> AdmissionOutcome {
+        self.core
+            .admission_step(&mut inner.updates, request, invoked)
     }
 
-    /// Appends `(op, v)` to `me`'s intentions list, drawing the list
-    /// allocation from the arena on first use.
-    fn push_intention(inner: &mut Inner<S>, me: ActivityId, op: Operation, v: Value) {
-        if !inner.intentions.contains_key(&me) {
-            let fresh = inner.arena.acquire();
-            inner.intentions.insert(me, fresh);
-        }
-        inner
-            .intentions
-            .get_mut(&me)
-            .expect("intentions list just ensured")
-            .push((op, v));
-    }
-
-    /// One update-admission attempt with the object lock already held:
-    /// the shared core of [`Admission::admit_one`],
-    /// [`Admission::admit_batch`] and the non-blocking `try_invoke`.
-    fn admit_locked(&self, inner: &mut Inner<S>, req: &AdmissionRequest) -> AdmissionOutcome {
-        let me = req.txn;
-        let invoke_sw = self.metrics.stopwatch();
-        match self.try_admit_update(inner, me, &req.operation) {
-            Admit::Invalid => AdmissionOutcome::Rejected(TxnError::InvalidOperation {
-                object: self.id,
-                operation: req.operation.to_string(),
-            }),
-            Admit::Granted(v) => {
-                self.log.record_all([
-                    Event::invoke(me, self.id, req.operation.clone()),
-                    Event::respond(me, self.id, v.clone()),
-                ]);
-                Self::push_intention(inner, me, req.operation.clone(), v.clone());
-                self.metrics.record_admission(me, &invoke_sw);
-                AdmissionOutcome::Admitted(v)
-            }
-            Admit::Conflict(holders) => AdmissionOutcome::Blocked { holders },
-        }
+    fn record_invoke(&self, _inner: &mut Inner<S>, request: &AdmissionRequest) {
+        self.core.record_invoke(request);
     }
 }
 
 impl<S: SequentialSpec> Admission for HybridObject<S> {
     fn register_txn(&self, txn: &Txn) {
-        txn.register(self.self_participant());
+        txn.register(
+            self.self_ref
+                .upgrade()
+                .expect("HybridObject used after its Arc was dropped"),
+        );
     }
 
     fn admit_one(&self, request: &AdmissionRequest) -> AdmissionOutcome {
@@ -436,7 +251,7 @@ impl<S: SequentialSpec> Admission for HybridObject<S> {
             TxnKind::ReadOnly => self.admit_read_only(request),
             TxnKind::Update => {
                 let mut inner = self.mu.lock();
-                self.admit_locked(&mut inner, request)
+                attempt(self, &mut inner, request)
             }
         }
     }
@@ -457,7 +272,7 @@ impl<S: SequentialSpec> Admission for HybridObject<S> {
             let mut inner = self.mu.lock();
             for (slot, r) in outcomes.iter_mut().zip(requests) {
                 if slot.is_none() {
-                    *slot = Some(self.admit_locked(&mut inner, r));
+                    *slot = Some(attempt(self, &mut inner, r));
                 }
             }
         }
@@ -466,109 +281,81 @@ impl<S: SequentialSpec> Admission for HybridObject<S> {
             .map(|o| o.expect("every request answered"))
             .collect()
     }
-
-    fn read_at(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
-        match txn.kind() {
-            TxnKind::ReadOnly => self.invoke_read_only(txn, operation),
-            TxnKind::Update => self.invoke(txn, operation),
-        }
-    }
 }
 
 impl<S: SequentialSpec> AtomicObject for HybridObject<S> {
     fn metrics(&self) -> ObjectMetrics {
-        self.metrics.clone()
+        self.core.metrics.clone()
     }
 
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
+        if txn.kind() == TxnKind::ReadOnly {
+            // Read-only invocations never block.
+            return self.try_invoke(txn, operation);
+        }
         if !txn.is_active() {
             return Err(TxnError::NotActive { txn: txn.id() });
         }
-        match txn.kind() {
-            TxnKind::ReadOnly => self.invoke_read_only(txn, operation),
-            TxnKind::Update => self.invoke_update(txn, operation),
-        }
+        self.register_txn(txn);
+        let request = AdmissionRequest::from_txn(txn, operation);
+        let invoke_sw = self.core.metrics.stopwatch();
+        let mut inner = self.mu.lock();
+        invoke_blocking(self, txn, &request, &mut inner, &self.cv, &invoke_sw)
     }
 
     fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
-        match txn.kind() {
-            // Read-only invocations never block.
-            TxnKind::ReadOnly => self.invoke_read_only(txn, operation),
-            TxnKind::Update => {
-                txn.register(self.self_participant());
-                let mut inner = self.mu.lock();
-                self.admit_locked(&mut inner, &AdmissionRequest::from_txn(txn, operation))
-                    .into_result(self.id)
-            }
-        }
+        self.try_admit(txn, operation).into_result(self.core.id)
     }
 }
 
 impl<S: SequentialSpec> Participant for HybridObject<S> {
     fn object_id(&self) -> ObjectId {
-        self.id
+        self.core.id
     }
 
     fn commit(&self, txn: ActivityId, ts: Option<Timestamp>) {
+        let id = self.core.id;
         // A transaction is either a reader or an updater here, never
         // both, so the two sets can be checked sequentially.
         if self.readers.lock().remove(&txn) {
-            self.log.record(Event::commit(txn, self.id));
-            self.metrics.record_commit(txn);
+            self.core.log.record(Event::commit(txn, id));
+            self.core.metrics.record_commit(txn);
             self.cv.notify_all();
             return;
         }
         let mut inner = self.mu.lock();
-        if let Some(list) = inner.intentions.remove(&txn) {
-            let next = replay_frontier(&self.spec, &inner.current, &list);
-            debug_assert!(
-                !next.is_empty(),
-                "admitted intentions must replay at commit"
-            );
-            if !next.is_empty() {
-                inner.current = next;
-            }
-            inner.arena.release(list);
-        }
+        self.core.install(&mut inner.updates, txn);
         match ts {
             Some(t) => {
-                let snapshot = inner.current.clone();
+                let snapshot = inner.updates.committed.clone();
                 inner.versions.push((t, snapshot.clone()));
                 // Publish under `mu` so published versions stay monotone
                 // in timestamp; the manager's commit gate orders this
                 // before any reader with a larger timestamp begins.
                 self.latest.publish(Arc::new((t, snapshot)));
-                self.log.record(Event::commit_ts(txn, self.id, t));
+                self.core.log.record(Event::commit_ts(txn, id, t));
             }
             None => {
                 // Degenerate use without commit timestamps (not hybrid
                 // well-formed, but keeps the object usable under other
                 // protocols in tests).
-                self.log.record(Event::commit(txn, self.id));
+                self.core.log.record(Event::commit(txn, id));
             }
         }
-        self.metrics.record_commit(txn);
+        self.core.metrics.record_commit(txn);
         self.cv.notify_all();
     }
 
     fn abort(&self, txn: ActivityId) {
         if self.readers.lock().remove(&txn) {
-            self.log.record(Event::abort(txn, self.id));
-            self.metrics.record_abort(txn);
+            self.core.log.record(Event::abort(txn, self.core.id));
+            self.core.metrics.record_abort(txn);
             return;
         }
         let mut inner = self.mu.lock();
-        if let Some(list) = inner.intentions.remove(&txn) {
-            inner.arena.release(list);
-        }
-        self.log.record(Event::abort(txn, self.id));
-        self.metrics.record_abort(txn);
+        inner.updates.pending.remove(&txn);
+        self.core.log.record(Event::abort(txn, self.core.id));
+        self.core.metrics.record_abort(txn);
         self.cv.notify_all();
     }
 }
@@ -576,7 +363,7 @@ impl<S: SequentialSpec> Participant for HybridObject<S> {
 impl<S: SequentialSpec> std::fmt::Debug for HybridObject<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HybridObject")
-            .field("id", &self.id)
+            .field("id", &self.core.id)
             .field("versions", &self.version_count())
             .finish()
     }

@@ -21,7 +21,9 @@
 //! deadlock.
 
 use crate::admission::{Admission, AdmissionOutcome, AdmissionRequest};
-use crate::engine::replay_frontier;
+use crate::engine::{
+    attempt, candidates, invalid_operation, invoke_blocking, replay_frontier, Engine,
+};
 use crate::error::TxnError;
 use crate::log::HistoryLog;
 use crate::manager::TxnManager;
@@ -35,7 +37,6 @@ use atomicity_spec::{
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
 /// Upper bound on the number of active transactions whose commit/abort
 /// futures are enumerated; above it the engine waits or aborts
@@ -45,8 +46,6 @@ const DEFAULT_MAX_FUTURES: usize = 4;
 /// Log length beyond which fully-committed prefixes are folded into the
 /// base state (discarding old versions, as Reed's scheme eventually must).
 const DEFAULT_COMPACTION: usize = 64;
-
-const WAIT_SLICE: Duration = Duration::from_millis(5);
 
 /// An atomic object guaranteeing **static atomicity** for a sequential
 /// specification `S`.
@@ -80,7 +79,7 @@ pub struct StaticObject<S: SequentialSpec> {
     self_ref: Weak<StaticObject<S>>,
 }
 
-struct Inner<S: SequentialSpec> {
+pub(crate) struct Inner<S: SequentialSpec> {
     /// State frontier summarizing all folded (compacted) entries.
     base: Vec<S::State>,
     /// Largest folded timestamp; new invocations must arrive strictly
@@ -158,12 +157,6 @@ impl<S: SequentialSpec> StaticObject<S> {
     /// The compaction watermark (largest discarded timestamp).
     pub fn watermark(&self) -> Timestamp {
         self.mu.lock().watermark
-    }
-
-    fn self_participant(&self) -> Arc<dyn Participant> {
-        self.self_ref
-            .upgrade()
-            .expect("StaticObject used after its Arc was dropped")
     }
 
     /// Replays the entries selected by `future` (committed entries, the
@@ -253,14 +246,6 @@ impl<S: SequentialSpec> StaticObject<S> {
         // Candidate results must agree across every commit/abort future.
         let all: BTreeSet<ActivityId> = actives.iter().copied().collect();
         let full_frontier = self.prefix_frontier(inner, me, t, &all);
-        let mut full_candidates: Vec<Value> = Vec::new();
-        for s in &full_frontier {
-            for (v, _) in self.spec.step(s, op) {
-                if !full_candidates.contains(&v) {
-                    full_candidates.push(v);
-                }
-            }
-        }
         if full_frontier.is_empty() {
             // The log itself is momentarily unexplainable under this
             // future; wait for resolution if possible.
@@ -270,12 +255,13 @@ impl<S: SequentialSpec> StaticObject<S> {
                 Admit::WaitOn(earlier)
             };
         }
-        if full_candidates.is_empty() {
+        // `retain` keeps the candidates' fixed order.
+        let mut common = candidates(&self.spec, &full_frontier, op);
+        if common.is_empty() {
             return Admit::Invalid;
         }
 
         let futures = enumerate_futures(&actives);
-        let mut common = full_candidates;
         for future in &futures {
             let frontier = self.prefix_frontier(inner, me, t, future);
             common.retain(|v| {
@@ -287,7 +273,6 @@ impl<S: SequentialSpec> StaticObject<S> {
                 break;
             }
         }
-        common.sort();
 
         let seq = inner.next_seq;
         for v in &common {
@@ -305,86 +290,25 @@ impl<S: SequentialSpec> StaticObject<S> {
         }
     }
 
+    /// Records what must precede a response or a wait: the initiation
+    /// event on the transaction's first visit, and the invoke event
+    /// unless an earlier round already logged it.
     fn record_first_events(
         &self,
         inner: &mut Inner<S>,
-        me: ActivityId,
+        request: &AdmissionRequest,
         t: Timestamp,
-        op: &Operation,
-        invoked: &mut bool,
+        invoked: bool,
     ) {
+        let me = request.txn;
         let mut events = Vec::with_capacity(2);
         if inner.initiated.insert(me) {
             events.push(Event::initiate(me, self.id, t));
         }
-        if !*invoked {
-            events.push(Event::invoke(me, self.id, op.clone()));
-            *invoked = true;
+        if !invoked {
+            events.push(Event::invoke(me, self.id, request.operation.clone()));
         }
         self.log.record_all(events);
-    }
-
-    /// One non-blocking admission attempt with the object lock already
-    /// held: the shared core of [`Admission::admit_one`],
-    /// [`Admission::admit_batch`] and the non-blocking `try_invoke`.
-    /// Contention maps to [`AdmissionOutcome::Blocked`] carrying the
-    /// earlier-timestamp holders; must-abort refusals record the paper's
-    /// required events and reject with
-    /// [`TxnError::TimestampConflict`].
-    fn admit_locked(&self, inner: &mut Inner<S>, req: &AdmissionRequest) -> AdmissionOutcome {
-        let me = req.txn;
-        let operation = &req.operation;
-        let Some(t) = req.start_ts else {
-            return AdmissionOutcome::Rejected(TxnError::ProtocolMismatch {
-                object: self.id,
-                detail: "static objects require a start timestamp".into(),
-            });
-        };
-        let invoke_sw = self.metrics.stopwatch();
-        if t <= inner.watermark {
-            self.metrics.record_timestamp_too_old(me);
-            return AdmissionOutcome::Rejected(TxnError::TimestampTooOld {
-                txn: me,
-                object: self.id,
-            });
-        }
-        match self.decide_admit(inner, me, t, operation) {
-            Admit::Invalid => AdmissionOutcome::Rejected(TxnError::InvalidOperation {
-                object: self.id,
-                operation: operation.to_string(),
-            }),
-            Admit::Granted(v) => {
-                let mut invoked = false;
-                self.record_first_events(inner, me, t, operation, &mut invoked);
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
-                let pos = inner.entries.partition_point(|e| (e.ts, e.seq) < (t, seq));
-                inner.entries.insert(
-                    pos,
-                    Entry {
-                        ts: t,
-                        seq,
-                        owner: me,
-                        op: operation.clone(),
-                        value: v.clone(),
-                        committed: false,
-                    },
-                );
-                self.log.record(Event::respond(me, self.id, v.clone()));
-                self.metrics.record_admission(me, &invoke_sw);
-                AdmissionOutcome::Admitted(v)
-            }
-            Admit::WaitOn(holders) => AdmissionOutcome::Blocked { holders },
-            Admit::MustAbort => {
-                let mut invoked = false;
-                self.record_first_events(inner, me, t, operation, &mut invoked);
-                self.metrics.record_timestamp_conflict(me);
-                AdmissionOutcome::Rejected(TxnError::TimestampConflict {
-                    txn: me,
-                    object: self.id,
-                })
-            }
-        }
     }
 
     fn compact(&self, inner: &mut Inner<S>) {
@@ -419,122 +343,118 @@ fn enumerate_futures(actives: &[ActivityId]) -> Vec<BTreeSet<ActivityId>> {
         .collect()
 }
 
+impl<S: SequentialSpec> Engine for StaticObject<S> {
+    type Guarded = Inner<S>;
+
+    fn meter(&self) -> &ObjectMetrics {
+        &self.metrics
+    }
+
+    /// Contention maps to [`AdmissionOutcome::Blocked`] carrying the
+    /// earlier-timestamp holders; must-abort refusals record the paper's
+    /// required events and reject with [`TxnError::TimestampConflict`].
+    fn admission_step(
+        &self,
+        inner: &mut Inner<S>,
+        request: &AdmissionRequest,
+        invoked: bool,
+    ) -> AdmissionOutcome {
+        let me = request.txn;
+        let operation = &request.operation;
+        let Some(t) = request.start_ts else {
+            return AdmissionOutcome::Rejected(TxnError::ProtocolMismatch {
+                object: self.id,
+                detail: "static objects require a start timestamp".into(),
+            });
+        };
+        if t <= inner.watermark {
+            self.metrics.record_timestamp_too_old(me);
+            return AdmissionOutcome::Rejected(TxnError::TimestampTooOld {
+                txn: me,
+                object: self.id,
+            });
+        }
+        match self.decide_admit(inner, me, t, operation) {
+            Admit::Invalid => invalid_operation(self.id, operation),
+            Admit::Granted(v) => {
+                self.record_first_events(inner, request, t, invoked);
+                let seq = inner.next_seq;
+                inner.next_seq += 1;
+                let pos = inner.entries.partition_point(|e| (e.ts, e.seq) < (t, seq));
+                inner.entries.insert(
+                    pos,
+                    Entry {
+                        ts: t,
+                        seq,
+                        owner: me,
+                        op: operation.clone(),
+                        value: v.clone(),
+                        committed: false,
+                    },
+                );
+                self.log.record(Event::respond(me, self.id, v.clone()));
+                AdmissionOutcome::Admitted(v)
+            }
+            Admit::WaitOn(holders) => AdmissionOutcome::Blocked { holders },
+            Admit::MustAbort => {
+                self.record_first_events(inner, request, t, invoked);
+                self.metrics.record_timestamp_conflict(me);
+                AdmissionOutcome::Rejected(TxnError::TimestampConflict {
+                    txn: me,
+                    object: self.id,
+                })
+            }
+        }
+    }
+
+    fn record_invoke(&self, inner: &mut Inner<S>, request: &AdmissionRequest) {
+        let t = request
+            .start_ts
+            .expect("a request without a timestamp is rejected, never blocked");
+        self.record_first_events(inner, request, t, false);
+    }
+}
+
 impl<S: SequentialSpec> AtomicObject for StaticObject<S> {
     fn metrics(&self) -> ObjectMetrics {
         self.metrics.clone()
     }
 
     fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
-        txn.register(self.self_participant());
-        let mut inner = self.mu.lock();
-        self.admit_locked(&mut inner, &AdmissionRequest::from_txn(txn, operation))
-            .into_result(self.id)
+        self.try_admit(txn, operation).into_result(self.id)
     }
 
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
         if !txn.is_active() {
             return Err(TxnError::NotActive { txn: txn.id() });
         }
-        let t = txn.start_ts().ok_or_else(|| TxnError::ProtocolMismatch {
-            object: self.id,
-            detail: "static objects require a start timestamp".into(),
-        })?;
-        txn.register(self.self_participant());
-        let me = txn.id();
+        self.register_txn(txn);
+        let request = AdmissionRequest::from_txn(txn, operation);
         let invoke_sw = self.metrics.stopwatch();
-        let mut block_sw = crate::trace::Stopwatch::disarmed();
         let mut inner = self.mu.lock();
-        if t <= inner.watermark {
-            self.metrics.record_timestamp_too_old(me);
-            return Err(TxnError::TimestampTooOld {
-                txn: me,
-                object: self.id,
-            });
-        }
-        let mut invoked = false;
-        loop {
-            match self.decide_admit(&inner, me, t, &operation) {
-                Admit::Invalid => {
-                    return Err(TxnError::InvalidOperation {
-                        object: self.id,
-                        operation: operation.to_string(),
-                    });
-                }
-                Admit::Granted(v) => {
-                    self.record_first_events(&mut inner, me, t, &operation, &mut invoked);
-                    let seq = inner.next_seq;
-                    inner.next_seq += 1;
-                    let pos = inner.entries.partition_point(|e| (e.ts, e.seq) < (t, seq));
-                    inner.entries.insert(
-                        pos,
-                        Entry {
-                            ts: t,
-                            seq,
-                            owner: me,
-                            op: operation,
-                            value: v.clone(),
-                            committed: false,
-                        },
-                    );
-                    self.log.record(Event::respond(me, self.id, v.clone()));
-                    if block_sw.is_armed() {
-                        self.metrics.record_block_wait(&block_sw);
-                    }
-                    self.metrics.record_admission(me, &invoke_sw);
-                    return Ok(v);
-                }
-                Admit::WaitOn(holders) => {
-                    self.record_first_events(&mut inner, me, t, &operation, &mut invoked);
-                    match txn.request_wait(&holders) {
-                        crate::deadlock::WaitDecision::Die => {
-                            txn.clear_wait();
-                            self.metrics.record_deadlock_kill(me);
-                            return Err(TxnError::Deadlock {
-                                txn: me,
-                                object: self.id,
-                            });
-                        }
-                        crate::deadlock::WaitDecision::Wait => {
-                            if !block_sw.is_armed() {
-                                block_sw = self.metrics.stopwatch();
-                            }
-                            self.metrics.record_block_round(me);
-                            self.cv.wait_for(&mut inner, WAIT_SLICE);
-                            txn.clear_wait();
-                        }
-                    }
-                }
-                Admit::MustAbort => {
-                    self.record_first_events(&mut inner, me, t, &operation, &mut invoked);
-                    self.metrics.record_timestamp_conflict(me);
-                    return Err(TxnError::TimestampConflict {
-                        txn: me,
-                        object: self.id,
-                    });
-                }
-            }
-        }
+        invoke_blocking(self, txn, &request, &mut inner, &self.cv, &invoke_sw)
     }
 }
 
 impl<S: SequentialSpec> Admission for StaticObject<S> {
     fn register_txn(&self, txn: &Txn) {
-        txn.register(self.self_participant());
+        txn.register(
+            self.self_ref
+                .upgrade()
+                .expect("StaticObject used after its Arc was dropped"),
+        );
     }
 
     fn admit_one(&self, request: &AdmissionRequest) -> AdmissionOutcome {
         let mut inner = self.mu.lock();
-        self.admit_locked(&mut inner, request)
+        attempt(self, &mut inner, request)
     }
 
     fn admit_batch(&self, requests: &[AdmissionRequest]) -> Vec<AdmissionOutcome> {
         let mut inner = self.mu.lock();
         requests
             .iter()
-            .map(|r| self.admit_locked(&mut inner, r))
+            .map(|r| attempt(self, &mut inner, r))
             .collect()
     }
 }
@@ -583,6 +503,7 @@ mod tests {
     use atomicity_spec::specs::{BankAccountSpec, IntSetSpec};
     use atomicity_spec::well_formed::WellFormedness;
     use atomicity_spec::{op, SystemSpec};
+    use std::time::Duration;
 
     fn x() -> ObjectId {
         ObjectId::new(1)

@@ -65,9 +65,7 @@ pub mod stats;
 pub mod trace;
 pub mod txn;
 
-pub use admission::{
-    Admission, AdmissionOutcome, AdmissionRequest, Combiner, IntentionArena, SeqlockCell,
-};
+pub use admission::{Admission, AdmissionOutcome, AdmissionRequest, SeqlockCell};
 pub use clock::LamportClock;
 pub use conflict::{arg_relation, ArgRelation, CommutesRel, ConflictRule, ConflictTable};
 pub use deadlock::{DeadlockPolicy, WaitDecision, WaitGraph};

@@ -4,7 +4,7 @@
 //! actually happened, neither more nor less.
 
 use atomicity::bench::Engine;
-use atomicity::core::TraceKind;
+use atomicity::core::{AdmissionOutcome, TraceKind};
 use atomicity::spec::{op, EventKind, ObjectId};
 use proptest::prelude::*;
 
@@ -138,5 +138,54 @@ proptest! {
         prop_assert_eq!(count_kind(TraceKind::Commit), committed);
         prop_assert_eq!(count_kind(TraceKind::Abort), aborted);
         prop_assert_eq!(count_kind(TraceKind::Invoke), admissions);
+    }
+
+    /// On the non-blocking path every engine and baseline follows one
+    /// rule: each `Blocked` outcome is one block round — in the counters
+    /// and in the trace — and leaves nothing in the history.
+    #[test]
+    fn blocks_reconcile_with_blocked_outcomes(
+        engine in arb_engine(),
+        script in prop::collection::vec((0..3usize, arb_op()), 1..40),
+    ) {
+        let handle = engine.builder().collect_metrics().build();
+        let mgr = handle.manager();
+        let objects = [
+            handle.account(ObjectId::new(1), 100),
+            handle.account(ObjectId::new(2), 100),
+        ];
+
+        // Three transactions stay open and interleave, so requests do
+        // conflict; a refused transaction is replaced by a fresh one.
+        let mut open: Vec<_> = (0..3).map(|_| mgr.begin()).collect();
+        let (mut admitted, mut blocked) = (0u64, 0u64);
+        for &(slot, (obj, choice)) in &script {
+            match objects[obj].try_admit(&open[slot], choice.operation()) {
+                AdmissionOutcome::Admitted(_) => admitted += 1,
+                AdmissionOutcome::Blocked { .. } => blocked += 1,
+                AdmissionOutcome::Rejected(_) => {
+                    mgr.abort(std::mem::replace(&mut open[slot], mgr.begin()));
+                }
+            }
+        }
+        for txn in open {
+            mgr.abort(txn);
+        }
+
+        let snap = handle.metrics().snapshot();
+        let blocks: u64 = snap.objects.iter().map(|o| o.stats.blocks).sum();
+        let admissions: u64 = snap.objects.iter().map(|o| o.stats.admissions).sum();
+        prop_assert_eq!(blocks, blocked);
+        prop_assert_eq!(admissions, admitted);
+        let trace = handle.metrics().trace_events();
+        prop_assert_eq!(trace.dropped, 0);
+        let traced_blocks = trace.records.iter().filter(|r| r.kind == TraceKind::Block).count();
+        prop_assert_eq!(traced_blocks as u64, blocked);
+        let responds = mgr
+            .history()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Respond(_)))
+            .count() as u64;
+        prop_assert_eq!(responds, admitted);
     }
 }
