@@ -43,7 +43,7 @@
 //! with the observational relation; on non-deterministic ones it is
 //! strictly stronger exactly where locking needs it to be.
 
-use atomicity_baselines::derive::sample_states;
+use atomicity_baselines::derive::{same_state_set, sample_states};
 use atomicity_baselines::{bank_commutativity, queue_commutativity, set_commutativity};
 use atomicity_core::conflict::{
     arg_relation, ArgRelation, CommutesRel, ConflictRule, ConflictTable,
@@ -267,13 +267,6 @@ pub fn right_mover_in_state<S: SequentialSpec>(
         }
     }
     true
-}
-
-fn same_state_set<T: PartialEq>(a: &[T], b: &[T]) -> bool {
-    !a.is_empty()
-        && a.len() == b.len()
-        && a.iter().all(|x| b.contains(x))
-        && b.iter().all(|x| a.contains(x))
 }
 
 /// Synthesizes a conflict table for `spec` over `universe`.

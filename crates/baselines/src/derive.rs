@@ -1,18 +1,17 @@
-//! Deriving commutativity tables from sequential specifications.
+//! Deciding commutativity from a sequential specification.
 //!
 //! The conventional protocols (§5.1) need a state-independent
 //! commutativity relation. Writing those tables by hand is error-prone —
 //! and the paper's §6 remark ("the locking protocols discussed earlier
 //! will be more than adequate as implementations of dynamic atomicity")
-//! presumes you *have* one. This module derives a table empirically: two
-//! operations are declared to commute iff, over a sampled set of reachable
-//! states, executing them in either order yields the same result pair and
-//! the same reachable state sets.
-//!
-//! The derivation is **conservative only with respect to the sampled
-//! states**: it is a prototyping aid, not a proof. The tests compare the
-//! derived tables to the hand-written ones from
-//! [`crate::bank_commutativity`] etc. on their respective domains.
+//! presumes you *have* one. This module holds the primitives a table is
+//! derived with: a bounded enumeration of reachable states
+//! ([`sample_states`]) and the per-state predicate ([`commute_in_state`]:
+//! executing two operations in either order yields the same result pairs
+//! and the same reachable state sets). `atomicity-lint` audits the
+//! hand-written tables and synthesizes the generated ones from them; the
+//! tests here compare the predicate to [`crate::bank_commutativity`] etc.
+//! on their respective domains.
 
 use atomicity_spec::{OpResult, Operation, SequentialSpec, Value};
 use std::collections::BTreeSet;
@@ -112,19 +111,6 @@ pub fn ordered_outcomes<S: SequentialSpec>(
     outcomes
 }
 
-/// Whether `p` and `q` commute **in every sampled state**: for each state,
-/// every (result-of-p, result-of-q) pair achievable in one order is
-/// achievable in the other, and the states reachable under matching
-/// results coincide.
-pub fn ops_commute<S: SequentialSpec>(
-    spec: &S,
-    states: &[S::State],
-    p: &Operation,
-    q: &Operation,
-) -> bool {
-    states.iter().all(|s| commute_in_state(spec, s, p, q))
-}
-
 /// Whether `p` and `q` commute in the single `state`: both orders achieve
 /// the same (result-of-p, result-of-q) pairs, and for each matching result
 /// pair the reachable final-state sets coincide. This is the per-state
@@ -171,94 +157,14 @@ fn replay_pair<S: SequentialSpec>(
     spec.replay(state, &ops)
 }
 
-fn same_state_set<T: PartialEq>(a: &[T], b: &[T]) -> bool {
-    a.len() == b.len() && a.iter().all(|x| b.contains(x)) && b.iter().all(|x| a.contains(x))
-}
-
-/// A memoized derived commutativity table over a fixed operation universe.
-///
-/// # Example
-///
-/// ```
-/// use atomicity_baselines::derive::DerivedTable;
-/// use atomicity_spec::specs::BankAccountSpec;
-/// use atomicity_spec::op;
-///
-/// let universe = vec![op("deposit", [5]), op("withdraw", [5])];
-/// let table = DerivedTable::derive(&BankAccountSpec::new(), &universe, 3, 64);
-/// assert!(table.commutes(&op("deposit", [5]), &op("deposit", [5])));
-/// assert!(!table.commutes(&op("withdraw", [5]), &op("withdraw", [5])));
-/// ```
-#[derive(Debug, Clone)]
-pub struct DerivedTable {
-    universe: Vec<Operation>,
-    /// `matrix[i][j]` = ops `i` and `j` commute.
-    matrix: Vec<Vec<bool>>,
-    /// States discarded by the `max_states` cap during derivation
-    /// (0 = the enumeration was exhaustive to the requested depth).
-    truncated: usize,
-}
-
-impl DerivedTable {
-    /// Derives the table for every pair in `universe`, enumerating states
-    /// to `depth` (capped at `max_states`).
-    pub fn derive<S: SequentialSpec>(
-        spec: &S,
-        universe: &[Operation],
-        depth: usize,
-        max_states: usize,
-    ) -> Self
-    where
-        S::State: Ord,
-    {
-        let sample = sample_states(spec, universe, depth, max_states);
-        let n = universe.len();
-        let mut matrix = vec![vec![false; n]; n];
-        for i in 0..n {
-            for j in i..n {
-                let c = ops_commute(spec, &sample.states, &universe[i], &universe[j]);
-                matrix[i][j] = c;
-                matrix[j][i] = c;
-            }
-        }
-        DerivedTable {
-            universe: universe.to_vec(),
-            matrix,
-            truncated: sample.truncated,
-        }
-    }
-
-    /// How many distinct reachable states the derivation discarded because
-    /// of its `max_states` cap; non-zero means the table is sampling-based
-    /// rather than exhaustive for the requested depth.
-    pub fn truncated(&self) -> usize {
-        self.truncated
-    }
-
-    /// Whether `p` and `q` commute per the derived table. Operations
-    /// outside the derivation universe conservatively conflict.
-    pub fn commutes(&self, p: &Operation, q: &Operation) -> bool {
-        match (self.index_of(p), self.index_of(q)) {
-            (Some(i), Some(j)) => self.matrix[i][j],
-            _ => false,
-        }
-    }
-
-    /// The fraction of operation pairs that commute (a coarse concurrency
-    /// potential metric for the type).
-    pub fn commuting_fraction(&self) -> f64 {
-        let n = self.universe.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let total = (n * n) as f64;
-        let yes = self.matrix.iter().flatten().filter(|&&c| c).count() as f64;
-        yes / total
-    }
-
-    fn index_of(&self, op: &Operation) -> Option<usize> {
-        self.universe.iter().position(|u| u == op)
-    }
+/// Whether two replay frontiers are the same non-empty set of states. An
+/// empty frontier means the recorded results were not replayable in that
+/// order, which never counts as agreement.
+pub fn same_state_set<T: PartialEq>(a: &[T], b: &[T]) -> bool {
+    !a.is_empty()
+        && a.len() == b.len()
+        && a.iter().all(|x| b.contains(x))
+        && b.iter().all(|x| a.contains(x))
 }
 
 #[cfg(test)]
@@ -266,6 +172,25 @@ mod tests {
     use super::*;
     use atomicity_spec::op;
     use atomicity_spec::specs::{BankAccountSpec, FifoQueueSpec, IntSetSpec, SemiqueueSpec};
+
+    /// `p` and `q` commute in every state reachable through `universe`
+    /// within `depth` steps (capped at `max_states`).
+    fn commute_everywhere<S: SequentialSpec>(
+        spec: &S,
+        universe: &[Operation],
+        depth: usize,
+        max_states: usize,
+        p: &Operation,
+        q: &Operation,
+    ) -> bool
+    where
+        S::State: Ord,
+    {
+        sample_states(spec, universe, depth, max_states)
+            .states
+            .iter()
+            .all(|s| commute_in_state(spec, s, p, q))
+    }
 
     #[test]
     fn bank_table_matches_hand_written_shape() {
@@ -277,18 +202,18 @@ mod tests {
             op("withdraw", [3]),
             op("balance", [] as [i64; 0]),
         ];
-        let table = DerivedTable::derive(&spec, &universe, 4, 128);
+        let commutes = |p, q| commute_everywhere(&spec, &universe, 4, 128, &p, &q);
         // Deposits commute with deposits.
-        assert!(table.commutes(&op("deposit", [5]), &op("deposit", [3])));
+        assert!(commutes(op("deposit", [5]), op("deposit", [3])));
         // Withdraws do not commute with withdraws or deposits (the §5.1
         // counterexample states are reachable).
-        assert!(!table.commutes(&op("withdraw", [5]), &op("withdraw", [3])));
-        assert!(!table.commutes(&op("deposit", [5]), &op("withdraw", [3])));
+        assert!(!commutes(op("withdraw", [5]), op("withdraw", [3])));
+        assert!(!commutes(op("deposit", [5]), op("withdraw", [3])));
         // Balance conflicts with mutators, commutes with itself.
-        assert!(!table.commutes(&op("balance", [] as [i64; 0]), &op("deposit", [5])));
-        assert!(table.commutes(
-            &op("balance", [] as [i64; 0]),
-            &op("balance", [] as [i64; 0])
+        assert!(!commutes(op("balance", [] as [i64; 0]), op("deposit", [5])));
+        assert!(commutes(
+            op("balance", [] as [i64; 0]),
+            op("balance", [] as [i64; 0])
         ));
     }
 
@@ -301,37 +226,40 @@ mod tests {
             op("member", [1]),
             op("delete", [1]),
         ];
-        let table = DerivedTable::derive(&spec, &universe, 3, 128);
-        assert!(table.commutes(&op("insert", [1]), &op("insert", [2])));
-        assert!(table.commutes(&op("insert", [2]), &op("member", [1])));
-        assert!(!table.commutes(&op("insert", [1]), &op("member", [1])));
-        assert!(!table.commutes(&op("insert", [1]), &op("delete", [1])));
+        let commutes = |p, q| commute_everywhere(&spec, &universe, 3, 128, &p, &q);
+        assert!(commutes(op("insert", [1]), op("insert", [2])));
+        assert!(commutes(op("insert", [2]), op("member", [1])));
+        assert!(!commutes(op("insert", [1]), op("member", [1])));
+        assert!(!commutes(op("insert", [1]), op("delete", [1])));
         // Same-element inserts are idempotent and commute.
-        assert!(table.commutes(&op("insert", [1]), &op("insert", [1])));
+        assert!(commutes(op("insert", [1]), op("insert", [1])));
     }
 
     #[test]
     fn queue_enqueues_do_not_commute_but_semiqueue_enqs_do() {
-        let fifo = FifoQueueSpec::new();
         let universe = vec![op("enqueue", [1]), op("enqueue", [2])];
-        let table = DerivedTable::derive(&fifo, &universe, 2, 64);
         // §5.1: enqueue(1) does not commute with enqueue(2) — the final
         // queue orders differ.
-        assert!(!table.commutes(&op("enqueue", [1]), &op("enqueue", [2])));
+        assert!(!commute_everywhere(
+            &FifoQueueSpec::new(),
+            &universe,
+            2,
+            64,
+            &universe[0],
+            &universe[1]
+        ));
 
-        let semi = SemiqueueSpec::new();
         let universe = vec![op("enq", [1]), op("enq", [2])];
-        let table = DerivedTable::derive(&semi, &universe, 2, 64);
         // The semiqueue's multiset state makes them commute — the
         // non-determinism of `deq` is what buys this.
-        assert!(table.commutes(&op("enq", [1]), &op("enq", [2])));
-    }
-
-    #[test]
-    fn unknown_operations_conservatively_conflict() {
-        let table = DerivedTable::derive(&IntSetSpec::new(), &[op("insert", [1])], 2, 16);
-        assert!(!table.commutes(&op("insert", [1]), &op("insert", [9])));
-        assert!(table.commuting_fraction() > 0.0);
+        assert!(commute_everywhere(
+            &SemiqueueSpec::new(),
+            &universe,
+            2,
+            64,
+            &universe[0],
+            &universe[1]
+        ));
     }
 
     #[test]
@@ -370,23 +298,5 @@ mod tests {
         uniq.sort();
         uniq.dedup();
         assert_eq!(uniq.len(), sample.states.len());
-    }
-
-    #[test]
-    fn derived_table_exposes_truncation() {
-        let capped = DerivedTable::derive(
-            &IntSetSpec::new(),
-            &[op("insert", [1]), op("insert", [2])],
-            5,
-            2,
-        );
-        assert!(capped.truncated() > 0);
-        let full = DerivedTable::derive(
-            &IntSetSpec::new(),
-            &[op("insert", [1]), op("insert", [2])],
-            5,
-            64,
-        );
-        assert_eq!(full.truncated(), 0);
     }
 }

@@ -32,7 +32,6 @@ mod scheduler_model;
 pub use commutativity_lock::{
     bank_commutativity, queue_commutativity, set_commutativity, CommutativityLockedObject, Commutes,
 };
-pub use derive::DerivedTable;
 pub use locks::{LockMode, ModeLock};
 pub use reed_rw::ReedRegister;
 pub use rw_2pl::TwoPhaseLockedObject;

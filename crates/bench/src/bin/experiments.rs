@@ -1,87 +1,20 @@
-//! The experiment harness: regenerates every comparison in the paper.
+//! The experiment harness: the paper's comparisons and the correctness
+//! gates, one registry entry each.
 //!
 //! ```text
-//! experiments [--quick] [e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 | all]
-//! experiments e6 [--disk]
-//! experiments e10 [--smoke] [--json=PATH]
-//! experiments e11 [--smoke] [--json=PATH]
-//! experiments e12 [--smoke] [--seeds=N] [--json=PATH] [--demo-lost-ack] [--replay=SEED]
-//! experiments e14 [--smoke] [--json=PATH]
-//! experiments e15 [--smoke] [--json=PATH] [--replay=SEED]
-//! experiments e16 [--smoke] [--json=PATH] [--demo-violation]
-//! experiments lint [--synth] [--json=PATH] [--demo-unsound]
+//! experiments [--smoke] [NAME... | all]
 //! ```
 //!
-//! Each experiment prints one or more tables; `EXPERIMENTS.md` records the
-//! paper's qualitative claim next to a captured run of this binary.
-//!
-//! `lint` is the CI gate: it audits every hand-written conflict table
-//! against the relation derived from its sequential specification, scans
-//! the engine sources for lock-ordering cycles, and scans the workspace
-//! for nondeterminism escape hatches (wall clocks in the deterministic
-//! simulator, unseeded RNG anywhere), exiting non-zero on any unsound
-//! table entry, asymmetric entry, lock cycle, or nondeterminism finding.
-//! `--synth` additionally runs the conflict-table **synthesis** pass:
-//! every generated table is re-proved sound from scratch, every hand table
-//! is diffed against the synthesized relation, and the full gap report is
-//! written as JSON (default `BENCH_synth_gap.json`, override with
-//! `--json=PATH`). `--demo-unsound` corrupts a bank table (the hand one,
-//! or the generated one under `--synth`) to demonstrate (and test) the
-//! failure path.
-//!
-//! `e6 --disk` replays the crash sweep with every node's stable log
-//! backed by the real on-disk WAL (`atomicity-durable`, sync-each policy)
-//! instead of the in-memory simulated one.
-//!
-//! `e10` and `e11` additionally write their reports as JSON (defaults
-//! `BENCH_e10.json` / `BENCH_e11.json`, override with `--json=PATH`);
-//! `--smoke` shrinks the workloads to CI wiring checks. `e10` exits
-//! non-zero if any engine reports zero admissions — a mute metrics
-//! pipeline — and a full (non-smoke) `e11` exits non-zero if group commit
-//! fails to beat sync-each by at least 2× at the highest thread count.
-//!
-//! `e14` is the contended admission sweep: the dynamic and hybrid
-//! engines (synthesized table installed), their replay-only reference
-//! rows and the lock baselines are measured on ONE shared account across
-//! thread counts, with hybrid read-only auditors driving the seqlock read
-//! path and every run re-certified by the linear certifier. It writes
-//! `BENCH_e14.json` and gates within the run: any run fails if the table
-//! grants no admission at the highest thread count, and a full run
-//! additionally requires dynamic and hybrid to reach at least 4x their
-//! replay-only reference there.
-//!
-//! `e12` is the deterministic-simulation seed sweep: every seed runs the
-//! cluster under the full fault matrix with checkpointed invariant
-//! checkers, shrinking any violation to a minimal reproducer. It writes
-//! `BENCH_e12.json` and exits non-zero on any violation.
-//! `--demo-lost-ack` injects a known atomicity bug and instead exits
-//! non-zero unless the sweep catches *and shrinks* it; `--replay=SEED`
-//! runs one seed twice and exits non-zero unless the replay is
-//! bit-identical (trace hash and state digest).
-//!
-//! `e15` drives the partitioned transaction service (`atomicity-dist`):
-//! an open-loop bank workload is swept over shard counts in simulated
-//! time, and per-shard intentions logs of growing sizes are recovered
-//! both by serial value replay and by dependency-graph parallel replay
-//! (footprints pruned with the synthesized commutativity relation, final
-//! states certified equal). It writes `BENCH_e15.json`; a full run exits
-//! non-zero unless the top shard count commits at least 2x the
-//! single-shard rate and parallel dependency recovery beats serial
-//! replay on the largest dependency-logged log. `--replay=SEED` instead
-//! runs one scaling point twice and exits non-zero unless the runs are
-//! bit-identical.
-//!
-//! `e16` is the online streaming certifier (`atomicity-certify`): every
-//! property engine runs a contended bank workload with an online monitor
-//! consuming the live stamp stream, and the final online certificate
-//! must agree with the post-hoc linear certifier over the same run's
-//! snapshot; a long-horizon dynamic run (≥10x the E10 history) gates the
-//! monitor's retained-set high-water mark against the open-transaction
-//! footprint; and an A/B/C timing sweep gates the certifier's throughput
-//! cost against twice the metrics budget (full runs only). It writes
-//! `BENCH_e16.json`. `--demo-violation` forges a non-atomic pair into
-//! the live log mid-run and exits non-zero unless the monitor flags it
-//! at the offending commit.
+//! [`EXPERIMENTS`] is the whole command line: the names, what each one
+//! shows, and the flags each accepts. No name (or `all`) runs every
+//! entry; an unknown name or a flag an entry does not accept is an error
+//! (the usage text, generated from the table, goes to stderr). `--smoke`
+//! shrinks every workload to a CI wiring check. Entries that write a
+//! report take `--json=PATH` (default `BENCH_<name>.json`). An entry
+//! fails by returning a [`GateFailure`]; `main` prints it and exits
+//! non-zero — no gate depends on a wall clock. `EXPERIMENTS.md` records
+//! the paper's claim next to each table, and names the `benchmark/`
+//! metric for everything this binary used to time.
 
 use atomicity_bench::engines::map_commutativity;
 use atomicity_bench::engines::Engine;
@@ -105,144 +38,265 @@ use atomicity_lint::{
 use atomicity_spec::atomicity::{is_atomic, is_dynamic_atomic, is_hybrid_atomic, is_static_atomic};
 use atomicity_spec::well_formed::WellFormedness;
 use atomicity_spec::{op, paper, ObjectId, SystemSpec};
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let disk = args.iter().any(|a| a == "--disk");
-    let json_path = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--json="))
-        .map(str::to_string);
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if wanted.contains(&"lint") {
-        std::process::exit(run_lint(
-            args.iter().any(|a| a == "--demo-unsound"),
-            args.iter().any(|a| a == "--synth"),
-            json_path.as_deref(),
-        ));
-    }
-    let run_all = wanted.is_empty() || wanted.contains(&"all");
-    let want = |name: &str| run_all || wanted.contains(&name);
+/// One runnable entry of the harness.
+struct Experiment {
+    /// What the command line calls it.
+    name: &'static str,
+    /// The `== NAME: title` header, and its line of the usage text.
+    title: &'static str,
+    /// Options it accepts besides the universal `--smoke`, spelled as the
+    /// usage text shows them (`--replay=SEED`).
+    flags: &'static [&'static str],
+    /// Runs it; `Err` is a failed gate.
+    run: fn(&Args) -> Result<(), GateFailure>,
+}
 
-    if want("e1") {
-        e1_bank(quick);
+/// Why an experiment's gate failed. `main` reports it and exits non-zero.
+struct GateFailure(String);
+
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        name: "e1",
+        title: "bank account — data-dependent admission vs locking (paper §5.1)",
+        flags: &[],
+        run: e1_bank,
+    },
+    Experiment {
+        name: "e2",
+        title: "FIFO queue — interleaved enqueues & the scheduler model (paper §5.1)",
+        flags: &[],
+        run: e2_queue,
+    },
+    Experiment {
+        name: "e3",
+        title: "long read-only audits (paper §4.2.3)",
+        flags: &[],
+        run: e3_audit,
+    },
+    Experiment {
+        name: "e4",
+        title: "Lamport's banking problem (paper §4.3.3)",
+        flags: &[],
+        run: e4_lamport,
+    },
+    Experiment {
+        name: "e5",
+        title: "relating the three properties (paper §4.2.3, §4.3.3)",
+        flags: &[],
+        run: e5_enumeration,
+    },
+    Experiment {
+        name: "e6",
+        title: "recovery — crash sweep over two-phase commit (paper §1, §3)",
+        flags: &["--disk"],
+        run: e6_recovery,
+    },
+    Experiment {
+        name: "e7",
+        title: "clock-skew sensitivity of static atomicity (paper §4.2.3)",
+        flags: &[],
+        run: e7_skew,
+    },
+    Experiment {
+        name: "e9",
+        title: "static analysis — table audits & linear-time certification (DESIGN.md §5)",
+        flags: &[],
+        run: e9_static_analysis,
+    },
+    Experiment {
+        name: "e10",
+        title: "observability — txn tracing, latency histograms, abort taxonomy (DESIGN.md §6)",
+        flags: &["--json=PATH"],
+        run: e10_observability,
+    },
+    Experiment {
+        name: "e12",
+        title: "deterministic simulation — seed sweep with failure shrinking (DESIGN.md §8)",
+        flags: &[
+            "--json=PATH",
+            "--seeds=N",
+            "--replay=SEED",
+            "--demo-lost-ack",
+        ],
+        run: e12_simulation,
+    },
+    Experiment {
+        name: "e13",
+        title: "conflict-table synthesis — generated tables & minimality gaps (DESIGN.md §5)",
+        flags: &[],
+        run: e13_synthesis,
+    },
+    Experiment {
+        name: "e14",
+        title: "contended admission — the synthesized table grants under contention",
+        flags: &[],
+        run: e14_contention,
+    },
+    Experiment {
+        name: "e15",
+        title: "partitioned scale-out & dependency-logged recovery, certified bit-equal",
+        flags: &["--json=PATH", "--replay=SEED"],
+        run: e15_scaleout,
+    },
+    Experiment {
+        name: "e16",
+        title: "online streaming atomicity certifier",
+        flags: &["--json=PATH", "--demo-violation"],
+        run: e16_online,
+    },
+    Experiment {
+        name: "a1",
+        title: "ablation — dynamic admission bound (DESIGN.md §4)",
+        flags: &[],
+        run: a1_ablation,
+    },
+    Experiment {
+        name: "v1",
+        title: "exhaustive schedule exploration (model checking the engines)",
+        flags: &[],
+        run: v1_model_check,
+    },
+    Experiment {
+        name: "lint",
+        title: "conflict-table audit + lock-order audit + nondeterminism scan (the CI gate)",
+        flags: &["--synth", "--json=PATH", "--demo-unsound"],
+        run: run_lint,
+    },
+];
+
+/// The part of an option that identifies it: `--replay=` of
+/// `--replay=SEED`, or the whole of a bare `--disk`.
+fn option_key(option: &str) -> &str {
+    option.find('=').map_or(option, |at| &option[..=at])
+}
+
+/// The parsed command line.
+struct Args {
+    /// Experiment names, as given.
+    names: Vec<String>,
+    /// Every `--option`, as given.
+    options: Vec<String>,
+}
+
+impl Args {
+    fn parse(argv: impl Iterator<Item = String>) -> Self {
+        let (options, names) = argv.partition(|a| a.starts_with("--"));
+        Args { names, options }
     }
-    if want("e2") {
-        e2_queue(quick);
+
+    fn has(&self, flag: &str) -> bool {
+        self.options.iter().any(|o| o == flag)
     }
-    if want("e3") {
-        e3_audit(quick);
+
+    /// The value of a `--key=VALUE` option.
+    fn value(&self, key: &str) -> Option<&str> {
+        self.options.iter().find_map(|o| o.strip_prefix(key))
     }
-    if want("e4") {
-        e4_lamport(quick);
+
+    /// The value of a numeric `--key=N` option; a value that is not a
+    /// number is an error, not an absent option.
+    fn number(&self, key: &str) -> Result<Option<u64>, GateFailure> {
+        self.value(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| GateFailure(format!("{key}{v}: not a number")))
+            })
+            .transpose()
     }
-    if want("e5") {
-        e5_enumeration();
+
+    /// CI-wiring sizes instead of the full ones.
+    fn smoke(&self) -> bool {
+        self.has("--smoke")
     }
-    if want("e6") {
-        e6_recovery(quick, disk);
+
+    /// Where `name`'s report goes: `--json=PATH`, or `BENCH_<name>.json`.
+    fn json(&self, name: &str) -> String {
+        self.value("--json=")
+            .map_or_else(|| format!("BENCH_{name}.json"), str::to_string)
     }
-    if want("e7") {
-        e7_skew(quick);
-    }
-    if want("e8") {
-        e8_stress(quick);
-    }
-    if want("e9") {
-        e9_static_analysis(quick);
-    }
-    if want("e10") {
-        e10_observability(
-            quick,
-            smoke,
-            json_path.as_deref().unwrap_or("BENCH_e10.json"),
-        );
-    }
-    if want("e11") {
-        e11_wal(
-            quick,
-            smoke,
-            json_path.as_deref().unwrap_or("BENCH_e11.json"),
-        );
-    }
-    if want("e12") {
-        let seeds = args
+
+    /// The entries to run, in registry order — or what is wrong with the
+    /// command line: an unknown name, or an option one of the selected
+    /// entries does not accept.
+    fn select(&self) -> Result<Vec<&'static Experiment>, String> {
+        for name in &self.names {
+            if name != "all" && !EXPERIMENTS.iter().any(|e| e.name == name) {
+                return Err(format!("unknown experiment `{name}`"));
+            }
+        }
+        let all = self.names.is_empty() || self.names.iter().any(|n| n == "all");
+        let selected: Vec<_> = EXPERIMENTS
             .iter()
-            .find_map(|a| a.strip_prefix("--seeds="))
-            .and_then(|s| s.parse::<u64>().ok());
-        let replay = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--replay="))
-            .and_then(|s| s.parse::<u64>().ok());
-        e12_simulation(
-            smoke,
-            seeds,
-            args.iter().any(|a| a == "--demo-lost-ack"),
-            replay,
-            json_path.as_deref().unwrap_or("BENCH_e12.json"),
-        );
+            .filter(|e| all || self.names.iter().any(|n| n == e.name))
+            .collect();
+        for option in self.options.iter().filter(|o| *o != "--smoke") {
+            let key = option_key(option);
+            if let Some(e) = selected
+                .iter()
+                .find(|e| !e.flags.iter().any(|f| option_key(f) == key))
+            {
+                return Err(format!("`{}` does not accept `{option}`", e.name));
+            }
+        }
+        Ok(selected)
     }
-    if want("e13") {
-        e13_synthesis();
+}
+
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: experiments [--smoke] [NAME... | all]\n\n  \
+         --smoke  CI-wiring sizes; accepted by every experiment\n\n",
+    );
+    for e in EXPERIMENTS {
+        text.push_str(&format!("  {:<5} {}\n", e.name, e.title));
+        if !e.flags.is_empty() {
+            text.push_str(&format!("        [{}]\n", e.flags.join("] [")));
+        }
     }
-    if want("e14") {
-        e14_contention(
-            quick,
-            smoke,
-            json_path.as_deref().unwrap_or("BENCH_e14.json"),
-        );
+    text
+}
+
+fn main() -> ExitCode {
+    let args = Args::parse(std::env::args().skip(1));
+    let selected = match args.select() {
+        Ok(selected) => selected,
+        Err(problem) => {
+            eprintln!("experiments: {problem}\n\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    for e in selected {
+        println!("== {}: {}\n", e.name.to_uppercase(), e.title);
+        if let Err(GateFailure(why)) = (e.run)(&args) {
+            eprintln!("{} FAILED: {why}", e.name.to_uppercase());
+            return ExitCode::FAILURE;
+        }
     }
-    if want("e15") {
-        let replay = args
-            .iter()
-            .find_map(|a| a.strip_prefix("--replay="))
-            .and_then(|s| s.parse::<u64>().ok());
-        // --quick runs the smoke shape: the full sweep's wall-clock
-        // recovery gates belong to dedicated full runs, not the
-        // all-experiments quick lane.
-        e15_scaleout(
-            smoke || quick,
-            replay,
-            json_path.as_deref().unwrap_or("BENCH_e15.json"),
-        );
-    }
-    if want("a1") {
-        a1_ablation(quick);
-    }
-    if want("v1") {
-        v1_model_check();
-    }
-    if want("e16") {
-        // --quick runs the smoke shape: sub-percent timing gates belong
-        // to dedicated full runs, not the all-experiments quick lane.
-        e16_online(
-            smoke || quick,
-            args.iter().any(|a| a == "--demo-violation"),
-            json_path.as_deref().unwrap_or("BENCH_e16.json"),
-        );
-    }
+    ExitCode::SUCCESS
+}
+
+/// Writes an experiment's JSON report.
+fn write_report(path: &str, json: String) -> Result<(), GateFailure> {
+    std::fs::write(path, json).map_err(|e| GateFailure(format!("cannot write {path}: {e}")))?;
+    println!("report written to {path}\n");
+    Ok(())
 }
 
 /// E16: the online streaming certifier — verdict equality against the
 /// post-hoc certifier per property engine, the long-horizon retained-set
-/// memory gate, the throughput-overhead gate, and (with
-/// `--demo-violation`) the forged mid-stream violation demonstration.
-fn e16_online(smoke: bool, demo: bool, json_path: &str) {
+/// memory gate, and (with `--demo-violation`) the forged mid-stream
+/// violation demonstration. The workload panics on a failed gate.
+fn e16_online(args: &Args) -> Result<(), GateFailure> {
     use atomicity_bench::workloads::e16::{run_e16, E16Params};
 
-    println!("== E16: online streaming atomicity certifier\n");
-    let mut params = if smoke {
+    let mut params = if args.smoke() {
         E16Params::smoke()
     } else {
         E16Params::full()
     };
-    if demo {
+    if args.has("--demo-violation") {
         params.demo_violation = true;
     }
 
@@ -297,38 +351,6 @@ fn e16_online(smoke: bool, demo: bool, json_path: &str) {
     ]);
     println!("{table}");
 
-    let o = &report.overhead;
-    let mut table = Table::new(vec![
-        "bare tx/s",
-        "metrics tx/s",
-        "online tx/s",
-        "metrics cost",
-        "online cost",
-        "budget",
-        "gated",
-    ])
-    .with_title(format!(
-        "overhead: median of {} trials x {} txns/thread",
-        params.overhead_trials, params.overhead_txns
-    ));
-    table.row(vec![
-        f1(o.bare_tps),
-        f1(o.metrics_tps),
-        f1(o.online_tps),
-        format!("{:.2}%", o.metrics_overhead * 100.0),
-        format!("{:.2}%", o.online_overhead * 100.0),
-        format!("{:.2}%", o.budget * 100.0),
-        o.gated.to_string(),
-    ]);
-    println!("{table}");
-    if !o.headroom {
-        println!(
-            "note: no spare core for the certifier pump (available_parallelism <= {} \
-             worker threads); overhead reported ungated\n",
-            params.threads
-        );
-    }
-
     if let Some(d) = &report.demo {
         println!(
             "demo: forged non-atomic pair flagged at stamp {} of {} observed events ({})\n",
@@ -336,26 +358,24 @@ fn e16_online(smoke: bool, demo: bool, json_path: &str) {
         );
     }
 
-    std::fs::write(json_path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
-    println!("report written to {json_path}\n");
+    write_report(&args.json("e16"), report.to_json())
 }
 
 /// E15: the partitioned service — shard-count scaling of the open-loop
-/// workload, and dependency-logged parallel recovery vs serial value-log
-/// replay. Full runs gate on both claims; `--replay=SEED` instead checks
-/// that one seed replays bit-identically.
-fn e15_scaleout(smoke: bool, replay: Option<u64>, json_path: &str) {
+/// workload in simulated time, and dependency-logged parallel recovery
+/// certified bit-equal to serial value-log replay. A full run gates on
+/// the scale-out; `--replay=SEED` instead checks that one seed replays
+/// bit-identically.
+fn e15_scaleout(args: &Args) -> Result<(), GateFailure> {
     use atomicity_bench::workloads::e15::{run_e15, run_scaling_point, E15Params};
 
-    println!("== E15: partitioned scale-out & dependency-logged parallel recovery\n");
-    let mut params = if smoke {
+    let mut params = if args.smoke() {
         E15Params::smoke()
     } else {
         E15Params::full()
     };
 
-    if let Some(seed) = replay {
+    if let Some(seed) = args.number("--replay=")? {
         // Replay gate: the same seed, twice, at the largest shard count,
         // must be bit-identical.
         params.seed = seed;
@@ -367,11 +387,12 @@ fn e15_scaleout(smoke: bool, replay: Option<u64>, json_path: &str) {
             a.trace_hash, b.trace_hash, a.state_digest, b.state_digest
         );
         if (a.trace_hash, a.state_digest) != (b.trace_hash, b.state_digest) {
-            eprintln!("E15 FAILED: seed {seed} did not replay identically");
-            std::process::exit(1);
+            return Err(GateFailure(format!(
+                "seed {seed} did not replay identically"
+            )));
         }
         println!("replay is bit-identical\n");
-        return;
+        return Ok(());
     }
 
     let report = run_e15(&params);
@@ -385,7 +406,7 @@ fn e15_scaleout(smoke: bool, replay: Option<u64>, json_path: &str) {
         "commits/sec",
     ])
     .with_title(format!(
-        "open-loop bank transfers over {} accounts: {} clients x {} txns/tick x {} ticks",
+        "open-loop bank transfers over {} accounts: {} clients x {} txns/tick x {} ticks (simulated time)",
         params.accounts, params.clients, params.requests_per_tick, params.ticks
     ));
     for row in &report.scaling {
@@ -400,17 +421,7 @@ fn e15_scaleout(smoke: bool, replay: Option<u64>, json_path: &str) {
     }
     println!("{table}");
 
-    let mut table = Table::new(vec![
-        "commits",
-        "log",
-        "bytes",
-        "serial (ms)",
-        "parallel (ms)",
-        "speedup",
-        "edges",
-        "pruned",
-    ])
-    .with_title(format!(
+    let mut table = Table::new(vec!["commits", "log", "bytes", "edges", "pruned"]).with_title(format!(
         "recovery: serial value replay vs {}-thread dependency-graph replay (states certified equal)",
         params.threads
     ));
@@ -419,25 +430,21 @@ fn e15_scaleout(smoke: bool, replay: Option<u64>, json_path: &str) {
             row.commits.to_string(),
             if row.dep_logged { "dep" } else { "value" }.into(),
             row.log_bytes.to_string(),
-            format!("{:.2}", row.serial_ns as f64 / 1e6),
-            format!("{:.2}", row.parallel_ns as f64 / 1e6),
-            format!("{:.1}x", row.speedup),
             row.edges.to_string(),
             row.pruned_commuting.to_string(),
         ]);
     }
     println!("{table}");
 
-    std::fs::write(json_path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
-    println!("report written to {json_path}\n");
+    write_report(&args.json("e15"), report.to_json())?;
 
-    if smoke {
-        return;
+    if args.smoke() {
+        return Ok(());
     }
 
-    // Gate 1: the distinct-key workload must actually scale — the top
-    // shard count beats one shard by at least 2x commits/sec.
+    // The gate: the distinct-key workload must actually scale — the top
+    // shard count beats one shard by at least 2x commits/sec of simulated
+    // time, which is deterministic for the seed.
     let single = report
         .scaling
         .iter()
@@ -449,41 +456,22 @@ fn e15_scaleout(smoke: bool, replay: Option<u64>, json_path: &str) {
         .max_by_key(|r| r.shards)
         .expect("scaling rows");
     if top.commits_per_sec < 2.0 * single.commits_per_sec {
-        eprintln!(
-            "E15 FAILED: {} shards reached {:.0} commits/sec, less than 2x the single-shard {:.0}",
+        return Err(GateFailure(format!(
+            "{} shards reached {:.0} commits/sec, less than 2x the single-shard {:.0}",
             top.shards, top.commits_per_sec, single.commits_per_sec
-        );
-        std::process::exit(1);
-    }
-    // Gate 2: at the largest log, dependency-logged parallel recovery
-    // must beat the serial value replay it is certified against.
-    let largest = report
-        .recovery
-        .iter()
-        .filter(|r| r.dep_logged)
-        .max_by_key(|r| r.commits)
-        .expect("recovery rows");
-    if largest.parallel_ns >= largest.serial_ns {
-        eprintln!(
-            "E15 FAILED: parallel dependency recovery ({:.2} ms) did not beat serial value replay ({:.2} ms) at {} commits",
-            largest.parallel_ns as f64 / 1e6,
-            largest.serial_ns as f64 / 1e6,
-            largest.commits
-        );
-        std::process::exit(1);
+        )));
     }
     println!(
-        "gates: {}x scale-out at {} shards; {:.1}x recovery speedup at {} commits\n",
+        "gate: {}x scale-out at {} shards\n",
         f1(top.commits_per_sec / single.commits_per_sec),
-        top.shards,
-        largest.speedup,
-        largest.commits
+        top.shards
     );
+    Ok(())
 }
 
 /// E1 (§5.1): bank-account concurrency vs. locking, swept over headroom.
-fn e1_bank(quick: bool) {
-    println!("== E1: bank account — data-dependent admission vs locking (paper §5.1)\n");
+fn e1_bank(args: &Args) -> Result<(), GateFailure> {
+    let smoke = args.smoke();
     let headrooms = [2.0, 1.0, 0.5, 0.1];
     let engines = [
         Engine::Dynamic,
@@ -504,10 +492,10 @@ fn e1_bank(quick: bool) {
     for &headroom in &headrooms {
         let params = BankParams {
             threads: 4,
-            txns_per_thread: if quick { 10 } else { 40 },
+            txns_per_thread: if smoke { 10 } else { 40 },
             amount: 5,
             headroom,
-            hold_micros: if quick { 200 } else { 500 },
+            hold_micros: if smoke { 200 } else { 500 },
         };
         for engine in engines {
             let out = run_bank(engine, &params);
@@ -522,16 +510,17 @@ fn e1_bank(quick: bool) {
         }
     }
     println!("{table}");
+    Ok(())
 }
 
 /// E2 (§5.1, Fig 5-1): FIFO queue producers + the scheduler-model claim.
-fn e2_queue(quick: bool) {
-    println!("== E2: FIFO queue — interleaved enqueues & the scheduler model (paper §5.1)\n");
+fn e2_queue(args: &Args) -> Result<(), GateFailure> {
+    let smoke = args.smoke();
     let params = QueueParams {
         producers: 4,
-        txns_per_producer: if quick { 5 } else { 20 },
+        txns_per_producer: if smoke { 5 } else { 20 },
         batch: 4,
-        hold_micros: if quick { 200 } else { 500 },
+        hold_micros: if smoke { 200 } else { 500 },
     };
     let mut table = Table::new(vec!["engine", "txn/s", "committed", "aborted", "drained"])
         .with_title("concurrent enqueue batches");
@@ -565,21 +554,22 @@ fn e2_queue(quick: bool) {
         yesno(scheduler_ok),
     ]);
     println!("{verdicts}");
+    Ok(())
 }
 
 /// E3 (§4.2.3): long read-only audits against short updates.
-fn e3_audit(quick: bool) {
-    println!("== E3: long read-only audits (paper §4.2.3)\n");
+fn e3_audit(args: &Args) -> Result<(), GateFailure> {
+    let smoke = args.smoke();
     let params = AuditParams {
         shards: 4,
         keys_per_shard: 4,
         initial_balance: 1_000,
         updaters: 3,
-        txns_per_updater: if quick { 10 } else { 40 },
+        txns_per_updater: if smoke { 10 } else { 40 },
         auditors: 2,
-        audits_per_auditor: if quick { 4 } else { 16 },
+        audits_per_auditor: if smoke { 4 } else { 16 },
         hold_micros: 100,
-        audit_hold_micros: if quick { 1_000 } else { 2_000 },
+        audit_hold_micros: if smoke { 1_000 } else { 2_000 },
     };
     let mut table = Table::new(vec![
         "engine",
@@ -604,19 +594,20 @@ fn e3_audit(quick: bool) {
         ]);
     }
     println!("{table}");
+    Ok(())
 }
 
 /// E4 (§4.3.3): Lamport's banking problem.
-fn e4_lamport(quick: bool) {
-    println!("== E4: Lamport's banking problem (paper §4.3.3)\n");
+fn e4_lamport(args: &Args) -> Result<(), GateFailure> {
+    let smoke = args.smoke();
     let params = LamportParams {
         shards: 4,
         keys_per_shard: 4,
         initial_balance: 1_000,
         transferrers: 3,
-        txns_per_transferrer: if quick { 15 } else { 60 },
+        txns_per_transferrer: if smoke { 15 } else { 60 },
         transfer_hold_micros: 500,
-        audits: if quick { 20 } else { 60 },
+        audits: if smoke { 20 } else { 60 },
         audit_hold_micros: 500,
     };
     let mut table = Table::new(vec![
@@ -640,12 +631,11 @@ fn e4_lamport(quick: bool) {
         ]);
     }
     println!("{table}");
+    Ok(())
 }
 
 /// E5 (§4.2.3, §4.3.3): witnesses + exhaustive classification counts.
-fn e5_enumeration() {
-    println!("== E5: relating the three properties (paper §4.2.3, §4.3.3)\n");
-
+fn e5_enumeration(_: &Args) -> Result<(), GateFailure> {
     // Part A: the paper's witness histories, classified by the checkers.
     let set = paper::set_system();
     let mut witnesses = Table::new(vec![
@@ -784,14 +774,16 @@ fn e5_enumeration() {
         summary.rw_lock_producible.to_string(),
     ]);
     println!("{counts}");
+    Ok(())
 }
 
 /// E6 (§1, §3): recoverability — crash sweep + recovery-cost comparison.
 /// With `disk`, the sweep's stable logs are the real on-disk WAL.
-fn e6_recovery(quick: bool, disk: bool) {
-    println!("== E6: recovery — crash sweep over two-phase commit (paper §1, §3)\n");
-    let transfers = if quick { 3 } else { 6 };
-    let stride = if quick { 4 } else { 2 };
+fn e6_recovery(args: &Args) -> Result<(), GateFailure> {
+    let smoke = args.smoke();
+    let disk = args.has("--disk");
+    let transfers = if smoke { 3 } else { 6 };
+    let stride = if smoke { 4 } else { 2 };
     let (out, backend) = if disk {
         use atomicity_core::recovery::DurableLog;
         use atomicity_durable::{SyncPolicy, Wal, WalOptions};
@@ -849,7 +841,7 @@ fn e6_recovery(quick: bool, disk: bool) {
     ])
     .with_title("recovery cost: intentions-list redo vs undo-log rollback");
     for &fraction in &[0.95, 0.5, 0.05] {
-        let row = run_recovery_cost(if quick { 100 } else { 400 }, fraction);
+        let row = run_recovery_cost(if smoke { 100 } else { 400 }, fraction);
         costs.row(vec![
             row.total_ops.to_string(),
             format!("{:.0}%", fraction * 100.0),
@@ -873,7 +865,7 @@ fn e6_recovery(quick: bool, disk: bool) {
     ])
     .with_title("unreliable network: vote retransmission keeps two-phase commit atomic");
     for (drop_p, dup_p) in [(0.0, 0.0), (0.1, 0.0), (0.3, 0.0), (0.0, 0.3), (0.3, 0.3)] {
-        let row = run_lossy(if quick { 8 } else { 20 }, drop_p, dup_p, 17);
+        let row = run_lossy(if smoke { 8 } else { 20 }, drop_p, dup_p, 17);
         lossy.row(vec![
             format!("{:.0}%", drop_p * 100.0),
             format!("{:.0}%", dup_p * 100.0),
@@ -898,7 +890,7 @@ fn e6_recovery(quick: bool, disk: bool) {
     ])
     .with_title("distributed timestamped audits under failures (§4.3, cluster scale)");
     for (drop_p, dup_p) in [(0.0, 0.0), (0.15, 0.1)] {
-        let out = run_distributed_audits(if quick { 10 } else { 24 }, drop_p, dup_p, 31);
+        let out = run_distributed_audits(if smoke { 10 } else { 24 }, drop_p, dup_p, 31);
         audits.row(vec![
             format!("{:.0}%", drop_p * 100.0),
             format!("{:.0}%", dup_p * 100.0),
@@ -910,92 +902,20 @@ fn e6_recovery(quick: bool, disk: bool) {
         ]);
     }
     println!("{audits}");
-}
-
-/// E8 (DESIGN.md §2): recorder contention under threaded stress —
-/// throughput vs. thread count per engine, then the sharded recorder
-/// against the single-mutex baseline.
-fn e8_stress(quick: bool) {
-    use atomicity_bench::workloads::stress::{run_stress, StressParams, STRESS_ENGINES};
-
-    println!("== E8: threaded stress — sharded history recording (DESIGN.md §2)\n");
-    let txns = if quick { 50 } else { 200 };
-    let mut table = Table::new(vec![
-        "engine",
-        "threads",
-        "txn/s",
-        "committed",
-        "aborted",
-        "events",
-        "blocks",
-    ])
-    .with_title("per-thread accounts; the shared recorder is the serialization point");
-    for engine in STRESS_ENGINES {
-        for threads in [1usize, 2, 4, 8] {
-            let params = StressParams {
-                threads,
-                txns_per_thread: txns,
-                ops_per_txn: 4,
-                hold_micros: 0,
-                coarse_log: false,
-                verify: false,
-                exhaustive: false,
-                collect_metrics: false,
-                shared_objects: 0,
-            };
-            let out = run_stress(engine, &params);
-            table.row(vec![
-                engine.label().into(),
-                threads.to_string(),
-                f1(out.throughput),
-                out.committed.to_string(),
-                out.aborted.to_string(),
-                out.events.to_string(),
-                out.stats.blocks.to_string(),
-            ]);
-        }
-    }
-    println!("{table}");
-
-    let mut recorder = Table::new(vec!["recorder", "shards", "threads", "txn/s", "events"])
-        .with_title("sharded recorder vs the single-mutex baseline (dynamic engine)");
-    for coarse in [false, true] {
-        for threads in [1usize, 4, 8] {
-            let params = StressParams {
-                threads,
-                txns_per_thread: txns,
-                ops_per_txn: 8,
-                hold_micros: 0,
-                coarse_log: coarse,
-                verify: false,
-                exhaustive: false,
-                collect_metrics: false,
-                shared_objects: 0,
-            };
-            let out = run_stress(Engine::Dynamic, &params);
-            recorder.row(vec![
-                if coarse { "coarse" } else { "sharded" }.into(),
-                out.log_shards.to_string(),
-                threads.to_string(),
-                f1(out.throughput),
-                out.events.to_string(),
-            ]);
-        }
-    }
-    println!("{recorder}");
+    Ok(())
 }
 
 /// A1 (ablation, DESIGN.md §4): the dynamic engine's permutation-check
 /// bound is the concurrency knob — `max_check = 1` serializes like a
 /// lock, larger bounds approach full data-dependent admission.
-fn a1_ablation(quick: bool) {
-    println!("== A1: ablation — dynamic admission bound (DESIGN.md §4)\n");
+fn a1_ablation(args: &Args) -> Result<(), GateFailure> {
+    let smoke = args.smoke();
     let params = BankParams {
         threads: 4,
-        txns_per_thread: if quick { 10 } else { 40 },
+        txns_per_thread: if smoke { 10 } else { 40 },
         amount: 5,
         headroom: 2.0,
-        hold_micros: if quick { 200 } else { 500 },
+        hold_micros: if smoke { 200 } else { 500 },
     };
     let mut table = Table::new(vec!["max_check", "txn/s", "withdrawn", "aborted"])
         .with_title("E1 workload, dynamic engine, varying permutation-check bound");
@@ -1009,18 +929,19 @@ fn a1_ablation(quick: bool) {
         ]);
     }
     println!("{table}");
+    Ok(())
 }
 
 /// E7 (§4.2.3): timestamp skew sensitivity.
-fn e7_skew(quick: bool) {
-    println!("== E7: clock-skew sensitivity of static atomicity (paper §4.2.3)\n");
+fn e7_skew(args: &Args) -> Result<(), GateFailure> {
+    let smoke = args.smoke();
     let mut table = Table::new(vec!["engine", "skew", "committed", "ts aborts", "abort %"])
         .with_title("read-modify-write updates with per-worker clock skew");
     for &skew in &[0u64, 10, 100, 1_000] {
         for engine in [Engine::Static, Engine::Hybrid] {
             let params = SkewParams {
                 workers: 4,
-                txns_per_worker: if quick { 15 } else { 50 },
+                txns_per_worker: if smoke { 15 } else { 50 },
                 skew_ticks: skew,
                 keys: 8,
                 hold_micros: 50,
@@ -1037,16 +958,16 @@ fn e7_skew(quick: bool) {
         }
     }
     println!("{table}");
+    Ok(())
 }
 
 /// V1: exhaustive schedule exploration — every interleaving of the §5.1
 /// scenarios, verified against the checkers.
-fn v1_model_check() {
+fn v1_model_check(_: &Args) -> Result<(), GateFailure> {
     use atomicity_bench::engines::Engine;
     use atomicity_core::Protocol;
     use atomicity_spec::specs::{BankAccountSpec, FifoQueueSpec};
 
-    println!("== V1: exhaustive schedule exploration (model checking the engines)\n");
     let mut table = Table::new(vec![
         "scenario",
         "engine",
@@ -1113,27 +1034,19 @@ fn v1_model_check() {
         ]);
     }
     println!("{table}");
+    Ok(())
 }
 
-/// E9 (DESIGN.md §5): the static-analysis passes as an experiment — the
-/// audit verdict for every hand-written conflict table, the derived lock
-/// ordering, and the linear-time certifier against the exhaustive
-/// checkers on a real E8 history.
 /// E10: the observability layer itself — per-engine latency percentiles
-/// and the abort-reason taxonomy over a contended variant of the E8
-/// stress workload (all workers share one account), exported as JSON.
-fn e10_observability(quick: bool, smoke: bool, json_path: &str) {
+/// and the abort-reason taxonomy over the contended variant of the stress
+/// workload (all workers share one account), exported as JSON. The gate
+/// is on admission counts: an engine that reports none is mute wiring.
+fn e10_observability(args: &Args) -> Result<(), GateFailure> {
     use atomicity_bench::report::ObservabilityReport;
     use atomicity_bench::workloads::stress::{run_stress, StressParams};
 
-    println!("== E10: observability — txn tracing, latency histograms, abort taxonomy (DESIGN.md \u{a7}6)\n");
-    let (threads, txns) = if smoke {
-        (2, 20)
-    } else if quick {
-        (4, 60)
-    } else {
-        (4, 250)
-    };
+    let smoke = args.smoke();
+    let (threads, txns) = if smoke { (2, 20) } else { (4, 250) };
     // A modest in-transaction hold keeps the shared lock occupied long
     // enough for the block/abort instrumentation to observe real waits.
     let params = StressParams {
@@ -1196,46 +1109,26 @@ fn e10_observability(quick: bool, smoke: bool, json_path: &str) {
         println!("(no aborts recorded on this run)\n");
     }
 
-    std::fs::write(json_path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
-    println!("report written to {json_path}\n");
+    write_report(&args.json("e10"), report.to_json())?;
 
     let silent = report.silent_engines();
     if !silent.is_empty() {
-        eprintln!("E10 FAILED: engines with zero admissions: {silent:?}");
-        std::process::exit(1);
+        return Err(GateFailure(format!(
+            "engines with zero admissions: {silent:?}"
+        )));
     }
+    Ok(())
 }
 
-/// E14: contended admission on ONE shared account — the dynamic and
-/// hybrid engines beside their replay-only reference rows and the lock
-/// baselines, gated within the run.
-fn e14_contention(quick: bool, smoke: bool, json_path: &str) {
-    use atomicity_bench::report::ContentionReport;
-    use atomicity_bench::workloads::e14::{e14_matrix, run_e14, E14Params};
+/// E14: contended admission on ONE shared account — 8 workers, every
+/// engine's history certified, and the synthesized table must actually
+/// grant admissions on the two engines that consult it.
+fn e14_contention(_: &Args) -> Result<(), GateFailure> {
+    use atomicity_bench::workloads::e14::{run_e14, E14Params, E14_ENGINES};
 
-    println!("== E14: contended admission — synthesized table vs replay-only reference\n");
-    let params = if smoke {
-        E14Params::smoke()
-    } else if quick {
-        E14Params::quick()
-    } else {
-        E14Params::full()
-    };
-
-    let mut outcomes = Vec::new();
-    for &threads in &params.threads {
-        for (engine, reference) in e14_matrix() {
-            outcomes.push(run_e14(engine, reference, threads, &params));
-        }
-    }
-    let report = ContentionReport::new(&params, &outcomes);
-
+    let params = E14Params::default();
     let mut table = Table::new(vec![
         "engine",
-        "row",
-        "threads",
-        "txn/s",
         "committed",
         "aborted",
         "fast adm",
@@ -1243,166 +1136,66 @@ fn e14_contention(quick: bool, smoke: bool, json_path: &str) {
         "reads",
     ])
     .with_title(format!(
-        "{} txns/worker x {} deposits on ONE shared account; every run certified",
-        params.txns_per_thread, params.ops_per_txn
+        "{} workers x {} txns x {} deposits on ONE shared account; every run certified",
+        params.threads, params.txns_per_thread, params.ops_per_txn
     ));
-    for row in &report.rows {
+    let mut mute = Vec::new();
+    for engine in E14_ENGINES {
+        let out = run_e14(engine, &params);
         table.row(vec![
-            row.engine.clone(),
-            if row.reference { "replay-only" } else { "" }.to_string(),
-            row.threads.to_string(),
-            f1(row.throughput),
-            row.committed.to_string(),
-            row.aborted.to_string(),
-            row.fast_admissions.to_string(),
-            row.blocks.to_string(),
-            row.reads_committed.to_string(),
+            engine.label().into(),
+            out.committed.to_string(),
+            out.aborted.to_string(),
+            out.stats.fast_admissions.to_string(),
+            out.stats.blocks.to_string(),
+            out.reads_committed.to_string(),
         ]);
+        if matches!(engine, Engine::Dynamic | Engine::Hybrid) && out.stats.fast_admissions == 0 {
+            mute.push(engine.label());
+        }
     }
     println!("{table}");
-
-    std::fs::write(json_path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
-    println!("report written to {json_path}\n");
-
-    // The gates compare rows of this run: at the top thread count the
-    // table must actually grant admissions (every run), and a full run
-    // must put each engine at least 4x above its replay-only reference.
-    // Smoke/quick runs are too small to measure a ratio.
-    let top = params.threads.iter().copied().max().unwrap_or(0);
-    for engine in [Engine::Dynamic, Engine::Hybrid] {
-        let cell = |reference| {
-            report
-                .row(engine.label(), reference, top)
-                .expect("the matrix runs every engine with and without the table")
-        };
-        let (with_table, replay_only) = (cell(false), cell(true));
-        let speedup = with_table.throughput / replay_only.throughput;
-        println!(
-            "{engine}: {:.1} txn/s at {top} threads vs replay-only {:.1} — {speedup:.1}x",
-            with_table.throughput, replay_only.throughput
-        );
-        if with_table.fast_admissions == 0 {
-            eprintln!("E14 FAILED: {engine} recorded zero table admissions at {top} threads");
-            std::process::exit(1);
-        }
-        if !smoke && !quick && speedup < 4.0 {
-            eprintln!(
-                "E14 FAILED: {engine} at {top} threads is {speedup:.1}x its replay-only \
-                 reference, need >= 4x"
-            );
-            std::process::exit(1);
-        }
+    if !mute.is_empty() {
+        return Err(GateFailure(format!(
+            "zero table admissions at {} threads: {mute:?}",
+            params.threads
+        )));
     }
-    println!();
-}
-
-/// E11 (DESIGN.md §7): WAL commit throughput — group commit vs.
-/// sync-each across writer-thread counts and batching windows, exported
-/// as JSON. A full run gates on group commit beating sync-each ≥2× at
-/// the highest thread count.
-fn e11_wal(quick: bool, smoke: bool, json_path: &str) {
-    use atomicity_bench::workloads::wal::{run_wal_bench, WalBenchParams};
-
-    println!("== E11: durability — WAL group commit vs sync-each (DESIGN.md \u{a7}7)\n");
-    let params = if smoke {
-        WalBenchParams::smoke()
-    } else if quick {
-        WalBenchParams::quick()
-    } else {
-        WalBenchParams::full()
-    };
-    let report = run_wal_bench(&params);
-
-    let fmt_ns = |v: Option<u64>| v.map_or_else(|| "-".into(), |n| n.to_string());
-    let mut table = Table::new(vec![
-        "mode",
-        "window µs",
-        "threads",
-        "commit/s",
-        "fsyncs",
-        "mean batch",
-        "flush p50 ns",
-        "flush p95 ns",
-    ])
-    .with_title(format!(
-        "{} txns/thread, 2 records + 1 durable sync per txn",
-        params.txns_per_thread
-    ));
-    for row in &report.rows {
-        table.row(vec![
-            row.mode.clone(),
-            row.window_us.map_or_else(|| "-".into(), |w| w.to_string()),
-            row.threads.to_string(),
-            f1(row.commits_per_sec),
-            row.fsyncs.to_string(),
-            f1(row.mean_batch),
-            fmt_ns(row.flush_ns.p50),
-            fmt_ns(row.flush_ns.p95),
-        ]);
-    }
-    println!("{table}");
-
-    let top_threads = params.threads.iter().copied().max().unwrap_or(0);
-    let speedup = report.group_commit_speedup(top_threads);
-    if let Some(s) = speedup {
-        println!("group-commit speedup over sync-each at {top_threads} threads: {s:.1}x\n");
-    }
-
-    std::fs::write(json_path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
-    println!("report written to {json_path}\n");
-
-    // The CI/acceptance gate: batching fsyncs must actually pay. Smoke
-    // runs are too small to measure and only check wiring.
-    if !smoke && !quick {
-        match speedup {
-            Some(s) if s >= 2.0 => {}
-            other => {
-                eprintln!("E11 FAILED: group-commit speedup at {top_threads} threads was {other:?}, need >= 2x");
-                std::process::exit(1);
-            }
-        }
-    }
+    Ok(())
 }
 
 /// E12: the deterministic-simulation seed sweep — full fault matrix per
 /// seed, checkpointed invariants, failure shrinking, replayable seeds.
-fn e12_simulation(
-    smoke: bool,
-    seeds: Option<u64>,
-    demo_lost_ack: bool,
-    replay: Option<u64>,
-    json_path: &str,
-) {
+fn e12_simulation(args: &Args) -> Result<(), GateFailure> {
     use atomicity_bench::workloads::e12::{run_seed, run_sweep, E12Params, FaultPlan};
 
-    println!("== E12: deterministic simulation — seed sweep with failure shrinking (DESIGN.md \u{a7}8)\n");
-    let mut params = if smoke {
+    let mut params = if args.smoke() {
         E12Params::smoke()
     } else {
         E12Params::full()
     };
-    if let Some(n) = seeds {
+    if let Some(n) = args.number("--seeds=")? {
         params.seeds = n;
     }
+    let demo_lost_ack = args.has("--demo-lost-ack");
     params.demo_lost_ack = demo_lost_ack;
 
-    if let Some(seed) = replay {
+    if let Some(seed) = args.number("--replay=")? {
         // Replay gate: the same seed, twice, must be bit-identical.
         let plan = FaultPlan::full(params.transfers);
-        let a = run_seed(seed, &plan, &params, true);
-        let b = run_seed(seed, &plan, &params, true);
+        let a = run_seed(seed, &plan, &params);
+        let b = run_seed(seed, &plan, &params);
         println!(
             "replay seed {seed}: trace {:#018x} / {:#018x}, state {:#018x} / {:#018x}",
             a.trace_hash, b.trace_hash, a.state_digest, b.state_digest
         );
         if (a.trace_hash, a.state_digest) != (b.trace_hash, b.state_digest) {
-            eprintln!("E12 FAILED: seed {seed} did not replay identically");
-            std::process::exit(1);
+            return Err(GateFailure(format!(
+                "seed {seed} did not replay identically"
+            )));
         }
         println!("replay is bit-identical\n");
-        return;
+        return Ok(());
     }
 
     let report = run_sweep(&params);
@@ -1411,7 +1204,6 @@ fn e12_simulation(
         "{} seeds x {} transfers, all fault classes enabled",
         report.seeds, params.transfers
     ));
-    table.row(vec!["seeds/sec".into(), f1(report.seeds_per_sec)]);
     table.row(vec![
         "txns committed".into(),
         report.faults.committed.to_string(),
@@ -1448,10 +1240,6 @@ fn e12_simulation(
         report.invariant_checks.to_string(),
     ]);
     table.row(vec![
-        "checker overhead".into(),
-        format!("{:.1}%", report.checker_overhead_pct),
-    ]);
-    table.row(vec![
         "violations".into(),
         report.violations.len().to_string(),
     ]);
@@ -1464,9 +1252,7 @@ fn e12_simulation(
         );
     }
 
-    std::fs::write(json_path, report.to_json())
-        .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
-    println!("report written to {json_path}\n");
+    write_report(&args.json("e12"), report.to_json())?;
 
     if demo_lost_ack {
         // The gate inverts: the sweep must catch and fully shrink the bug.
@@ -1475,28 +1261,31 @@ fn e12_simulation(
             .iter()
             .any(|c| !c.minimal_plan.drop && !c.minimal_plan.mttf && c.minimal_plan.transfers <= 2);
         if !caught {
-            eprintln!("E12 FAILED: injected lost-ack bug was not caught and shrunk");
-            std::process::exit(1);
+            return Err(GateFailure(
+                "injected lost-ack bug was not caught and shrunk".into(),
+            ));
         }
         println!(
             "demo: injected bug caught on {} seed(s) and shrunk to a minimal reproducer\n",
             report.violations.len()
         );
     } else if !report.violations.is_empty() {
-        eprintln!(
-            "E12 FAILED: {} violating seed(s); replay with --replay=<seed>",
+        return Err(GateFailure(format!(
+            "{} violating seed(s); replay with --replay=<seed>",
             report.violations.len()
-        );
-        std::process::exit(1);
+        )));
     }
+    Ok(())
 }
 
-fn e9_static_analysis(quick: bool) {
+/// E9 (DESIGN.md §5): the static-analysis passes as an experiment — the
+/// audit verdict for every hand-written conflict table, the derived lock
+/// ordering, and the linear-time certifier against the exhaustive
+/// checkers on a real multi-thread history.
+fn e9_static_analysis(args: &Args) -> Result<(), GateFailure> {
     use atomicity_bench::workloads::stress::{stress_history, StressParams};
     use atomicity_spec::specs::BankAccountSpec;
-    use std::time::Instant;
 
-    println!("== E9: static analysis — table audits & linear-time certification (DESIGN.md §5)\n");
     let mut table = Table::new(vec![
         "table",
         "spec",
@@ -1546,64 +1335,51 @@ fn e9_static_analysis(quick: bool) {
     }
 
     let threads = 4;
-    let txns = if quick { 50 } else { 200 };
+    let txns = if args.smoke() { 50 } else { 200 };
     let params = StressParams {
         threads,
         txns_per_thread: txns,
         ops_per_txn: 4,
-        hold_micros: 0,
-        coarse_log: false,
-        verify: false,
-        exhaustive: false,
-        collect_metrics: false,
-        shared_objects: 0,
+        ..StressParams::default()
     };
     let (h, spec) = stress_history(Engine::Dynamic, &params);
-    let t0 = Instant::now();
     let cert = certify(Property::Dynamic, &h, &spec);
-    let linear = t0.elapsed();
-    assert!(
-        cert.is_certified(),
-        "E9: certifier rejected a recorded history: {cert}"
-    );
-    let t0 = Instant::now();
-    let mut exhaustive_ok = true;
-    for t in 0..threads {
-        let oid = ObjectId::new(t as u32 + 1);
-        let ph = h.project_object(oid);
-        let os = SystemSpec::new().with_object(oid, BankAccountSpec::new());
-        exhaustive_ok &= is_dynamic_atomic(&ph, &os);
+    if !cert.is_certified() {
+        return Err(GateFailure(format!(
+            "certifier rejected a recorded history: {cert}"
+        )));
     }
-    let exhaustive = t0.elapsed();
-    assert!(exhaustive_ok, "E9: exhaustive checker rejected the history");
+    let exhaustive_ok = (0..threads).all(|t| {
+        let oid = ObjectId::new(t as u32 + 1);
+        let os = SystemSpec::new().with_object(oid, BankAccountSpec::new());
+        is_dynamic_atomic(&h.project_object(oid), &os)
+    });
+    if !exhaustive_ok {
+        return Err(GateFailure(
+            "exhaustive checker rejected the history".into(),
+        ));
+    }
 
-    let mut cmp = Table::new(vec!["checker", "wall µs", "verdict"]).with_title(format!(
-        "post-hoc verification of one E8 history ({threads} threads × {txns} txns, dynamic)"
+    let mut cmp = Table::new(vec!["checker", "verdict"]).with_title(format!(
+        "post-hoc verification of one stress history ({threads} threads × {txns} txns, {} events, dynamic)",
+        h.len()
     ));
     cmp.row(vec![
         format!("linear-time certifier ({})", cert.method.label()),
-        linear.as_micros().to_string(),
         "certified".into(),
     ]);
     cmp.row(vec![
         "exhaustive per-object checker".into(),
-        exhaustive.as_micros().to_string(),
         "atomic".into(),
     ]);
     println!("{cmp}");
-    println!(
-        "certifier speedup: {:.1}×\n",
-        exhaustive.as_secs_f64() / linear.as_secs_f64().max(1e-9)
-    );
+    Ok(())
 }
 
 /// E13 (DESIGN.md §5): conflict-table synthesis — the generated tables
 /// the engines lock with, the hand-table minimality gap report, the
 /// recoverability asymmetries, and the dependency-footprint extraction.
-fn e13_synthesis() {
-    println!(
-        "== E13: conflict-table synthesis — generated tables & minimality gaps (DESIGN.md §5)\n"
-    );
+fn e13_synthesis(_: &Args) -> Result<(), GateFailure> {
     let suite = full_synth_suite();
 
     let mut table = Table::new(vec![
@@ -1700,6 +1476,7 @@ fn e13_synthesis() {
         }
         Err(e) => println!("footprint extraction skipped (sources unavailable: {e})\n"),
     }
+    Ok(())
 }
 
 /// The full synthesis suite: the workspace-standard one plus the bench
@@ -1820,11 +1597,11 @@ fn verify_generated(
 }
 
 /// The synthesis section of the lint gate: re-prove every generated table,
-/// diff every hand table, write the gap-report JSON. Returns the error
-/// count. With `demo_unsound` the generated bank table is corrupted
+/// diff every hand table, write the gap-report JSON to `json_path`.
+/// Returns the error count. With `demo_unsound` the generated bank table is corrupted
 /// (withdraw/withdraw forced to commute) before verification to
 /// demonstrate the failure path.
-fn run_synth_lint(demo_unsound: bool, json_path: Option<&str>) -> usize {
+fn run_synth_lint(demo_unsound: bool, json_path: &str) -> Result<usize, GateFailure> {
     let config = atomicity_lint::SynthConfig::default();
     let suite = full_synth_suite();
     let mut errors = 0usize;
@@ -1904,24 +1681,19 @@ fn run_synth_lint(demo_unsound: bool, json_path: Option<&str>) -> usize {
             })
             .collect(),
     };
-    let path = json_path.unwrap_or("BENCH_synth_gap.json");
-    match std::fs::write(path, serde_json::to_string_pretty(&report).unwrap()) {
-        Ok(()) => println!("\ngap report written to {path}"),
-        Err(e) => {
-            println!("\nERROR writing gap report to {path}: {e}");
-            errors += 1;
-        }
-    }
-    errors
+    println!();
+    write_report(json_path, serde_json::to_string_pretty(&report).unwrap())?;
+    Ok(errors)
 }
 
 /// The `lint` subcommand: conflict-table audits, the lock-order scan, and
 /// the nondeterminism scan — plus, with `--synth`, the synthesis gate —
-/// exiting non-zero on any unsound entry, asymmetric entry, lock cycle,
-/// or nondeterminism finding. Conservative entries are warnings —
-/// reported, never fatal.
-fn run_lint(demo_unsound: bool, synth: bool, json_path: Option<&str>) -> i32 {
-    println!("== atomicity-lint: conflict-table audit + lock-order audit + nondeterminism scan\n");
+/// failing on any unsound entry, asymmetric entry, lock cycle, or
+/// nondeterminism finding. Conservative entries are warnings — reported,
+/// never fatal. `--demo-unsound` corrupts a bank table (the hand one, or
+/// the generated one under `--synth`) to demonstrate the failure path.
+fn run_lint(args: &Args) -> Result<(), GateFailure> {
+    let demo_unsound = args.has("--demo-unsound");
     let mut audits = all_table_audits();
     if demo_unsound {
         audits.push(audit_table(
@@ -2007,17 +1779,15 @@ fn run_lint(demo_unsound: bool, synth: bool, json_path: Option<&str>) -> i32 {
         }
         Err(e) => println!("nondeterminism scan: skipped (sources unavailable: {e})"),
     }
-    if synth {
+    if args.has("--synth") {
         println!();
-        errors += run_synth_lint(demo_unsound, json_path);
+        errors += run_synth_lint(demo_unsound, &args.json("synth_gap"))?;
     }
     if errors > 0 {
-        println!("\nlint: {errors} error(s)");
-        1
-    } else {
-        println!("\nlint: clean");
-        0
+        return Err(GateFailure(format!("{errors} error(s)")));
     }
+    println!("\nlint: clean");
+    Ok(())
 }
 
 fn yesno(b: bool) -> String {

@@ -2,10 +2,10 @@
 //! abort-reason breakdowns, serialized to JSON for CI artifacts.
 //!
 //! The report is derived from [`StressOutcome`]s collected with
-//! [`StressParams::collect_metrics`] set, i.e. the E8 workload run with an
-//! enabled [`atomicity_core::MetricsRegistry`]. Each engine contributes
-//! invoke-latency, block-wait, and commit-path histograms plus the abort
-//! taxonomy keyed by [`atomicity_core::AbortReason`] labels.
+//! [`StressParams::collect_metrics`] set, i.e. the stress workload run
+//! with an enabled [`atomicity_core::MetricsRegistry`]. Each engine
+//! contributes invoke-latency, block-wait, and commit-path histograms plus
+//! the abort taxonomy keyed by [`atomicity_core::AbortReason`] labels.
 
 use crate::workloads::stress::{StressOutcome, StressParams};
 use atomicity_core::HistogramSnapshot;
@@ -21,18 +21,17 @@ use std::collections::BTreeMap;
 /// `"coordinator+Nsh"` for the partitioned service sweeps (E15).
 ///
 /// v5: the header's `admission_path` field is gone — there is one
-/// admission path; E14 rows say whether they are the replay-only
-/// reference ([`ContentionRow::reference`]).
+/// admission path.
 pub const REPORT_SCHEMA_VERSION: u32 = 5;
 
-/// The header every benchmark report (`BENCH_e10.json`, `BENCH_e14.json`)
+/// The header every experiment report (`BENCH_e10.json`, `BENCH_e15.json`)
 /// carries, so an artifact is self-identifying: which experiment produced
 /// it, under which schema, from which commit, on which topology.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ReportHeader {
     /// Report layout version ([`REPORT_SCHEMA_VERSION`] at write time).
     pub schema_version: u32,
-    /// Experiment tag (`"e10"`, `"e11"`, `"e14"`).
+    /// Experiment tag (`"e10"`, `"e12"`, `"e15"`, `"e16"`).
     pub experiment: String,
     /// Short git commit the binary was run from, or `"unknown"` outside a
     /// git checkout.
@@ -217,119 +216,6 @@ impl ObservabilityReport {
             .filter(|e| e.admissions == 0)
             .map(|e| e.engine.as_str())
             .collect()
-    }
-
-    /// Pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("reports always serialize")
-    }
-
-    /// Parses a report back (CI artifact checks, tests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the parse error for malformed JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-}
-
-/// One measured cell of the E14 contention sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ContentionRow {
-    /// Engine label (see `Engine::label`).
-    pub engine: String,
-    /// Whether this is the engine's replay-only reference row (built
-    /// without the synthesized table).
-    pub reference: bool,
-    /// Update workers.
-    pub threads: usize,
-    /// Update transactions committed.
-    pub committed: u64,
-    /// Update transactions aborted.
-    pub aborted: u64,
-    /// Read-only transactions committed (hybrid auditors).
-    pub reads_committed: u64,
-    /// Committed update transactions per second.
-    pub throughput: f64,
-    /// Operations admitted at the shared object.
-    pub admissions: u64,
-    /// Of those, admissions granted on a fast path (table hit or seqlock
-    /// read).
-    pub fast_admissions: u64,
-    /// Blocking rounds at the shared object.
-    pub blocks: u64,
-}
-
-impl ContentionRow {
-    /// Builds a row from one E14 outcome.
-    pub fn from_outcome(out: &crate::workloads::e14::E14Outcome) -> Self {
-        ContentionRow {
-            engine: out.engine.label().to_string(),
-            reference: out.reference,
-            threads: out.threads,
-            committed: out.committed,
-            aborted: out.aborted,
-            reads_committed: out.reads_committed,
-            throughput: out.throughput,
-            admissions: out.stats.admissions,
-            fast_admissions: out.stats.fast_admissions,
-            blocks: out.stats.blocks,
-        }
-    }
-}
-
-/// Workload shape of an E14 run, recorded alongside the rows.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ContentionParams {
-    /// Update transactions per worker.
-    pub txns_per_thread: usize,
-    /// Deposits per transaction.
-    pub ops_per_txn: usize,
-    /// Read-only auditor threads (hybrid cells).
-    pub readers: usize,
-}
-
-impl From<&crate::workloads::e14::E14Params> for ContentionParams {
-    fn from(p: &crate::workloads::e14::E14Params) -> Self {
-        ContentionParams {
-            txns_per_thread: p.txns_per_thread,
-            ops_per_txn: p.ops_per_txn,
-            readers: p.readers,
-        }
-    }
-}
-
-/// The complete E14 report: the contended-admission sweep on one object
-/// (`BENCH_e14.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ContentionReport {
-    /// Shared report header (`experiment: "e14"`).
-    pub header: ReportHeader,
-    /// The workload every cell ran.
-    pub params: ContentionParams,
-    /// Per-cell rows (engine × reference? × thread count).
-    pub rows: Vec<ContentionRow>,
-}
-
-impl ContentionReport {
-    /// Assembles the report from the sweep's outcomes.
-    pub fn new(
-        params: &crate::workloads::e14::E14Params,
-        outcomes: &[crate::workloads::e14::E14Outcome],
-    ) -> Self {
-        ContentionReport {
-            header: ReportHeader::new("e14"),
-            params: params.into(),
-            rows: outcomes.iter().map(ContentionRow::from_outcome).collect(),
-        }
-    }
-
-    /// The row of one cell, if it was run.
-    pub fn row(&self, engine: &str, reference: bool, threads: usize) -> Option<&ContentionRow> {
-        self.rows
-            .iter()
-            .find(|r| r.engine == engine && r.reference == reference && r.threads == threads)
     }
 
     /// Pretty-printed JSON.

@@ -227,21 +227,6 @@ pub fn run_audit(engine: Engine, params: &AuditParams) -> AuditOutcome {
     }
 }
 
-/// Helper for tests and the harness: run with a scaled-down parameter set.
-pub fn quick_params() -> AuditParams {
-    AuditParams {
-        shards: 3,
-        keys_per_shard: 2,
-        initial_balance: 100,
-        updaters: 2,
-        txns_per_updater: 8,
-        auditors: 1,
-        audits_per_auditor: 2,
-        hold_micros: 100,
-        audit_hold_micros: 500,
-    }
-}
-
 /// Ignore-listed engines for audit workloads: the lock-based baselines
 /// behave like (worse) dynamic here; the harness compares the three
 /// properties.
@@ -258,10 +243,24 @@ fn _assert_traits(mgr: &TxnManager) {
 mod tests {
     use super::*;
 
+    fn small_params() -> AuditParams {
+        AuditParams {
+            shards: 3,
+            keys_per_shard: 2,
+            initial_balance: 100,
+            updaters: 2,
+            txns_per_updater: 8,
+            auditors: 1,
+            audits_per_auditor: 2,
+            hold_micros: 100,
+            audit_hold_micros: 500,
+        }
+    }
+
     #[test]
     fn audits_are_always_consistent_under_all_properties() {
         for engine in audit_engines() {
-            let out = run_audit(engine, &quick_params());
+            let out = run_audit(engine, &small_params());
             assert_eq!(
                 out.audits_inconsistent, 0,
                 "{engine}: audit observed a non-conserved total"
@@ -276,7 +275,7 @@ mod tests {
 
     #[test]
     fn hybrid_audits_never_abort() {
-        let out = run_audit(Engine::Hybrid, &quick_params());
+        let out = run_audit(Engine::Hybrid, &small_params());
         assert_eq!(out.audits_aborted, 0);
         assert!(out.audits_committed > 0);
     }
@@ -286,7 +285,7 @@ mod tests {
         // With long audits in flight, hybrid update throughput should be
         // decisively higher than dynamic's. Use a margin to avoid CI
         // flakiness.
-        let mut p = quick_params();
+        let mut p = small_params();
         p.audit_hold_micros = 5_000;
         p.audits_per_auditor = 50; // keep auditing for the whole run
         let hybrid = run_audit(Engine::Hybrid, &p);

@@ -192,7 +192,7 @@ pub fn run_bank_ablation(max_check: usize, params: &BankParams) -> BankOutcome {
 mod tests {
     use super::*;
 
-    fn quick(engine: Engine, headroom: f64) -> BankOutcome {
+    fn small(engine: Engine, headroom: f64) -> BankOutcome {
         run_bank(
             engine,
             &BankParams {
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn all_engines_complete_with_headroom() {
         for engine in Engine::ALL {
-            let out = quick(engine, 2.0);
+            let out = small(engine, 2.0);
             assert_eq!(
                 out.withdrawn + out.insufficient + out.aborted,
                 24,
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn tight_headroom_produces_insufficient_outcomes() {
-        let out = quick(Engine::Dynamic, 0.5);
+        let out = small(Engine::Dynamic, 0.5);
         // Half the money: roughly half the withdrawals must fail, and
         // exactly headroom × total succeed (when none abort).
         assert!(out.insufficient > 0);

@@ -97,8 +97,6 @@ pub struct E12Params {
     pub checkpoint_every: u64,
     /// Inject the demonstration lost-ack bug (the sweep must catch it).
     pub demo_lost_ack: bool,
-    /// Seeds sampled (with and without checkers) for the overhead figure.
-    pub overhead_sample: u64,
 }
 
 impl E12Params {
@@ -111,7 +109,6 @@ impl E12Params {
             max_events: 60_000,
             checkpoint_every: 64,
             demo_lost_ack: false,
-            overhead_sample: 40,
         }
     }
 
@@ -119,7 +116,6 @@ impl E12Params {
     pub fn smoke() -> Self {
         E12Params {
             seeds: 60,
-            overhead_sample: 10,
             ..E12Params::full()
         }
     }
@@ -190,19 +186,16 @@ pub fn config_for(seed: u64, plan: &FaultPlan, params: &E12Params) -> SimConfig 
     }
 }
 
-/// Runs one seed under `plan`; `checked` controls whether the checkpoint
-/// invariant checkers run (the overhead probe turns them off).
-pub fn run_seed(seed: u64, plan: &FaultPlan, params: &E12Params, checked: bool) -> SeedRun {
+/// Runs one seed under `plan` with the checkpoint invariant checkers on.
+pub fn run_seed(seed: u64, plan: &FaultPlan, params: &E12Params) -> SeedRun {
     let mut cluster = Cluster::new(config_for(seed, plan, params));
-    if checked {
-        cluster.add_checker(Box::new(StandardChecker));
-        // Streaming in-loop certification: each checkpoint observes only
-        // the events recorded since the previous one, instead of
-        // re-certifying the whole history (the old merge-then-check
-        // [`CertifierCheck`] cost, quadratic over a run).
-        let certifier = OnlineCertifierCheck::hybrid(&cluster);
-        cluster.add_checker(Box::new(certifier));
-    }
+    cluster.add_checker(Box::new(StandardChecker));
+    // Streaming in-loop certification: each checkpoint observes only the
+    // events recorded since the previous one, instead of re-certifying
+    // the whole history (the old merge-then-check [`CertifierCheck`]
+    // cost, quadratic over a run).
+    let certifier = OnlineCertifierCheck::hybrid(&cluster);
+    cluster.add_checker(Box::new(certifier));
     let rng = cluster.client_rng(0);
     let accounts = cluster.account_count();
     cluster.add_client(Box::new(
@@ -239,7 +232,7 @@ pub fn run_seed(seed: u64, plan: &FaultPlan, params: &E12Params, checked: bool) 
 /// workload while it still fails. Returns the minimal plan and its run.
 pub fn shrink(seed: u64, start: FaultPlan, params: &E12Params) -> (FaultPlan, SeedRun) {
     let mut plan = start;
-    let mut run = run_seed(seed, &plan, params, true);
+    let mut run = run_seed(seed, &plan, params);
     debug_assert!(!run.clean(), "shrink called on a clean seed");
     let toggles: [fn(&mut FaultPlan); 5] = [
         |p| p.drop = false,
@@ -254,7 +247,7 @@ pub fn shrink(seed: u64, start: FaultPlan, params: &E12Params) -> (FaultPlan, Se
         if candidate == plan {
             continue;
         }
-        let candidate_run = run_seed(seed, &candidate, params, true);
+        let candidate_run = run_seed(seed, &candidate, params);
         if !candidate_run.clean() {
             plan = candidate;
             run = candidate_run;
@@ -265,7 +258,7 @@ pub fn shrink(seed: u64, start: FaultPlan, params: &E12Params) -> (FaultPlan, Se
             transfers: plan.transfers / 2,
             ..plan
         };
-        let candidate_run = run_seed(seed, &candidate, params, true);
+        let candidate_run = run_seed(seed, &candidate, params);
         if candidate_run.clean() {
             break;
         }
@@ -342,17 +335,10 @@ pub struct E12Report {
     pub seeds: u64,
     /// First seed.
     pub first_seed: u64,
-    /// Wall-clock seconds for the sweep.
-    pub wall_secs: f64,
-    /// Sweep rate.
-    pub seeds_per_sec: f64,
     /// Fault activity summed over every seed.
     pub faults: FaultTotals,
     /// Individual invariant checks run inside the loops.
     pub invariant_checks: u64,
-    /// Mean per-seed slowdown of running the checkers, in percent
-    /// (measured on a sample re-run with checkers disabled).
-    pub checker_overhead_pct: f64,
     /// Every violation caught, with its shrunk reproducer.
     pub violations: Vec<ViolationCase>,
 }
@@ -374,17 +360,14 @@ impl E12Report {
 }
 
 /// Runs the sweep: every seed under the full fault plan, shrinking any
-/// failure, plus the checker-overhead probe.
+/// failure. The sweep's rate is the benchmark's `sim.cluster.seeds_per_s`.
 pub fn run_sweep(params: &E12Params) -> E12Report {
-    use std::time::Instant;
-
     let plan = FaultPlan::full(params.transfers);
     let mut totals = FaultTotals::default();
     let mut invariant_checks = 0u64;
     let mut violations = Vec::new();
-    let t0 = Instant::now();
     for seed in params.first_seed..params.first_seed + params.seeds {
-        let run = run_seed(seed, &plan, params, true);
+        let run = run_seed(seed, &plan, params);
         totals.absorb(&run.stats);
         invariant_checks += run.stats.invariant_checks;
         if !run.clean() {
@@ -400,34 +383,12 @@ pub fn run_sweep(params: &E12Params) -> E12Report {
             });
         }
     }
-    let wall_secs = t0.elapsed().as_secs_f64();
-
-    // Overhead probe: the same seeds with checkers off.
-    let sample = params.overhead_sample.min(params.seeds).max(1);
-    let time_sample = |checked: bool| {
-        let t = Instant::now();
-        for seed in params.first_seed..params.first_seed + sample {
-            let _ = run_seed(seed, &plan, params, checked);
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let with = time_sample(true);
-    let without = time_sample(false);
-    let checker_overhead_pct = if without > 0.0 {
-        ((with / without) - 1.0) * 100.0
-    } else {
-        0.0
-    };
-
     E12Report {
         header: ReportHeader::new("e12"),
         seeds: params.seeds,
         first_seed: params.first_seed,
-        wall_secs,
-        seeds_per_sec: params.seeds as f64 / wall_secs.max(1e-9),
         faults: totals,
         invariant_checks,
-        checker_overhead_pct,
         violations,
     }
 }
@@ -439,7 +400,6 @@ mod tests {
     fn tiny() -> E12Params {
         E12Params {
             seeds: 4,
-            overhead_sample: 2,
             transfers: 6,
             ..E12Params::full()
         }
@@ -489,8 +449,8 @@ mod tests {
     fn seed_runs_replay_identically() {
         let params = tiny();
         let plan = FaultPlan::full(params.transfers);
-        let a = run_seed(9, &plan, &params, true);
-        let b = run_seed(9, &plan, &params, true);
+        let a = run_seed(9, &plan, &params);
+        let b = run_seed(9, &plan, &params);
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a.state_digest, b.state_digest);
         assert_eq!(a.stats, b.stats);

@@ -5,48 +5,42 @@
 //! (`atomicity_lint::standard_syntheses`) before permutation replay:
 //! commuting pairs are admitted in O(pending ops) and past the
 //! `max_check` bound, and hybrid read-only activities admit off the
-//! [`atomicity_core::SeqlockCell`] snapshot without the object mutex.
-//! Each of the two also runs once as a **replay-only reference** — built
-//! here with [`DynamicObject::new`] / [`HybridObject::new`], no table —
-//! where every operation replays permutations of the pending intentions
-//! and, past `max_check`, conservatively conflicts, so 8 deposit-only
-//! workers serialize even though every pair of deposits commutes. The
-//! lock baselines are the floor.
+//! [`atomicity_core::SeqlockCell`] snapshot without the object mutex. The
+//! lock baselines run the same traffic. This is a wiring gate, not a
+//! measurement: the table must actually grant admissions under
+//! contention. What the table path is *worth* is the benchmark's
+//! `core.engine.dynamic.replay_lane_tps` against
+//! `hot_interleaved/commit_tps`, `.fast_share`, and
+//! `baselines.*.hot_lane_tps`.
 //!
-//! With [`E14Params::verify`] set, every run ends with the post-hoc
-//! correctness gate: the recorded history must be certified by the
-//! linear-time certifier ([`atomicity_lint::certify()`]) under the
-//! engine's property, and the committed balance must equal the committed
-//! deposits — the table path must be invisible to the history.
+//! Every run ends with the post-hoc correctness gate: the recorded
+//! history must be certified by the linear-time certifier
+//! ([`atomicity_lint::certify()`]) under the engine's property, and the
+//! committed balance must equal the committed deposits — the table path
+//! must be invisible to the history.
 
 use crate::engines::Engine;
 use crate::workloads::hold;
-use atomicity_core::{Admission, DynamicObject, HybridObject, Protocol, StatsSnapshot, TxnManager};
+use atomicity_core::{Admission, Protocol, StatsSnapshot, TxnManager};
 use atomicity_lint::{certify, certify_with_relation, Property};
 use atomicity_spec::specs::BankAccountSpec;
 use atomicity_spec::{op, ObjectId, SystemSpec, Value};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// The rows E14 sweeps, as (engine, replay-only reference?): the two
-/// engines with a table path beside their replay-only reference, and the
-/// lock baselines.
-pub fn e14_matrix() -> Vec<(Engine, bool)> {
-    vec![
-        (Engine::Dynamic, false),
-        (Engine::Dynamic, true),
-        (Engine::Hybrid, false),
-        (Engine::Hybrid, true),
-        (Engine::CommutativityLocking, false),
-        (Engine::TwoPhaseLocking, false),
-    ]
-}
+/// The engines E14 runs: the two with a table path, and the lock
+/// baselines.
+pub const E14_ENGINES: [Engine; 4] = [
+    Engine::Dynamic,
+    Engine::Hybrid,
+    Engine::CommutativityLocking,
+    Engine::TwoPhaseLocking,
+];
 
 /// Parameters of the E14 workload.
 #[derive(Debug, Clone)]
 pub struct E14Params {
-    /// Update-worker counts to sweep.
-    pub threads: Vec<usize>,
+    /// Update workers.
+    pub threads: usize,
     /// Update transactions per worker.
     pub txns_per_thread: usize,
     /// Deposits per transaction.
@@ -58,92 +52,49 @@ pub struct E14Params {
     pub reads_per_reader: usize,
     /// Simulated in-transaction work (µs).
     pub hold_micros: u64,
-    /// Run the post-hoc certifier + balance-oracle checks.
-    pub verify: bool,
 }
 
-impl E14Params {
-    /// The full measurement sweep. The in-transaction hold keeps
-    /// intentions pending long enough that admission is genuinely
-    /// contended (the same shape as the E10 baseline workload).
-    pub fn full() -> Self {
+impl Default for E14Params {
+    /// The one contended point: 8 workers, small counts. The
+    /// in-transaction hold keeps intentions pending long enough that
+    /// admission is genuinely contended.
+    fn default() -> Self {
         E14Params {
-            threads: vec![1, 2, 4, 8],
-            txns_per_thread: 150,
-            ops_per_txn: 4,
-            readers: 2,
-            reads_per_reader: 100,
-            hold_micros: 50,
-            verify: true,
-        }
-    }
-
-    /// Shrunk sweep for `--quick`.
-    pub fn quick() -> Self {
-        E14Params {
-            threads: vec![2, 8],
-            txns_per_thread: 50,
-            ..E14Params::full()
-        }
-    }
-
-    /// CI wiring check: the contended 8-thread point only, small counts,
-    /// correctness checks on.
-    pub fn smoke() -> Self {
-        E14Params {
-            threads: vec![8],
+            threads: 8,
             txns_per_thread: 15,
             ops_per_txn: 2,
             readers: 1,
             reads_per_reader: 10,
             hold_micros: 100,
-            verify: true,
         }
     }
 }
 
-/// Measured outcome of one E14 cell (row × thread count).
+/// Outcome of one engine's E14 run.
 #[derive(Debug, Clone)]
 pub struct E14Outcome {
-    /// The engine measured.
-    pub engine: Engine,
-    /// Whether this is the engine's replay-only reference (no table).
-    pub reference: bool,
-    /// Update workers.
-    pub threads: usize,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
     /// Update transactions committed.
     pub committed: u64,
     /// Update transactions aborted.
     pub aborted: u64,
-    /// Committed update transactions per second.
-    pub throughput: f64,
     /// Read-only transactions committed (hybrid auditors).
     pub reads_committed: u64,
     /// Contention counters for the shared object.
     pub stats: StatsSnapshot,
 }
 
-/// Runs one E14 cell.
+/// Runs the contended workload on one engine.
 ///
 /// # Panics
 ///
-/// With [`E14Params::verify`] set, panics if the linear certifier rejects
-/// the recorded history or the committed balance disagrees with the
-/// committed deposits.
-pub fn run_e14(engine: Engine, reference: bool, threads: usize, params: &E14Params) -> E14Outcome {
+/// Panics if the linear certifier rejects the recorded history or the
+/// committed balance disagrees with the committed deposits.
+pub fn run_e14(engine: Engine, params: &E14Params) -> E14Outcome {
     let mgr = engine.manager();
-    let id = ObjectId::new(1);
-    let obj: Arc<dyn Admission> = match (engine, reference) {
-        (Engine::Dynamic, true) => DynamicObject::new(id, BankAccountSpec::new(), &mgr),
-        (Engine::Hybrid, true) => HybridObject::new(id, BankAccountSpec::new(), &mgr),
-        _ => engine.account(id, &mgr, 0),
-    };
+    let obj = engine.account(ObjectId::new(1), &mgr, 0);
 
-    let start = Instant::now();
     let mut workers = Vec::new();
-    for _ in 0..threads {
+    for _ in 0..params.threads {
         let mgr = mgr.clone();
         let obj = Arc::clone(&obj);
         let params = params.clone();
@@ -170,20 +121,12 @@ pub fn run_e14(engine: Engine, reference: bool, threads: usize, params: &E14Para
         .into_iter()
         .map(|a| a.join().expect("e14 auditor panicked"))
         .sum();
-    let wall = start.elapsed();
 
-    if params.verify {
-        verify_run(engine, &mgr, &obj, committed, params);
-    }
+    verify_run(engine, &mgr, &obj, committed, params);
 
     E14Outcome {
-        engine,
-        reference,
-        threads,
-        wall,
         committed,
         aborted,
-        throughput: committed as f64 / wall.as_secs_f64(),
         reads_committed,
         stats: obj.metrics().stats(),
     }
@@ -279,39 +222,33 @@ mod tests {
     #[test]
     fn every_cell_of_the_matrix_runs_and_verifies() {
         let params = E14Params {
-            threads: vec![3],
+            threads: 3,
             txns_per_thread: 6,
-            ops_per_txn: 2,
-            readers: 1,
             reads_per_reader: 5,
             hold_micros: 0,
-            verify: true,
+            ..E14Params::default()
         };
-        for (engine, reference) in e14_matrix() {
-            let out = run_e14(engine, reference, 3, &params);
-            assert_eq!(out.committed + out.aborted, 18, "{engine}/{reference}");
-            assert!(out.stats.admissions > 0, "{engine}/{reference}");
+        for engine in E14_ENGINES {
+            let out = run_e14(engine, &params);
+            assert_eq!(out.committed + out.aborted, 18, "{engine}");
+            assert!(out.stats.admissions > 0, "{engine}");
             if engine.protocol() == Protocol::Hybrid {
-                assert_eq!(out.reads_committed, 5, "{engine}/{reference}");
+                assert_eq!(out.reads_committed, 5, "{engine}");
             }
         }
     }
 
     #[test]
     fn the_table_grants_admissions_under_contention() {
+        // The hold keeps intentions pending long enough to overlap —
+        // without contention the lone-activity early grant handles
+        // everything and the table path never fires.
         let params = E14Params {
-            threads: vec![8],
             txns_per_thread: 8,
-            ops_per_txn: 2,
             readers: 0,
-            reads_per_reader: 0,
-            // Keep intentions pending long enough to overlap — without
-            // contention the lone-activity early grant handles everything
-            // and the table path never fires.
-            hold_micros: 100,
-            verify: true,
+            ..E14Params::default()
         };
-        let out = run_e14(Engine::Dynamic, false, 8, &params);
+        let out = run_e14(Engine::Dynamic, &params);
         assert_eq!(out.committed, 64);
         assert!(
             out.stats.fast_admissions > 0,

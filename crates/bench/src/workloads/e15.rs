@@ -10,7 +10,7 @@
 //!    shard saturates and queues, sixteen shards drain the same offered
 //!    load almost embarrassingly in parallel. Simulated time makes every
 //!    row seed-deterministic (`trace_hash`/`state_digest` replay
-//!    bit-for-bit); only the host's wall-clock sidebar varies.
+//!    bit-for-bit).
 //!
 //! 2. **Recovery.** Marketplace logs of increasing length are recovered
 //!    two ways: serially through the production value-log path
@@ -18,10 +18,10 @@
 //!    parallel from the dependency graph the `CommitDep` footprints
 //!    describe ([`parallel_replay`]). Both states are certified equal on
 //!    every run. Rows pair dependency-logged logs with plain value logs
-//!    of the same history, so the table shows both what parallelism buys
-//!    and what value logging pays extra (footprint recomputation) to get
-//!    it. These timings are host wall-clock and live only here, in the
-//!    bench crate — the deterministic crates never read a clock.
+//!    of the same history, so the table shows what footprints cost in log
+//!    bytes and how much of the graph the synthesized commutativity
+//!    relation prunes. How long either replay *takes* is the benchmark's
+//!    `dist.deplog.{serial_replay_ms, parallel_replay_ms, build_ms}`.
 //!
 //! [`IntentionsStore::recover`]: atomicity_core::recovery::IntentionsStore::recover
 
@@ -35,7 +35,6 @@ use atomicity_durable::frame::encode_frame;
 use atomicity_sim::SimRng;
 use atomicity_spec::{ActivityId, ObjectId};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Parameters of one E15 run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -201,13 +200,6 @@ pub struct RecoveryRow {
     pub log_bytes: usize,
     /// Whether commit records carried footprints (`CommitDep`).
     pub dep_logged: bool,
-    /// Serial value-log replay wall time (ns) — the production path.
-    pub serial_ns: u64,
-    /// Dependency-graph parallel replay wall time (ns), including graph
-    /// construction (and footprint recomputation when `!dep_logged`).
-    pub parallel_ns: u64,
-    /// `serial_ns / parallel_ns`.
-    pub speedup: f64,
     /// Dependency edges kept.
     pub edges: usize,
     /// Candidate pairs pruned as commuting (the data-dependent win).
@@ -216,7 +208,7 @@ pub struct RecoveryRow {
     pub threads: usize,
 }
 
-/// Times both recovery strategies over one generated log and certifies
+/// Runs both recovery strategies over one generated log and certifies
 /// that they agree.
 ///
 /// # Panics
@@ -233,15 +225,9 @@ pub fn run_recovery_point(
     let log = generate_log(seed, commits, listings, dep_logged);
     let log_bytes: usize = log.iter().map(|r| encode_frame(r).len()).sum();
 
-    let start = Instant::now();
     let serial_state = serial_replay(&log);
-    let serial_ns = start.elapsed().as_nanos() as u64;
-
-    let start = Instant::now();
     let graph = DepGraph::build(committed_records(&log), map_commutes());
     let parallel_state = parallel_replay(&graph, threads);
-    let parallel_ns = start.elapsed().as_nanos() as u64;
-
     assert_eq!(
         parallel_state, serial_state,
         "E15 recovery divergence at {commits} commits (dep_logged={dep_logged})"
@@ -252,9 +238,6 @@ pub fn run_recovery_point(
         records: log.len(),
         log_bytes,
         dep_logged,
-        serial_ns,
-        parallel_ns,
-        speedup: serial_ns as f64 / parallel_ns.max(1) as f64,
         edges: stats.edges,
         pruned_commuting: stats.pruned_commuting,
         threads,

@@ -1,33 +1,25 @@
 //! E16 — the online streaming certifier over live engine runs.
 //!
-//! Three gates, one report (`BENCH_e16.json`):
+//! Two gates, one report (`BENCH_e16.json`):
 //!
 //! 1. **Equality.** For every seed and every property engine, a
 //!    contended mixed bank workload runs with an online monitor attached
 //!    over a preserving tap — the *watermark-retiring* monitor for the
 //!    dynamic engine, the *retain-all* monitor for the timestamp engines
-//!    (see [`equality_mode`] for why); the final online certificate must
-//!    agree — verdict kind and committed count — with the post-hoc
-//!    linear certifier run over a snapshot of the very same recorded
-//!    history.
+//!    (the private `equality_mode` says why); the final online
+//!    certificate must agree — verdict kind and committed count — with
+//!    the post-hoc linear certifier run over a snapshot of the very same
+//!    recorded history.
 //! 2. **Long horizon.** A contended dynamic run 10–100× the E10 history
 //!    drives the monitor through a *retiring* tap (shard buffers are
 //!    consumed as they certify). The gate is the monitor's retained-set
 //!    high-water mark: it must stay proportional to the open-transaction
 //!    footprint (threads × ops), not the history length — the metrics
 //!    registry's `certifier_retained_peak` gauge is the witness.
-//! 3. **Overhead.** The same workload is timed bare, with metrics only,
-//!    and with metrics + online certifier. The certifier's throughput
-//!    cost must stay within the observability budget: its relative
-//!    overhead may not exceed `max(0.8%, 2 × metrics overhead)` — i.e.
-//!    twice the ~0.4% metrics budget, self-calibrated against what the
-//!    metrics layer actually costs on this host. The monitor runs on a
-//!    pump thread off the hot path, so the gate is enforced only when
-//!    the host has a spare core to schedule it on
-//!    (`available_parallelism > worker threads`); on a saturated host
-//!    the pump necessarily steals workload cycles one-for-one and the
-//!    wall-clock delta measures scheduler arithmetic, not tap cost —
-//!    the numbers are still reported, ungated.
+//!
+//! What the certifier *costs* is not measured here: that is the
+//! benchmark's `certify.overhead_share`, `bench.trace_overhead_share`,
+//! and `certified_audit` against `spread_audit`.
 //!
 //! `--demo-violation` additionally forges a non-atomic pair of
 //! activities into the live stream mid-run and asserts the monitor flags
@@ -43,7 +35,6 @@ use atomicity_spec::specs::{BankAccountSpec, IntSetSpec};
 use atomicity_spec::{op, ActivityId, Event, ObjectId, SystemSpec, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Parameters of one E16 run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -62,15 +53,8 @@ pub struct E16Params {
     pub ops_per_txn: usize,
     /// Shared bank accounts all workers contend on.
     pub accounts: usize,
-    /// A/B timing trials for the overhead gate (median is compared).
-    pub overhead_trials: usize,
-    /// Transactions per thread in each overhead trial.
-    pub overhead_txns: usize,
     /// Whether to run the mid-stream violation demonstration.
     pub demo_violation: bool,
-    /// Whether to enforce the overhead gate (skipped in smoke runs —
-    /// CI machines make sub-percent timing gates meaningless).
-    pub gate_overhead: bool,
 }
 
 impl E16Params {
@@ -83,22 +67,16 @@ impl E16Params {
             horizon_txns: 5_000,
             ops_per_txn: 4,
             accounts: 2,
-            overhead_trials: 5,
-            overhead_txns: 2_000,
             demo_violation: true,
-            gate_overhead: true,
         }
     }
 
-    /// CI wiring check: seconds, not minutes; no timing gate.
+    /// CI wiring check: seconds, not minutes.
     pub fn smoke() -> Self {
         E16Params {
             seeds: vec![1, 2],
             equality_txns: 40,
             horizon_txns: 400,
-            overhead_trials: 2,
-            overhead_txns: 200,
-            gate_overhead: false,
             ..E16Params::full()
         }
     }
@@ -348,122 +326,6 @@ pub fn run_horizon_point(params: &E16Params) -> HorizonRow {
     }
 }
 
-/// The overhead comparison: bare vs metrics vs metrics + online monitor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OverheadRow {
-    /// Median committed-txn/s with logging only.
-    pub bare_tps: f64,
-    /// Median committed-txn/s with the metrics registry attached.
-    pub metrics_tps: f64,
-    /// Median committed-txn/s with metrics + online certifier.
-    pub online_tps: f64,
-    /// Relative cost of metrics vs bare (`1 - metrics/bare`).
-    pub metrics_overhead: f64,
-    /// Relative cost of the certifier vs metrics-only.
-    pub online_overhead: f64,
-    /// The gate `online_overhead ≤ max(0.008, 2 × metrics_overhead)`.
-    pub budget: f64,
-    /// Whether the host had a spare core for the pump thread
-    /// (`available_parallelism > worker threads`); without one the gate
-    /// is meaningless and not enforced.
-    pub headroom: bool,
-    /// Whether the gate was enforced (full runs with headroom only).
-    pub gated: bool,
-}
-
-/// One timed trial; returns committed-txn/s.
-fn overhead_trial(params: &E16Params, seed: u64, certify: bool, metrics: bool) -> f64 {
-    let mut builder = Engine::Dynamic.builder();
-    if certify {
-        builder = builder.certify(CertifyMode::Online);
-    }
-    if metrics {
-        builder = builder.collect_metrics();
-    }
-    let handle = builder.build();
-    let monitor = certify.then(|| {
-        handle
-            .start_online(account_spec(params.accounts), Some(bank_relation()))
-            .expect("certify mode is on")
-    });
-    let objects: Vec<Arc<dyn Admission>> = (0..params.accounts)
-        .map(|i| handle.account(ObjectId::new(i as u32 + 1), INITIAL_BALANCE))
-        .collect();
-    let start = Instant::now();
-    let (committed, _) = drive(
-        &handle,
-        &objects,
-        seed,
-        params.threads,
-        params.overhead_txns,
-        params.ops_per_txn,
-    );
-    let wall = start.elapsed();
-    if let Some(monitor) = monitor {
-        // Draining the tail after the timed window is the certifier's
-        // own business; the workload has already been measured.
-        monitor.finish();
-    }
-    committed as f64 / wall.as_secs_f64()
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
-    xs[xs.len() / 2]
-}
-
-/// Runs the overhead comparison and (on full runs) enforces the budget.
-///
-/// # Panics
-///
-/// With [`E16Params::gate_overhead`], panics if the certifier's relative
-/// overhead exceeds `max(0.8%, 2 × metrics overhead)` — enforced only
-/// when the host has a spare core for the pump thread (see the module
-/// docs, gate 3).
-pub fn run_overhead_point(params: &E16Params) -> OverheadRow {
-    let trials = params.overhead_trials.max(1);
-    let mut bare = Vec::new();
-    let mut metrics = Vec::new();
-    let mut online = Vec::new();
-    for t in 0..trials {
-        let seed = 100 + t as u64;
-        bare.push(overhead_trial(params, seed, false, false));
-        metrics.push(overhead_trial(params, seed, false, true));
-        online.push(overhead_trial(params, seed, true, true));
-    }
-    let (bare_tps, metrics_tps, online_tps) = (median(bare), median(metrics), median(online));
-    let metrics_overhead = 1.0 - metrics_tps / bare_tps;
-    let online_overhead = 1.0 - online_tps / metrics_tps;
-    let budget = f64::max(0.008, 2.0 * metrics_overhead.max(0.0));
-    // The pump thread is off the hot path by design; the sub-percent
-    // budget only measures tap cost when the host can actually schedule
-    // the pump beside the workers (see the module docs, gate 3).
-    let headroom = std::thread::available_parallelism()
-        .map(|p| p.get() > params.threads)
-        .unwrap_or(false);
-    let gated = params.gate_overhead && headroom;
-    if gated {
-        assert!(
-            online_overhead <= budget,
-            "E16 FAILED: online certifier costs {:.2}% throughput, budget {:.2}% \
-             (metrics layer itself costs {:.2}%)",
-            online_overhead * 100.0,
-            budget * 100.0,
-            metrics_overhead * 100.0
-        );
-    }
-    OverheadRow {
-        bare_tps,
-        metrics_tps,
-        online_tps,
-        metrics_overhead,
-        online_overhead,
-        budget,
-        headroom,
-        gated,
-    }
-}
-
 /// The mid-stream violation demonstration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DemoRow {
@@ -558,8 +420,6 @@ pub struct E16Report {
     pub equality: Vec<EqualityRow>,
     /// The long-horizon bounded-memory row.
     pub horizon: HorizonRow,
-    /// The overhead comparison.
-    pub overhead: OverheadRow,
     /// The violation demonstration, when requested.
     pub demo: Option<DemoRow>,
 }
@@ -580,8 +440,8 @@ impl E16Report {
 ///
 /// # Panics
 ///
-/// Panics if any equality cell disagrees, the horizon memory gate fails,
-/// or (on gated runs) the overhead budget is exceeded.
+/// Panics if any equality cell disagrees or the horizon memory gate
+/// fails.
 pub fn run_e16(params: &E16Params) -> E16Report {
     let mut equality = Vec::new();
     for &seed in &params.seeds {
@@ -596,14 +456,12 @@ pub fn run_e16(params: &E16Params) -> E16Report {
         }
     }
     let horizon = run_horizon_point(params);
-    let overhead = run_overhead_point(params);
     let demo = params.demo_violation.then(|| run_demo_violation(params));
     E16Report {
         header: ReportHeader::new("e16"),
         params: params.clone(),
         equality,
         horizon,
-        overhead,
         demo,
     }
 }
@@ -649,10 +507,7 @@ mod tests {
             seeds: vec![1],
             equality_txns: 10,
             horizon_txns: 50,
-            overhead_trials: 1,
-            overhead_txns: 10,
             demo_violation: false,
-            gate_overhead: false,
             ..E16Params::smoke()
         });
         let back = E16Report::from_json(&report.to_json()).unwrap();

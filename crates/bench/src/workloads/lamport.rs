@@ -270,7 +270,7 @@ fn run_one_audit(
 mod tests {
     use super::*;
 
-    fn quick() -> LamportParams {
+    fn small() -> LamportParams {
         LamportParams {
             shards: 3,
             keys_per_shard: 2,
@@ -285,14 +285,14 @@ mod tests {
 
     #[test]
     fn hybrid_audits_are_never_torn() {
-        let out = run_lamport(AuditMode::Hybrid, &quick());
+        let out = run_lamport(AuditMode::Hybrid, &small());
         assert!(out.audits > 0);
         assert_eq!(out.torn_audits, 0);
     }
 
     #[test]
     fn dynamic_audits_are_never_torn() {
-        let out = run_lamport(AuditMode::Dynamic, &quick());
+        let out = run_lamport(AuditMode::Dynamic, &small());
         assert_eq!(out.torn_audits, 0);
     }
 
@@ -302,7 +302,7 @@ mod tests {
         // audits routinely observe non-conserved totals. Retry a few times
         // to keep the test deterministic enough.
         for _ in 0..5 {
-            let out = run_lamport(AuditMode::NonAtomic, &quick());
+            let out = run_lamport(AuditMode::NonAtomic, &small());
             if out.torn_audits > 0 {
                 return;
             }
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn every_transfer_resolves() {
         for mode in AuditMode::ALL {
-            let out = run_lamport(mode, &quick());
+            let out = run_lamport(mode, &small());
             assert_eq!(
                 out.transfers_committed + out.transfers_aborted,
                 30,

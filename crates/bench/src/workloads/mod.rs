@@ -11,7 +11,6 @@ pub mod queue;
 pub mod recovery;
 pub mod skew;
 pub mod stress;
-pub mod wal;
 
 use std::time::Duration;
 

@@ -137,7 +137,7 @@ pub fn paper_history_verdicts() -> (bool, bool) {
 mod tests {
     use super::*;
 
-    fn quick(engine: Engine) -> QueueOutcome {
+    fn small(engine: Engine) -> QueueOutcome {
         run_queue(
             engine,
             &QueueParams {
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn all_engines_preserve_every_item() {
         for engine in Engine::ALL {
-            let out = quick(engine);
+            let out = small(engine);
             assert_eq!(out.committed + out.aborted, 12, "{engine}");
             assert_eq!(
                 out.drained,

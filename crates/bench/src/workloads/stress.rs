@@ -1,19 +1,13 @@
-//! E8 — threaded stress on the history recorder (DESIGN.md §2).
+//! Threaded stress on the shared infrastructure (DESIGN.md §2).
 //!
 //! N OS threads each drive M transactions against a **private** bank
 //! account, so the only cross-thread serialization points are the shared
 //! infrastructure: the history recorder, the transaction table, the
-//! Lamport clock, and (under hybrid) the commit gate. That makes the
-//! workload a magnifying glass for recorder contention: with per-object
-//! work removed, throughput scaling is bounded by how cheaply concurrent
-//! threads can append events.
-//!
-//! Two recorder configurations are compared:
-//!
-//! - the default **sharded** log ([`HistoryLog::new`]): per-thread append
-//!   buffers ordered by a global sequence stamp;
-//! - the **coarse** log ([`HistoryLog::coarse`]): a single shard, i.e. the
-//!   pre-sharding one-big-mutex recorder.
+//! Lamport clock, and (under hybrid) the commit gate. E9 certifies a
+//! history of this shape and E10 runs the shared-account variant with the
+//! metrics registry attached; what the recorder *costs* is the
+//! benchmark's `core.log.record_ns` and `core.log.events_per_commit`, and
+//! sharded-vs-coarse equivalence is `tests/log_sharding.rs`.
 //!
 //! When [`StressParams::verify`] is set, the run ends with post-hoc
 //! checks: the merged history must be well-formed, the whole recorded
@@ -36,8 +30,8 @@ use atomicity_spec::{op, ObjectId, SystemSpec, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The engines E8 compares: the paper's three properties plus the 2PL
-/// floor. (Commutativity locking adds nothing here — with per-thread
+/// The engines the stress tests cover: the paper's three properties plus
+/// the 2PL floor. (Commutativity locking adds nothing here — with per-thread
 /// objects it behaves like 2PL.)
 pub const STRESS_ENGINES: [Engine; 4] = [
     Engine::Dynamic,
@@ -46,7 +40,7 @@ pub const STRESS_ENGINES: [Engine; 4] = [
     Engine::TwoPhaseLocking,
 ];
 
-/// Parameters of the E8 workload.
+/// Parameters of the stress workload.
 #[derive(Debug, Clone)]
 pub struct StressParams {
     /// Concurrent worker threads (one private account each).
@@ -55,26 +49,20 @@ pub struct StressParams {
     pub txns_per_thread: usize,
     /// Deposits per transaction.
     pub ops_per_txn: usize,
-    /// Simulated in-transaction work (µs); 0 makes recorder contention
-    /// dominate.
+    /// Simulated in-transaction work (µs).
     pub hold_micros: u64,
-    /// Record into a single-shard ([`HistoryLog::coarse`]) log instead of
-    /// the default sharded one.
-    pub coarse_log: bool,
     /// Run the post-hoc atomicity checks on the recorded history (costs
-    /// O(history); meant for correctness runs, not timing runs).
+    /// O(history)).
     pub verify: bool,
     /// With [`StressParams::verify`]: also re-check every object's
     /// projected history with the exhaustive `spec::atomicity` decision
     /// procedures, instead of relying on the linear-time certifier alone.
     pub exhaustive: bool,
     /// Attach an enabled [`atomicity_core::MetricsRegistry`] and return
-    /// its snapshot in [`StressOutcome::metrics`] (the E10 path). Off for
-    /// timing runs: the measured point of E8 is the recorder, not the
-    /// metrics layer.
+    /// its snapshot in [`StressOutcome::metrics`] (the E10 path).
     pub collect_metrics: bool,
-    /// Number of accounts shared by all workers; `0` (the E8 default)
-    /// gives every worker a private account. E10 sets `1` so the engines
+    /// Number of accounts shared by all workers; `0` (the default) gives
+    /// every worker a private account. E10 sets `1` so the engines
     /// actually contend and the block/abort instrumentation has something
     /// to observe. Shared transactions open with a `balance` read, so
     /// read/write conflicts — lock-upgrade deadlocks, timestamp conflicts
@@ -101,7 +89,6 @@ impl Default for StressParams {
             txns_per_thread: 100,
             ops_per_txn: 2,
             hold_micros: 0,
-            coarse_log: false,
             verify: false,
             exhaustive: false,
             collect_metrics: false,
@@ -110,13 +97,11 @@ impl Default for StressParams {
     }
 }
 
-/// Measured outcome of one E8 run.
+/// Measured outcome of one stress run.
 #[derive(Debug, Clone)]
 pub struct StressOutcome {
     /// The engine measured.
     pub engine: Engine,
-    /// Wall-clock duration of the run.
-    pub wall: Duration,
     /// Transactions committed.
     pub committed: u64,
     /// Transactions aborted.
@@ -125,8 +110,6 @@ pub struct StressOutcome {
     pub throughput: f64,
     /// Events in the recorded history.
     pub events: usize,
-    /// Shards in the recorder used.
-    pub log_shards: usize,
     /// Contention counters aggregated over all objects.
     pub stats: StatsSnapshot,
     /// Full metrics snapshot (latency percentiles, abort causes, trace
@@ -134,7 +117,7 @@ pub struct StressOutcome {
     pub metrics: Option<MetricsSnapshot>,
 }
 
-/// Runs the E8 workload for one engine.
+/// Runs the stress workload for one engine.
 ///
 /// # Panics
 ///
@@ -142,11 +125,7 @@ pub struct StressOutcome {
 /// fails the engine's well-formedness or local atomicity property, or if
 /// a committed balance disagrees with the committed deposits.
 pub fn run_stress(engine: Engine, params: &StressParams) -> StressOutcome {
-    let log = if params.coarse_log {
-        HistoryLog::coarse()
-    } else {
-        HistoryLog::new()
-    };
+    let log = HistoryLog::new();
     let mut builder = engine.builder().log(log.clone());
     if params.collect_metrics {
         builder = builder.collect_metrics();
@@ -170,12 +149,10 @@ pub fn run_stress(engine: Engine, params: &StressParams) -> StressOutcome {
         .then(|| handle.metrics().snapshot());
     StressOutcome {
         engine,
-        wall,
         committed,
         aborted,
         throughput: committed as f64 / wall.as_secs_f64(),
         events: log.len(),
-        log_shards: log.shard_count(),
         stats,
         metrics,
     }
@@ -336,13 +313,12 @@ fn verify_run(
 mod tests {
     use super::*;
 
-    fn quick(coarse: bool) -> StressParams {
+    fn small() -> StressParams {
         StressParams {
             threads: 3,
             txns_per_thread: 8,
             ops_per_txn: 2,
             hold_micros: 0,
-            coarse_log: coarse,
             verify: true,
             exhaustive: true,
             collect_metrics: true,
@@ -353,10 +329,9 @@ mod tests {
     #[test]
     fn all_engines_complete_and_satisfy_their_property() {
         for engine in STRESS_ENGINES {
-            let out = run_stress(engine, &quick(false));
+            let out = run_stress(engine, &small());
             assert_eq!(out.committed + out.aborted, 24, "{engine}");
             assert_eq!(out.aborted, 0, "{engine}: private objects never conflict");
-            assert!(out.log_shards > 1);
             assert!(out.events > 0);
             // Deposits admitted: ops per txn, plus one post-run balance
             // read per object from the verifier.
@@ -374,57 +349,18 @@ mod tests {
     }
 
     #[test]
-    fn coarse_log_produces_the_same_outcome() {
-        // Certifier-only verification (the default `exhaustive: false`
-        // path) on this variant, so both verify modes stay exercised.
+    fn certifier_only_verification_accepts_every_engine() {
+        // The default `exhaustive: false` path, so both verify modes stay
+        // exercised.
         for engine in STRESS_ENGINES {
             let out = run_stress(
                 engine,
                 &StressParams {
                     exhaustive: false,
-                    ..quick(true)
+                    ..small()
                 },
             );
             assert_eq!(out.committed, 24, "{engine}");
-            assert_eq!(out.log_shards, 1, "{engine}");
         }
-    }
-
-    #[test]
-    fn sharded_recorder_is_competitive_with_coarse_under_contention() {
-        // Timing guard, not a benchmark: at 4 threads of record-heavy
-        // work the sharded recorder must never be meaningfully *slower*
-        // than the single-mutex baseline (the real comparison, where the
-        // sharded log wins on multicore hosts, is `cargo bench -p
-        // atomicity-bench --bench e8_stress` and `experiments e8`).
-        // Best-of-3 each to shed scheduler noise; generous bound so the
-        // test stays robust on loaded single-core CI machines.
-        let params = StressParams {
-            threads: 4,
-            txns_per_thread: 150,
-            ops_per_txn: 4,
-            hold_micros: 0,
-            coarse_log: false,
-            verify: false,
-            exhaustive: false,
-            collect_metrics: false,
-            shared_objects: 0,
-        };
-        let sharded = (0..3)
-            .map(|_| run_stress(Engine::Dynamic, &params).wall)
-            .min()
-            .unwrap();
-        let coarse_params = StressParams {
-            coarse_log: true,
-            ..params
-        };
-        let coarse = (0..3)
-            .map(|_| run_stress(Engine::Dynamic, &coarse_params).wall)
-            .min()
-            .unwrap();
-        assert!(
-            sharded <= coarse * 2,
-            "sharded recorder collapsed under contention: {sharded:?} vs coarse {coarse:?}"
-        );
     }
 }

@@ -3,7 +3,9 @@
 //! unsound table is injected (`--demo-unsound`); `experiments lint
 //! --synth` must additionally re-prove every synthesized table sound,
 //! certify the hand tables' minimality gaps, and write the JSON gap
-//! report.
+//! report. The registry's own command-line contract is gated the same
+//! way: an unknown experiment name or a flag the named experiment does
+//! not accept fails loudly instead of being ignored.
 
 use std::process::Command;
 
@@ -105,4 +107,53 @@ fn synth_lint_fails_on_a_corrupted_generated_table() {
         "{stdout}"
     );
     std::fs::remove_file(&json).ok();
+}
+
+#[test]
+fn unknown_experiment_names_fail_and_list_the_valid_ones() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("nosuch")
+        .output()
+        .expect("run experiments nosuch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a typo looked like success");
+    assert!(out.stdout.is_empty(), "nothing may run");
+    assert!(stderr.contains("unknown experiment `nosuch`"), "{stderr}");
+    for name in ["e1", "e5", "e16", "a1", "v1", "lint"] {
+        assert!(
+            stderr.lines().any(|l| l.trim_start().starts_with(name)),
+            "usage does not list `{name}`:\n{stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_named_experiment_prints_its_header_and_exits_zero() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("e5")
+        .output()
+        .expect("run experiments e5");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.starts_with("== E5: "), "{stdout}");
+    assert_eq!(
+        stdout.matches("\n== ").count(),
+        0,
+        "only e5 may run:\n{stdout}"
+    );
+}
+
+#[test]
+fn a_flag_the_experiment_does_not_accept_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["e1", "--replay=1"])
+        .output()
+        .expect("run experiments e1 --replay=1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a misplaced flag was ignored");
+    assert!(out.stdout.is_empty(), "nothing may run");
+    assert!(
+        stderr.contains("`e1` does not accept `--replay=1`"),
+        "{stderr}"
+    );
 }

@@ -1,5 +1,5 @@
 //! The online certifier: an incremental mirror of the post-hoc watermark
-//! certifier ([`atomicity_lint::certify`]) that consumes the live stamp
+//! certifier ([`atomicity_lint::certify()`]) that consumes the live stamp
 //! stream one event at a time.
 //!
 //! # What is being computed
@@ -43,7 +43,7 @@
 //! With retirement off the monitor additionally mirrors every event, and
 //! delegates to the post-hoc certifier on the pathologies outside the
 //! basic discipline (responses after commit, commit after abort,
-//! timestamp regression): verdicts then agree with [`certify`] in kind on
+//! timestamp regression): verdicts then agree with [`certify()`] in kind on
 //! *arbitrary* event soups (proptested in `tests/equivalence.rs`). With
 //! retirement on, the pathological histories answer
 //! [`Verdict::Unknown`] instead (the mirror that would decide them is

@@ -22,8 +22,8 @@
 //! Both stores speak to storage through the [`DurableLog`] trait, so the
 //! same intentions-list machinery runs over the in-memory [`StableLog`]
 //! *or* the real on-disk segmented write-ahead log in `atomicity-durable`
-//! — the latter is what the kill-based crash harness and experiment E11
-//! exercise.
+//! — the latter is what the kill-based crash harness and `experiments e6
+//! --disk` exercise.
 
 use atomicity_spec::{ActivityId, ObjectId, OpResult, SequentialSpec};
 use parking_lot::Mutex;
@@ -515,46 +515,46 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     pub fn recover(&self) -> RecoveryOutcome {
         let records = self.log.records();
         let mut states = vec![self.spec.initial()];
+        // One pass: membership is probed in ordered sets, the `Vec`s only
+        // keep the reported order.
         let mut redone: Vec<ActivityId> = Vec::new();
         let mut discarded: Vec<ActivityId> = Vec::new();
-        let mut prepared: Vec<ActivityId> = Vec::new();
-        for r in &records {
+        let mut decided: BTreeSet<ActivityId> = BTreeSet::new();
+        // Undecided transactions, with the log position of the prepare
+        // that (re-)opened each — their reported order.
+        let mut open: BTreeMap<ActivityId, usize> = BTreeMap::new();
+        for (at, r) in records.iter().enumerate() {
             if r.object != self.object {
                 continue;
             }
-            match &r.kind {
-                RecordKind::Prepare { .. } => {
-                    if !prepared.contains(&r.txn) {
-                        prepared.push(r.txn);
-                    }
+            if matches!(r.kind, RecordKind::Prepare { .. }) {
+                open.entry(r.txn).or_insert(at);
+                continue;
+            }
+            // Duplicate outcome records (a crash can lose the in-memory
+            // idempotency state) are applied once: the first one wins.
+            if !decided.insert(r.txn) {
+                continue;
+            }
+            open.remove(&r.txn);
+            if r.kind.is_commit() {
+                let ops = self.staged_ops(r.txn);
+                let next = crate::engine::replay_frontier(&self.spec, &states, &ops);
+                if !next.is_empty() {
+                    states = next;
                 }
-                RecordKind::Commit | RecordKind::CommitDep { .. } => {
-                    // Duplicate outcome records (a crash can lose the
-                    // in-memory idempotency state) are applied once.
-                    if redone.contains(&r.txn) || discarded.contains(&r.txn) {
-                        continue;
-                    }
-                    let ops = self.staged_ops(r.txn);
-                    let next = crate::engine::replay_frontier(&self.spec, &states, &ops);
-                    if !next.is_empty() {
-                        states = next;
-                    }
-                    prepared.retain(|&t| t != r.txn);
-                    redone.push(r.txn);
-                }
-                RecordKind::Abort => {
-                    if redone.contains(&r.txn) || discarded.contains(&r.txn) {
-                        continue;
-                    }
-                    prepared.retain(|&t| t != r.txn);
-                    discarded.push(r.txn);
-                }
+                redone.push(r.txn);
+            } else {
+                discarded.push(r.txn);
             }
         }
         *self.volatile.lock() = Some(states);
+        let mut in_doubt: Vec<(usize, ActivityId)> =
+            open.into_iter().map(|(txn, at)| (at, txn)).collect();
+        in_doubt.sort_unstable();
         RecoveryOutcome {
             redone,
-            in_doubt: prepared,
+            in_doubt: in_doubt.into_iter().map(|(_, txn)| txn).collect(),
             discarded,
         }
     }
@@ -597,15 +597,14 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// timestamp `t` must see.
     pub fn replay_committed_subset(&self, filter: impl Fn(ActivityId) -> bool) -> Vec<S::State> {
         let mut states = vec![self.spec.initial()];
-        let mut done: Vec<ActivityId> = Vec::new();
+        let mut done: BTreeSet<ActivityId> = BTreeSet::new();
         for r in self.log.records() {
             if r.object != self.object || !r.kind.is_commit() {
                 continue;
             }
-            if done.contains(&r.txn) || !filter(r.txn) {
+            if !filter(r.txn) || !done.insert(r.txn) {
                 continue;
             }
-            done.push(r.txn);
             let ops = self.staged_ops(r.txn);
             let next = crate::engine::replay_frontier(&self.spec, &states, &ops);
             if !next.is_empty() {
@@ -700,9 +699,10 @@ impl<S: SequentialSpec> UndoStore<S> {
         let mut d = self.durable.lock();
         let committed = d.committed.clone();
         let mut undone = Vec::new();
+        let mut seen = BTreeSet::new();
         d.applied.retain(|(t, _)| {
             let keep = committed.contains(t);
-            if !keep && !undone.contains(t) {
+            if !keep && seen.insert(*t) {
                 undone.push(*t);
             }
             keep
@@ -821,6 +821,96 @@ mod tests {
         assert_eq!(store.committed_frontier(), vec![0]);
     }
 
+    /// Appends raw records, bypassing the store's first-outcome-wins
+    /// idempotency — the shapes a crash or a duplicated decision leaves.
+    fn raw_log(records: &[(u32, RecordKind)]) -> StableLog {
+        let log = StableLog::new();
+        for (txn, kind) in records {
+            log.append(LogRecord {
+                txn: t(*txn),
+                object: x(),
+                kind: kind.clone(),
+            });
+        }
+        log
+    }
+
+    fn deposit(amount: i64) -> RecordKind {
+        RecordKind::Prepare {
+            ops: vec![(op("deposit", [amount]), Value::ok())],
+        }
+    }
+
+    #[test]
+    fn duplicate_outcome_records_apply_once_and_first_wins() {
+        use RecordKind::{Abort, Commit};
+        let log = raw_log(&[
+            (1, deposit(10)),
+            (1, Commit),
+            (1, Commit),
+            (1, Abort),
+            (2, deposit(5)),
+            (2, Abort),
+            (2, Commit),
+        ]);
+        let store = IntentionsStore::new(BankAccountSpec::new(), x(), log);
+        store.crash();
+        let outcome = store.recover();
+        assert_eq!(outcome.redone, vec![t(1)]);
+        assert_eq!(outcome.discarded, vec![t(2)]);
+        assert!(outcome.in_doubt.is_empty());
+        assert_eq!(store.committed_frontier(), vec![10]);
+        // The snapshot-read replay also applies a duplicated commit once;
+        // it follows commit records only, so t2's late commit counts.
+        assert_eq!(store.replay_committed_subset(|_| true), vec![15]);
+        assert_eq!(store.replay_committed_subset(|txn| txn == t(1)), vec![10]);
+    }
+
+    #[test]
+    fn abort_after_prepare_leaves_the_rest_in_doubt_in_prepare_order() {
+        use RecordKind::{Abort, Commit};
+        let log = raw_log(&[
+            (4, deposit(4)),
+            (1, deposit(1)),
+            (2, deposit(2)),
+            (3, deposit(3)),
+            (4, deposit(40)),
+            (2, Abort),
+            (3, Commit),
+        ]);
+        let store = IntentionsStore::new(BankAccountSpec::new(), x(), log);
+        store.crash();
+        let outcome = store.recover();
+        assert_eq!(outcome.redone, vec![t(3)]);
+        assert_eq!(outcome.discarded, vec![t(2)]);
+        // First-prepare order, not id order; a repeated prepare of an
+        // undecided transaction does not move it.
+        assert_eq!(outcome.in_doubt, vec![t(4), t(1)]);
+        assert_eq!(store.committed_frontier(), vec![3]);
+    }
+
+    #[test]
+    fn re_prepare_after_abort_is_in_doubt_again_but_stays_discarded() {
+        use RecordKind::{Abort, Commit};
+        let log = raw_log(&[
+            (1, deposit(10)),
+            (2, deposit(20)),
+            (1, Abort),
+            (1, deposit(11)),
+            (1, Commit),
+        ]);
+        let store = IntentionsStore::new(BankAccountSpec::new(), x(), log);
+        store.crash();
+        let outcome = store.recover();
+        // The first durable outcome wins: the late commit is ignored, so
+        // nothing is redone and the re-prepare stays open — behind t2,
+        // which was prepared before it re-entered.
+        assert!(outcome.redone.is_empty());
+        assert_eq!(outcome.discarded, vec![t(1)]);
+        assert_eq!(outcome.in_doubt, vec![t(2), t(1)]);
+        assert_eq!(store.committed_frontier(), vec![0]);
+    }
+
     #[test]
     fn dependency_logged_commit_recovers_like_value_commit() {
         use atomicity_spec::specs::KvMapSpec;
@@ -923,6 +1013,18 @@ mod tests {
         assert_eq!(store.state(), vec![10]);
         assert!(store.is_committed(t(1)));
         assert!(!store.is_committed(t(2)));
+    }
+
+    #[test]
+    fn undo_store_reports_undone_in_first_operation_order() {
+        let store = UndoStore::new(IntSetSpec::new(), x());
+        store.apply(t(3), (op("insert", [3]), Value::ok()));
+        store.apply(t(1), (op("insert", [1]), Value::ok()));
+        store.apply(t(3), (op("insert", [30]), Value::ok()));
+        store.apply(t(2), (op("insert", [2]), Value::ok()));
+        store.commit(t(2));
+        assert_eq!(store.recover(), vec![t(3), t(1)]);
+        assert!(store.state().iter().all(|s| s.len() == 1 && s.contains(&2)));
     }
 
     #[test]

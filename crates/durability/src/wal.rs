@@ -558,8 +558,14 @@ impl Drop for WalInner {
             flags.shutdown = true;
             self.signal.cond.notify_all();
         }
+        // The flusher holds a strong reference for the length of one
+        // flush; if the last user handle went away meanwhile, this runs on
+        // the flusher thread itself, which must not join itself (EDEADLK).
+        // It sees the shutdown flag on its next loop turn and returns.
         if let Some(handle) = self.flusher.get_mut().take() {
-            let _ = handle.join();
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
         }
         // Closing flush so a clean drop never leaves buffered records
         // (callers relying on durability must still sync() — this is
