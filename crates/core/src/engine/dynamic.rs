@@ -543,6 +543,31 @@ mod tests {
     }
 
     #[test]
+    fn max_check_above_the_ceiling_blocks_rather_than_wraps() {
+        // 32 pending lists plus the caller's: a 32-bit subset mask wraps
+        // to "no list left to check", which would grant a 33rd withdrawal
+        // from a balance of 32. The bound is clamped, so the engine blocks
+        // before it builds a mask at all.
+        let mgr = TxnManager::new(Protocol::Dynamic);
+        let acct = DynamicObject::with_max_check(x(), BankAccountSpec::with_initial(32), &mgr, 64);
+        let holders: Vec<Txn> = (0..32).map(|_| mgr.begin()).collect();
+        {
+            let mut state = acct.mu.lock();
+            for t in &holders {
+                state
+                    .pending
+                    .insert(t.id(), vec![(op("withdraw", [1]), Value::ok())]);
+            }
+        }
+        let late = mgr.begin();
+        let refused = acct.try_invoke(&late, op("withdraw", [1]));
+        assert!(
+            matches!(refused, Err(TxnError::WouldBlock { .. })),
+            "{refused:?}"
+        );
+    }
+
+    #[test]
     fn many_commutative_writers_scale_past_check_bound() {
         // More concurrent writers than max_check: the engine conservatively
         // serializes the excess, but everything still completes and the

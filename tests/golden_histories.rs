@@ -3,8 +3,10 @@
 //! engines must record exactly the event sequence in
 //! `golden_histories.txt`, which was captured from the engines as they
 //! were before the three admission paths were collapsed into one step
-//! and one blocking loop. Admission refactors may move code; they may not
-//! move events.
+//! and one blocking loop; the `depth3` sections at its end were captured
+//! from the engines that still walked every permutation of the pending
+//! lists, before the state-dependent check became a subset programme.
+//! Admission refactors may move code; they may not move events.
 
 use atomicity::bench::synthesized_suite;
 use atomicity::core::{
@@ -39,6 +41,22 @@ fn bank_table() -> Arc<dyn CommutesRel> {
             .expect("synthesized bank table")
             .clone(),
     )
+}
+
+fn dynamic(table: bool, mgr: &TxnManager) -> Arc<dyn AtomicObject> {
+    if table {
+        DynamicObject::with_relation(X, spec(), mgr, bank_table())
+    } else {
+        DynamicObject::new(X, spec(), mgr)
+    }
+}
+
+fn hybrid(table: bool, mgr: &TxnManager) -> Arc<dyn AtomicObject> {
+    if table {
+        HybridObject::with_relation(X, spec(), mgr, bank_table())
+    } else {
+        HybridObject::new(X, spec(), mgr)
+    }
 }
 
 fn balance() -> Operation {
@@ -128,6 +146,31 @@ fn hybrid_reader(out: &mut String, entry: Entry, mgr: &TxnManager, o: &dyn Atomi
     mgr.commit(r).unwrap();
 }
 
+/// Script C, `try_invoke` only, is the state-dependent check at depth 3:
+/// four open transactions interleave withdrawals the balance of 10 covers
+/// in every order, then the first one it does not is refused — as are a
+/// read and, until the depositor commits, the retry beside an uncommitted
+/// deposit.
+fn covered_withdrawals_at_depth_three(out: &mut String, mgr: &TxnManager, o: &dyn AtomicObject) {
+    let (a, b, c, d) = (mgr.begin(), mgr.begin(), mgr.begin(), mgr.begin());
+    for t in [&a, &b, &c, &d] {
+        call(out, via_try_invoke, o, t, op("withdraw", [2]));
+    }
+    call(out, via_try_invoke, o, &a, op("withdraw", [1]));
+    call(out, via_try_invoke, o, &b, op("withdraw", [2]));
+    call(out, via_try_invoke, o, &c, balance());
+    call(out, via_try_invoke, o, &d, op("deposit", [5]));
+    call(out, via_try_invoke, o, &b, op("withdraw", [2]));
+    mgr.commit(d).unwrap();
+    call(out, via_try_invoke, o, &b, op("withdraw", [2]));
+    mgr.abort(c);
+    mgr.commit(a).unwrap();
+    mgr.commit(b).unwrap();
+    let e = mgr.begin();
+    call(out, via_try_invoke, o, &e, balance());
+    mgr.commit(e).unwrap();
+}
+
 fn transcript() -> String {
     let mut out = String::new();
     let entries: [(&str, Entry, bool); 2] = [
@@ -140,11 +183,7 @@ fn transcript() -> String {
 
             writeln!(out, "dynamic/{label}/{entry_name}").unwrap();
             let mgr = TxnManager::new(Protocol::Dynamic);
-            let o = if table {
-                DynamicObject::with_relation(X, spec(), &mgr, bank_table())
-            } else {
-                DynamicObject::new(X, spec(), &mgr)
-            };
+            let o = dynamic(table, &mgr);
             updates_without_blocking(&mut out, entry, &mgr, o.as_ref());
             if nonblocking {
                 refused_then_admitted(&mut out, &mgr, o.as_ref());
@@ -153,11 +192,7 @@ fn transcript() -> String {
 
             writeln!(out, "hybrid/{label}/{entry_name}").unwrap();
             let mgr = TxnManager::new(Protocol::Hybrid);
-            let o = if table {
-                HybridObject::with_relation(X, spec(), &mgr, bank_table())
-            } else {
-                HybridObject::new(X, spec(), &mgr)
-            };
+            let o = hybrid(table, &mgr);
             updates_without_blocking(&mut out, entry, &mgr, o.as_ref());
             hybrid_reader(&mut out, entry, &mgr, o.as_ref());
             if nonblocking {
@@ -170,6 +205,21 @@ fn transcript() -> String {
         let mgr = TxnManager::new(Protocol::Static);
         let o = StaticObject::new(X, spec(), &mgr);
         static_script(&mut out, entry, nonblocking, &mgr, o.as_ref());
+        dump(&mut out, &mgr);
+    }
+    for table in [false, true] {
+        let label = if table { "table" } else { "replay" };
+
+        writeln!(out, "dynamic/{label}/depth3").unwrap();
+        let mgr = TxnManager::new(Protocol::Dynamic);
+        let o = dynamic(table, &mgr);
+        covered_withdrawals_at_depth_three(&mut out, &mgr, o.as_ref());
+        dump(&mut out, &mgr);
+
+        writeln!(out, "hybrid/{label}/depth3").unwrap();
+        let mgr = TxnManager::new(Protocol::Hybrid);
+        let o = hybrid(table, &mgr);
+        covered_withdrawals_at_depth_three(&mut out, &mgr, o.as_ref());
         dump(&mut out, &mgr);
     }
     out
