@@ -5,9 +5,12 @@
 //! were before the three admission paths were collapsed into one step
 //! and one blocking loop; the `depth3` sections at its end were captured
 //! from the engines that still walked every permutation of the pending
-//! lists, before the state-dependent check became a subset programme.
+//! lists, before the state-dependent check became a subset programme;
+//! the `2pl` and `commut-lock` sections after them were captured from
+//! the two lock baselines while each still had its own object.
 //! Admission refactors may move code; they may not move events.
 
+use atomicity::baselines::{bank_commutativity, CommutativityLockedObject, TwoPhaseLockedObject};
 use atomicity::bench::synthesized_suite;
 use atomicity::core::{
     AtomicObject, CommutesRel, DynamicObject, HybridObject, Protocol, StaticObject, Txn, TxnError,
@@ -220,6 +223,26 @@ fn transcript() -> String {
         let mgr = TxnManager::new(Protocol::Hybrid);
         let o = hybrid(table, &mgr);
         covered_withdrawals_at_depth_three(&mut out, &mgr, o.as_ref());
+        dump(&mut out, &mgr);
+    }
+    // The lock baselines, `try_invoke` only: one thread cannot drive a
+    // blocking `invoke` past a lock conflict. Under locking, script A's
+    // requests that conflict with another holder are refused.
+    let locked: [(&str, fn(&TxnManager) -> Arc<dyn AtomicObject>); 3] = [
+        ("2pl", |mgr| TwoPhaseLockedObject::new(X, spec(), mgr)),
+        ("commut-lock/hand", |mgr| {
+            CommutativityLockedObject::new(X, spec(), mgr, bank_commutativity)
+        }),
+        ("commut-lock/table", |mgr| {
+            CommutativityLockedObject::with_relation(X, spec(), mgr, bank_table())
+        }),
+    ];
+    for (label, build) in locked {
+        writeln!(out, "{label}/try_invoke").unwrap();
+        let mgr = TxnManager::new(Protocol::Dynamic);
+        let o = build(&mgr);
+        updates_without_blocking(&mut out, via_try_invoke, &mgr, o.as_ref());
+        refused_then_admitted(&mut out, &mgr, o.as_ref());
         dump(&mut out, &mgr);
     }
     out
