@@ -1,283 +1,15 @@
-//! The conflict-table audit (pass 1).
-//!
-//! Each hand-written lock table (a `fn(&Operation, &Operation) -> bool`
-//! commutativity relation) is diffed against the relation *derived* from
-//! the object's sequential specification by exhaustive bounded-state
-//! enumeration ([`atomicity_baselines::derive`]). For every unordered pair
-//! of operations from a finite universe:
-//!
-//! - the table **permits** a pair that fails to commute in some reachable
-//!   state → [`PairClass::Unsound`], a hard error carrying a
-//!   [`Counterexample`] certificate (the state plus the result-pair sets
-//!   of both execution orders);
-//! - the table **forbids** a pair that commutes in some or all reachable
-//!   states → [`PairClass::Conservative`], a warning. The paper's
-//!   sub-optimality examples land here: bank `withdraw/withdraw` commutes
-//!   whenever funds suffice (§5.1), and the semiqueue's interleaved `enq`s
-//!   always commute;
-//! - an asymmetric table (`table(p,q) ≠ table(q,p)`) is an error in its
-//!   own right — commutativity is symmetric;
-//! - agreement in either direction is recorded for the audit table the
-//!   `experiments` binary prints.
-//!
-//! When the state enumeration is truncated by the state cap, verdicts are
-//! sampling-based and the audit says so ([`TableAudit::truncated`]);
-//! for the shipped universes the enumeration is exhaustive (`truncated ==
-//! 0`), making `Unsound`/`Conservative` certificates definitive for the
-//! explored depth.
+//! The operation universes of the four ADTs with a hand-written lock
+//! table in `atomicity-baselines`, and — in this module's tests — what the
+//! hand-table diff ([`crate::synth::gap_against`]) must catch over them:
+//! an unsound entry with its witness, an asymmetric relation, an operation
+//! the specification never accepts, and the paper's two sub-optimality
+//! examples (bank `withdraw/withdraw`, §5.1, and the semiqueue's
+//! interleaved `enq`s).
 
-use atomicity_baselines::derive::{commute_in_state, ordered_outcomes, sample_states};
-use atomicity_baselines::{bank_commutativity, queue_commutativity, set_commutativity};
-use atomicity_spec::specs::{BankAccountSpec, FifoQueueSpec, IntSetSpec, SemiqueueSpec};
-use atomicity_spec::{op, Operation, SequentialSpec, Value};
-use std::fmt;
+use atomicity_spec::{op, Operation};
 
-/// Bounds for the state enumeration behind an audit.
-#[derive(Debug, Clone, Copy)]
-pub struct AuditConfig {
-    /// Maximum number of operations applied from the initial state.
-    pub depth: usize,
-    /// Cap on explored states (the audit reports if it truncates).
-    pub max_states: usize,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            depth: 4,
-            max_states: 512,
-        }
-    }
-}
-
-/// A concrete witness that a table-permitted pair does not commute.
-#[derive(Debug, Clone)]
-pub struct Counterexample {
-    /// The reachable state in which the orders diverge (debug-rendered).
-    pub state: String,
-    /// Result pairs `(result-of-p, result-of-q)` achievable running `p`
-    /// then `q`.
-    pub pq_outcomes: Vec<(Value, Value)>,
-    /// The same pairs achievable running `q` then `p`.
-    pub qp_outcomes: Vec<(Value, Value)>,
-}
-
-impl fmt::Display for Counterexample {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.pq_outcomes == self.qp_outcomes {
-            write!(
-                f,
-                "in state {} both orders agree on results {:?} but reach \
-                 different final states",
-                self.state, self.pq_outcomes
-            )
-        } else {
-            write!(
-                f,
-                "in state {} order p;q yields result pairs {:?} but order \
-                 q;p yields {:?}",
-                self.state, self.pq_outcomes, self.qp_outcomes
-            )
-        }
-    }
-}
-
-/// How one operation pair's table entry compares to the derived relation.
-#[derive(Debug, Clone)]
-pub enum PairClass {
-    /// Table and derivation agree the pair commutes.
-    AgreeCommute,
-    /// Table and derivation agree the pair conflicts.
-    AgreeConflict,
-    /// **Error**: the table permits the pair but it fails to commute in
-    /// some reachable state (certificate attached).
-    Unsound(Counterexample),
-    /// **Warning**: the table forbids the pair although it commutes in
-    /// `commuting_states` of the `total_states` explored states (all of
-    /// them for state-independent over-conservatism, like the semiqueue's
-    /// `enq/enq`; a strict subset for data-dependent cases, like bank
-    /// `withdraw/withdraw`, which commutes exactly when funds suffice).
-    Conservative {
-        /// States in which the pair commutes.
-        commuting_states: usize,
-        /// Total explored states.
-        total_states: usize,
-    },
-    /// **Error**: `table(p,q) != table(q,p)` — commutativity is symmetric.
-    Asymmetric,
-    /// The pair involves an operation the specification never accepts in
-    /// any explored state, so no verdict is possible (kept out of both
-    /// agreement and warning counts).
-    Unsupported,
-}
-
-impl PairClass {
-    /// Short label for report tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PairClass::AgreeCommute => "agree-commute",
-            PairClass::AgreeConflict => "agree-conflict",
-            PairClass::Unsound(_) => "UNSOUND",
-            PairClass::Conservative { .. } => "conservative",
-            PairClass::Asymmetric => "ASYMMETRIC",
-            PairClass::Unsupported => "unsupported",
-        }
-    }
-}
-
-/// One operation pair's audit outcome.
-#[derive(Debug, Clone)]
-pub struct PairFinding {
-    /// First operation of the pair.
-    pub p: Operation,
-    /// Second operation of the pair.
-    pub q: Operation,
-    /// The classification.
-    pub class: PairClass,
-}
-
-impl PairFinding {
-    /// Whether this finding is a hard error (unsound or asymmetric entry).
-    pub fn is_error(&self) -> bool {
-        matches!(self.class, PairClass::Unsound(_) | PairClass::Asymmetric)
-    }
-
-    /// Whether this finding is an over-conservatism warning.
-    pub fn is_warning(&self) -> bool {
-        matches!(self.class, PairClass::Conservative { .. })
-    }
-}
-
-/// The full audit of one lock table against one specification.
-#[derive(Debug, Clone)]
-pub struct TableAudit {
-    /// Name of the audited table (e.g. `bank_commutativity`).
-    pub table: String,
-    /// Name of the specification the derivation ran against.
-    pub spec_name: String,
-    /// Number of states explored.
-    pub states_explored: usize,
-    /// Distinct states cut by the cap (0 = enumeration exhaustive for the
-    /// configured depth, so verdicts are definitive).
-    pub truncated: usize,
-    /// Per-pair classifications (unordered pairs, `p <= q` in universe
-    /// order).
-    pub findings: Vec<PairFinding>,
-}
-
-impl TableAudit {
-    /// The hard errors (unsound or asymmetric entries).
-    pub fn errors(&self) -> impl Iterator<Item = &PairFinding> {
-        self.findings.iter().filter(|f| f.is_error())
-    }
-
-    /// The over-conservatism warnings.
-    pub fn warnings(&self) -> impl Iterator<Item = &PairFinding> {
-        self.findings.iter().filter(|f| f.is_warning())
-    }
-
-    /// Whether the table is sound (no errors; warnings allowed).
-    pub fn is_sound(&self) -> bool {
-        self.errors().next().is_none()
-    }
-
-    /// The finding for an unordered pair of operation *names* (first match
-    /// in universe order), if any.
-    pub fn finding(&self, p: &str, q: &str) -> Option<&PairFinding> {
-        self.findings
-            .iter()
-            .find(|f| (f.p.name() == p && f.q.name() == q) || (f.p.name() == q && f.q.name() == p))
-    }
-}
-
-/// Audits `table` against the relation derived from `spec` by enumerating
-/// states reachable with operations from `universe`.
-pub fn audit_table<S, F>(
-    table_name: &str,
-    spec_name: &str,
-    spec: &S,
-    universe: &[Operation],
-    table: F,
-    config: &AuditConfig,
-) -> TableAudit
-where
-    S: SequentialSpec,
-    S::State: Ord,
-    F: Fn(&Operation, &Operation) -> bool,
-{
-    let sample = sample_states(spec, universe, config.depth, config.max_states);
-    // An operation the spec never accepts anywhere would "commute"
-    // vacuously; flag it instead of certifying nonsense.
-    let supported: Vec<bool> = universe
-        .iter()
-        .map(|p| sample.states.iter().any(|s| !spec.step(s, p).is_empty()))
-        .collect();
-    let mut findings = Vec::new();
-    for i in 0..universe.len() {
-        for j in i..universe.len() {
-            let (p, q) = (&universe[i], &universe[j]);
-            let class = if !supported[i] || !supported[j] {
-                PairClass::Unsupported
-            } else if table(p, q) != table(q, p) {
-                PairClass::Asymmetric
-            } else {
-                let mut commuting = 0usize;
-                let mut witness = None;
-                for s in &sample.states {
-                    if commute_in_state(spec, s, p, q) {
-                        commuting += 1;
-                    } else if witness.is_none() {
-                        witness = Some(s);
-                    }
-                }
-                match (table(p, q), witness) {
-                    (true, Some(s)) => PairClass::Unsound(counterexample(spec, s, p, q)),
-                    (true, None) => PairClass::AgreeCommute,
-                    (false, None) | (false, Some(_)) if commuting > 0 => PairClass::Conservative {
-                        commuting_states: commuting,
-                        total_states: sample.states.len(),
-                    },
-                    (false, _) => PairClass::AgreeConflict,
-                }
-            };
-            findings.push(PairFinding {
-                p: p.clone(),
-                q: q.clone(),
-                class,
-            });
-        }
-    }
-    TableAudit {
-        table: table_name.to_string(),
-        spec_name: spec_name.to_string(),
-        states_explored: sample.states.len(),
-        truncated: sample.truncated,
-        findings,
-    }
-}
-
-fn counterexample<S: SequentialSpec>(
-    spec: &S,
-    state: &S::State,
-    p: &Operation,
-    q: &Operation,
-) -> Counterexample {
-    let pq = ordered_outcomes(spec, state, p, q);
-    // `ordered_outcomes(q, p)` reports `(result-of-q, result-of-p)`; flip
-    // so both sides of the certificate read `(result-of-p, result-of-q)`.
-    let mut qp: Vec<(Value, Value)> = ordered_outcomes(spec, state, q, p)
-        .into_iter()
-        .map(|(vq, vp)| (vp, vq))
-        .collect();
-    qp.sort();
-    Counterexample {
-        state: format!("{state:?}"),
-        pq_outcomes: pq,
-        qp_outcomes: qp,
-    }
-}
-
-/// The operation universe used to audit [`bank_commutativity`].
+/// The operation universe [`atomicity_baselines::bank_commutativity`] is
+/// diffed over.
 pub fn bank_universe() -> Vec<Operation> {
     vec![
         op("deposit", [5]),
@@ -288,7 +20,8 @@ pub fn bank_universe() -> Vec<Operation> {
     ]
 }
 
-/// The operation universe used to audit [`queue_commutativity`].
+/// The operation universe [`atomicity_baselines::queue_commutativity`] is
+/// diffed over.
 pub fn queue_universe() -> Vec<Operation> {
     vec![
         op("enqueue", [1]),
@@ -299,7 +32,8 @@ pub fn queue_universe() -> Vec<Operation> {
     ]
 }
 
-/// The operation universe used to audit [`set_commutativity`].
+/// The operation universe [`atomicity_baselines::set_commutativity`] is
+/// diffed over.
 pub fn set_universe() -> Vec<Operation> {
     vec![
         op("insert", [1]),
@@ -310,8 +44,8 @@ pub fn set_universe() -> Vec<Operation> {
     ]
 }
 
-/// The semiqueue operation universe (audited against the FIFO table to
-/// exhibit the paper's interleaved-`enq` over-conservatism).
+/// The semiqueue operation universe (diffed against the borrowed FIFO
+/// table to exhibit the paper's interleaved-`enq` over-conservatism).
 pub fn semiqueue_universe() -> Vec<Operation> {
     vec![
         op("enq", [1]),
@@ -321,123 +55,81 @@ pub fn semiqueue_universe() -> Vec<Operation> {
     ]
 }
 
-/// Audits every shipped lock table against its specification, plus the
-/// semiqueue universe against the (name-mismatched, hence fully
-/// conservative) FIFO table — the paper's §5.1 sub-optimality showcase.
-pub fn standard_audits(config: &AuditConfig) -> Vec<TableAudit> {
-    vec![
-        audit_table(
-            "bank_commutativity",
-            "BankAccountSpec",
-            &BankAccountSpec::new(),
-            &bank_universe(),
-            bank_commutativity,
-            config,
-        ),
-        audit_table(
-            "queue_commutativity",
-            "FifoQueueSpec",
-            &FifoQueueSpec::new(),
-            &queue_universe(),
-            queue_commutativity,
-            config,
-        ),
-        audit_table(
-            "set_commutativity",
-            "IntSetSpec",
-            &IntSetSpec::new(),
-            &set_universe(),
-            set_commutativity,
-            config,
-        ),
-        audit_table(
-            "queue_commutativity (on semiqueue)",
-            "SemiqueueSpec",
-            &SemiqueueSpec::new(),
-            &semiqueue_universe(),
-            queue_commutativity,
-            config,
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::{
+        gap_against, standard_syntheses, synthesize_table, SynthConfig, TableSynthesis,
+    };
+    use atomicity_baselines::bank_commutativity;
+    use atomicity_spec::specs::BankAccountSpec;
 
-    fn default_audits() -> Vec<TableAudit> {
-        standard_audits(&AuditConfig::default())
+    fn bank_over(universe: &[Operation]) -> TableSynthesis {
+        synthesize_table(
+            "bank",
+            "BankAccountSpec",
+            &BankAccountSpec::new(),
+            universe,
+            &SynthConfig::default(),
+        )
     }
 
     #[test]
     fn shipped_tables_are_sound_and_exhaustively_explored() {
-        for audit in default_audits() {
+        let suite = standard_syntheses(&SynthConfig::default());
+        assert_eq!(suite.gaps.len(), 5);
+        for gap in &suite.gaps {
             assert!(
-                audit.is_sound(),
-                "{} audited against {} has errors: {:?}",
-                audit.table,
-                audit.spec_name,
-                audit.errors().collect::<Vec<_>>()
+                gap.unsound.is_empty(),
+                "{} diffed against `{}` has errors: {:?}",
+                gap.hand_table,
+                gap.adt,
+                gap.unsound
             );
+        }
+        assert_eq!(suite.syntheses.len(), 6);
+        for s in &suite.syntheses {
             assert_eq!(
-                audit.truncated, 0,
+                s.table.truncated, 0,
                 "{} enumeration truncated — raise max_states",
-                audit.table
+                s.table.adt
             );
+            assert!(s.unsupported().is_empty(), "{}", s.table.adt);
         }
     }
 
     #[test]
     fn bank_withdraw_withdraw_is_a_conservative_warning() {
-        let audits = default_audits();
-        let bank = &audits[0];
-        let f = bank.finding("withdraw", "withdraw").unwrap();
-        assert!(f.is_warning(), "got {:?}", f.class);
-        assert!(!f.is_error());
-        // Identical withdrawals commute in every state; distinct amounts
-        // commute only where funds suffice for both orders.
-        match bank
-            .findings
+        let suite = standard_syntheses(&SynthConfig::default());
+        let bank = &suite.gaps[0];
+        // Distinct amounts conflict in general but commute wherever funds
+        // cover both orders: data-dependent, neither an error nor a lost
+        // table entry.
+        let e = bank
+            .data_dependent
             .iter()
-            .find(|f| {
-                f.p.name() == "withdraw"
-                    && f.q.name() == "withdraw"
-                    && f.p.int_arg(0) != f.q.int_arg(0)
-            })
-            .map(|f| &f.class)
-            .unwrap()
-        {
-            PairClass::Conservative {
-                commuting_states,
-                total_states,
-            } => {
-                assert!(commuting_states > &0);
-                assert!(commuting_states < total_states);
-            }
-            other => panic!("expected data-dependent conservatism, got {other:?}"),
-        }
+            .find(|e| e.p == "withdraw(5)" && e.q == "withdraw(3)")
+            .expect("withdraw/withdraw is data-dependent");
+        assert!(e.commuting_states > 0);
+        assert!(e.commuting_states < e.total_states);
+        assert!(bank.unsound.is_empty() && bank.minimal);
     }
 
     #[test]
     fn semiqueue_interleaved_enq_is_a_conservative_warning() {
-        let audits = default_audits();
-        let semi = &audits[3];
-        let f = semi
-            .findings
+        let suite = standard_syntheses(&SynthConfig::default());
+        let semi = &suite.gaps[3];
+        assert_eq!(semi.adt, "semiqueue");
+        let e = semi
+            .over_conservative
             .iter()
-            .find(|f| f.p.name() == "enq" && f.q.name() == "enq" && f.p != f.q)
-            .unwrap();
-        match &f.class {
-            PairClass::Conservative {
-                commuting_states,
-                total_states,
-            } => assert_eq!(
-                commuting_states, total_states,
-                "semiqueue enq/enq commutes unconditionally"
-            ),
-            other => panic!("expected a warning, got {other:?}"),
-        }
-        assert!(!f.is_error());
+            .find(|e| e.p == "enq(1)" && e.q == "enq(2)")
+            .expect("the borrowed FIFO table gives enq/enq away");
+        assert_eq!(
+            e.commuting_states, e.total_states,
+            "semiqueue enq/enq commutes unconditionally"
+        );
+        assert!(semi.unsound.is_empty());
     }
 
     #[test]
@@ -447,55 +139,44 @@ mod tests {
         let corrupt = |p: &Operation, q: &Operation| {
             (p.name() == "withdraw" && q.name() == "withdraw") || bank_commutativity(p, q)
         };
-        let audit = audit_table(
+        let gap = gap_against(
+            &bank_over(&bank_universe()),
             "bank_commutativity (corrupted)",
-            "BankAccountSpec",
-            &BankAccountSpec::new(),
-            &bank_universe(),
-            corrupt,
-            &AuditConfig::default(),
+            &corrupt,
         );
-        assert!(!audit.is_sound());
-        let err = audit.errors().next().unwrap();
-        match &err.class {
-            PairClass::Unsound(cex) => {
-                assert_ne!(cex.pq_outcomes, cex.qp_outcomes, "{cex}");
-                assert!(!cex.state.is_empty());
-            }
-            other => panic!("expected unsound, got {other:?}"),
-        }
+        assert!(!gap.minimal);
+        let err = gap
+            .unsound
+            .iter()
+            .find(|e| e.p == "withdraw(5)" && e.q == "withdraw(3)")
+            .expect("the forced entry is refuted");
+        assert!(err.witness.starts_with("in state "), "{}", err.witness);
+        assert!(err.witness.contains("under p;q but"), "{}", err.witness);
     }
 
     #[test]
     fn asymmetric_table_is_an_error() {
         let asym = |p: &Operation, q: &Operation| p.name() == "deposit" && q.name() == "balance";
-        let audit = audit_table(
-            "asymmetric",
-            "BankAccountSpec",
-            &BankAccountSpec::new(),
-            &bank_universe(),
-            asym,
-            &AuditConfig::default(),
+        let gap = gap_against(&bank_over(&bank_universe()), "asymmetric", &asym);
+        assert!(!gap.minimal);
+        assert!(
+            gap.unsound.iter().any(|e| e.p == "deposit(5)"
+                && e.q == "balance"
+                && e.witness.contains("asymmetric")),
+            "{:?}",
+            gap.unsound
         );
-        assert!(audit
-            .errors()
-            .any(|f| matches!(f.class, PairClass::Asymmetric)));
     }
 
     #[test]
     fn unknown_operations_are_flagged_unsupported() {
-        let audit = audit_table(
-            "bank_commutativity",
-            "BankAccountSpec",
-            &BankAccountSpec::new(),
-            &[op("deposit", [1]), op("frobnicate", [] as [i64; 0])],
-            bank_commutativity,
-            &AuditConfig::default(),
-        );
-        assert!(audit
-            .findings
-            .iter()
-            .any(|f| matches!(f.class, PairClass::Unsupported)));
-        assert!(audit.is_sound());
+        let frobnicate = op("frobnicate", [] as [i64; 0]);
+        let synth = bank_over(&[op("deposit", [1]), frobnicate.clone()]);
+        assert_eq!(synth.unsupported(), [&frobnicate]);
+        // Neither a lost-concurrency finding nor a conflict certificate:
+        // every verdict about an operation that never runs is vacuous.
+        let gap = gap_against(&synth, "bank_commutativity", &bank_commutativity);
+        assert!(!format!("{gap:?}").contains("frobnicate"), "{gap:?}");
+        assert!(gap.unsound.is_empty() && gap.minimal);
     }
 }

@@ -695,9 +695,11 @@ mod tests {
             assert_eq!(c.is_certified(), is_static_atomic(&h, &spec), "{c}");
             assert_eq!(c.method, Method::TimestampOrder);
         }
-        let h = paper::hybrid_example();
-        let c = certify(Property::Hybrid, &h, &spec);
-        assert_eq!(c.is_certified(), is_hybrid_atomic(&h, &spec), "{c}");
+        for h in [paper::hybrid_example(), paper::atomic_not_hybrid()] {
+            let c = certify(Property::Hybrid, &h, &spec);
+            assert_eq!(c.is_certified(), is_hybrid_atomic(&h, &spec), "{c}");
+        }
+        assert!(certify(Property::Hybrid, &History::new(), &spec).is_certified());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Pass 6: the dependency-footprint extractor — static read/write-set
+//! Pass 5: the dependency-footprint extractor — static read/write-set
 //! analysis of transaction programs.
 //!
 //! Dependency-logged recovery (Yao et al., the ROADMAP's parallel-recovery

@@ -5,15 +5,27 @@
 //! halves of that claim into machine-checked artifacts that are cheap
 //! enough to run on every commit:
 //!
-//! 1. [`audit`] — the **conflict-table audit**. Each hand-written lock
-//!    table is diffed against the commutativity relation derived by
-//!    exhaustive bounded-state enumeration over the corresponding
-//!    sequential specification. A table entry that *permits* a
-//!    non-commuting pair is **unsound** (hard error, with a concrete
-//!    state/result counterexample certificate); an entry that *forbids* a
-//!    pair which commutes in every reachable state is **over-conservative**
-//!    (warning — the paper's sub-optimality examples, bank
-//!    `withdraw/withdraw` and semiqueue interleaved `enq`, land here).
+//! 1. [`synth`] — **conflict-table synthesis and the hand-table diff**.
+//!    The commutativity relation is *derived* from each sequential
+//!    specification (pairwise forward commutativity over an exhaustive
+//!    bounded state universe, generalized into argument-shape buckets) and
+//!    shipped to the engines as a generated
+//!    [`atomicity_core::ConflictTable`]. The pass re-proves its own output
+//!    ([`verify_table`]) and diffs every hand-written lock table against
+//!    it ([`gap_against`]): an entry that *permits* a pair the synthesis
+//!    refutes, or a relation that is not symmetric, is **unsound** (hard
+//!    error, with a state/result counterexample certificate); an entry
+//!    that *forbids* a pair which forward-commutes in every reachable
+//!    state is **over-conservative** (warning — the semiqueue's
+//!    interleaved `enq`s land here), and one that commutes in only some
+//!    states is **data-dependent** (the paper's bank `withdraw/withdraw`).
+//!    It also reports the right-mover/recoverability asymmetries of Malta
+//!    & Martinez. This is the only code in the workspace that decides
+//!    whether two operations commute; an earlier audit pass that judged
+//!    the hand tables by the *observational* relation was dropped because
+//!    that relation is unsound for locking non-deterministic operations
+//!    (see [`synth`]'s module doc). [`audit`] keeps the operation
+//!    universes of the ADTs that have hand tables.
 //!
 //! 2. [`certify()`] — **linear-time history certification**. The exhaustive
 //!    dynamic-atomicity checker enumerates every total order consistent
@@ -31,48 +43,35 @@
 //!    machinery of `core::deadlock` cannot see because they live *under*
 //!    it, in the engines' own mutexes.
 //!
-//! 4. [`synth`] — **conflict-table synthesis**. The auditor inverted: the
-//!    commutativity relation is *derived* from the specification (pairwise
-//!    forward commutativity over an exhaustive bounded state universe,
-//!    generalized into argument-shape buckets) and shipped to the engines
-//!    as a generated [`atomicity_core::ConflictTable`], replacing the
-//!    hand-written tables. The pass re-proves its own output
-//!    ([`verify_table`]), certifies where each hand table is minimal or
-//!    provably over-conservative ([`gap_against`]), and reports the
-//!    right-mover/recoverability asymmetries of Malta & Martinez.
-//!
-//! 5. [`nondet`] — the **nondeterminism lint**, generalizing the
+//! 4. [`nondet`] — the **nondeterminism lint**, generalizing the
 //!    simulator's wall-clock scan: a configurable source scan for
 //!    nondeterminism escape hatches (wall clocks in deterministic code,
 //!    unseeded RNG anywhere) with a per-rule allowlist.
 //!
-//! 6. [`footprint`] — the **dependency-footprint extractor**: a static
+//! 5. [`footprint`] — the **dependency-footprint extractor**: a static
 //!    read/write-set analysis of the transaction programs in the bench
 //!    workloads, the seed format for dependency-logged parallel recovery.
 //!
 //! The `experiments lint` subcommand in `atomicity-bench` runs passes 1,
-//! 3 and 5 as a CI gate (any unsound table entry, lock-order cycle, or
-//! nondeterminism finding makes it exit non-zero); `experiments lint
-//! --synth` additionally runs pass 4 end-to-end and writes the gap-report
-//! JSON artifact.
+//! 3 and 4 as a CI gate (any unsound table entry, lock-order cycle, or
+//! nondeterminism finding makes it exit non-zero) and writes pass 1's
+//! gap-report JSON artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
 pub mod certify;
+mod derive;
 pub mod footprint;
-pub mod hook;
 pub mod lockorder;
 pub mod nondet;
 pub mod synth;
 
-pub use audit::{audit_table, standard_audits, AuditConfig, Counterexample, PairClass, TableAudit};
 pub use certify::{
     certify, certify_with_relation, Certificate, Method, Property, Verdict, Violation,
 };
 pub use footprint::{extract_footprints, FnFootprint, FootprintReport, OpClass};
-pub use hook::CertifierHook;
 pub use lockorder::{audit_lock_order, LockOrderReport, SourceFile};
 pub use nondet::{scan_nondeterminism, NondetConfig, NondetFinding, NondetRule};
 pub use synth::{

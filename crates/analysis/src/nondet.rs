@@ -1,4 +1,4 @@
-//! Pass 5: the nondeterminism lint — a configurable source scan for
+//! Pass 4: the nondeterminism lint — a configurable source scan for
 //! nondeterminism escape hatches.
 //!
 //! Generalizes the simulator's original `no_wall_clock.rs` test: the

@@ -1,24 +1,26 @@
-//! Pass 4: conflict-table **synthesis** — machine-derive commutativity
-//! tables from sequential specifications.
+//! Pass 1: conflict-table **synthesis** — machine-derive commutativity
+//! tables from sequential specifications, and diff the hand-written ones
+//! against them.
 //!
-//! The audit pass (pass 1) checks hand-written tables after the fact; this
-//! pass makes them unnecessary. For every pair of operation instances in a
-//! bounded universe it decides **pairwise forward commutativity** over an
-//! exhaustively enumerated bounded state space, generalizes the
-//! per-instance verdicts into [`ConflictTable`] rules bucketed by
-//! [`ArgRelation`], and ships the result to the engines. Three artifacts
-//! ride along:
+//! For every pair of operation instances in a bounded universe this pass
+//! decides **pairwise forward commutativity** over an exhaustively
+//! enumerated bounded state space, generalizes the per-instance verdicts
+//! into [`ConflictTable`] rules bucketed by [`ArgRelation`], and ships the
+//! result to the engines. It is the only code in the workspace that
+//! decides whether two operations commute. Three artifacts ride along:
 //!
 //! - **Soundness self-check** ([`verify_table`]): every commuting rule is
 //!   re-proven instance-by-instance, state-by-state; a violation carries a
-//!   [`ForwardCounterexample`] certificate. This is the `lint --synth` CI
-//!   gate (and what catches the `--demo-unsound` injected corruption).
+//!   [`ForwardCounterexample`] certificate. This is the `lint` CI gate
+//!   (and what catches the `--demo-unsound` injected corruption).
 //! - **Minimality / gap report** ([`gap_against`]): each hand-table entry
 //!   stricter than the synthesized relation gets a witness-state
 //!   certificate quantifying the lost concurrency; conversely each
 //!   hand-table conflict that the synthesis also proves necessary gets a
 //!   concrete conflicting state, so "the hand table is minimal" is a
-//!   checked claim, not an assumption.
+//!   checked claim, not an assumption. A hand-table entry the synthesis
+//!   refutes, or a hand relation that is not symmetric, is **unsound** —
+//!   fatal in `lint`.
 //! - **Right-mover asymmetries** ([`Asymmetry`]), the recoverability
 //!   relations of Malta & Martinez: ordered pairs where `p;q` can always
 //!   be reordered to `q;p` but not conversely — constraints on log
@@ -26,25 +28,26 @@
 //!
 //! # Why *forward* commutativity
 //!
-//! The observational relation used by the audit (`commute_in_state` in
-//! `atomicity-baselines`) compares the outcome sets of the two sequential
-//! orders `p;q` and `q;p`. That matches how a *scheduler* observes a serial
-//! history, but it is **unsound** as a locking relation for
+//! The observational relation — compare the outcome sets of the two
+//! sequential orders `p;q` and `q;p` — matches how a *scheduler* observes
+//! a serial history, but it is **unsound** as a locking relation for
 //! non-deterministic operations: semiqueue `deq`/`deq` observationally
 //! "commute" in the state `{1,2}` (both orders can yield `{1 then 2}` or
 //! `{2 then 1}`), yet two concurrent holders would each independently take
-//! the *same* element. The commutativity-locking engine executes each
-//! holder against its own frontier — results are computed **independently
-//! from the same base state** — so the sound relation is: for every result
-//! `vp` of `p` at `s` and every result `vq` of `q` at `s`, *both*
-//! interleavings `[(p,vp),(q,vq)]` and `[(q,vq),(p,vp)]` replay from `s`
-//! and reach identical state sets. That is
-//! [`forward_commute_in_state`]. On deterministic operations it coincides
-//! with the observational relation; on non-deterministic ones it is
-//! strictly stronger exactly where locking needs it to be.
+//! the *same* element. (An earlier audit pass judged the hand tables by
+//! that relation; it was dropped for this reason.) The commutativity-locking
+//! engine executes each holder against its own frontier — results are
+//! computed **independently from the same base state** — so the sound
+//! relation is: for every result `vp` of `p` at `s` and every result `vq`
+//! of `q` at `s`, *both* interleavings `[(p,vp),(q,vq)]` and
+//! `[(q,vq),(p,vp)]` replay from `s` and reach identical state sets. That
+//! is [`forward_commute_in_state`]. On deterministic operations it
+//! coincides with the observational relation; on non-deterministic ones it
+//! is strictly stronger exactly where locking needs it to be.
 
-use atomicity_baselines::derive::{same_state_set, sample_states};
-use atomicity_baselines::{bank_commutativity, queue_commutativity, set_commutativity};
+use atomicity_baselines::{
+    bank_commutativity, map_commutativity, queue_commutativity, set_commutativity,
+};
 use atomicity_core::conflict::{
     arg_relation, ArgRelation, CommutesRel, ConflictRule, ConflictTable,
 };
@@ -57,6 +60,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::audit::{bank_universe, queue_universe, semiqueue_universe, set_universe};
+use crate::derive::{same_state_set, sample_states};
 
 /// Bounds for the synthesis state enumeration.
 #[derive(Debug, Clone, Copy)]
@@ -192,6 +196,20 @@ impl TableSynthesis {
         self.instances
             .iter()
             .find(|v| (&v.p == p && &v.q == q) || (&v.p == q && &v.q == p))
+    }
+
+    /// The universe operations the specification accepts in no explored
+    /// state (unknown or ill-typed). Every verdict about one is vacuous —
+    /// it "commutes" with everything because it never runs — so
+    /// [`gap_against`] classifies none of its pairs. Read off the
+    /// operation's verdict against itself: an operation enabled anywhere
+    /// leaves a commuting witness or a counterexample there.
+    pub fn unsupported(&self) -> Vec<&Operation> {
+        self.instances
+            .iter()
+            .filter(|v| v.p == v.q && v.commuting_witness.is_none() && v.counterexample.is_none())
+            .map(|v| &v.p)
+            .collect()
     }
 }
 
@@ -475,8 +493,9 @@ pub struct HandTableGap {
     /// hand table provably gives away, each with a witness state where both
     /// operations run and commute.
     pub over_conservative: Vec<GapEntry>,
-    /// Hand-table *commutes* that the synthesis refutes — soundness bugs in
-    /// the hand table (always empty for the shipped tables).
+    /// Hand-table *commutes* that the synthesis refutes, and pairs the hand
+    /// relation answers differently in its two argument orders — soundness
+    /// bugs in the hand table (always empty for the shipped tables).
     pub unsound: Vec<GapEntry>,
     /// Hand-table conflicts that are justified in general but commute in
     /// some states — the data-dependent residue only dynamic admission can
@@ -496,7 +515,10 @@ pub struct HandTableGap {
 /// `data_dependent` / `justified` for hand-conflicts (depending on whether
 /// the *generated table* admits the pair, and on whether any state
 /// conflicts), `unsound` for hand-commutes refuted by a per-instance
-/// counterexample.
+/// counterexample or because the hand relation is not symmetric. Pairs
+/// involving an operation the specification never accepts
+/// ([`TableSynthesis::unsupported`]) are left out of every class, so they
+/// count neither toward nor against `minimal`.
 pub fn gap_against(
     synth: &TableSynthesis,
     hand_name: &str,
@@ -511,6 +533,7 @@ pub fn gap_against(
         justified: Vec::new(),
         minimal: true,
     };
+    let unsupported = synth.unsupported();
     for v in &synth.instances {
         let hand_commutes = hand.commutes(&v.p, &v.q);
         let entry = |witness: String| GapEntry {
@@ -521,6 +544,17 @@ pub fn gap_against(
             total_states: v.total_states,
             witness,
         };
+        if hand_commutes != hand.commutes(&v.q, &v.p) {
+            gap.unsound.push(entry(format!(
+                "asymmetric hand relation: commutes({}, {}) = {hand_commutes} but \
+                 commutes({}, {}) = {}",
+                v.p, v.q, v.q, v.p, !hand_commutes
+            )));
+            continue;
+        }
+        if [&v.p, &v.q].iter().any(|o| unsupported.contains(o)) {
+            continue;
+        }
         if hand_commutes {
             if let Some(ce) = &v.counterexample {
                 gap.unsound.push(entry(ce.to_string()));
@@ -591,8 +625,8 @@ pub struct SynthSuite {
     /// One synthesis per ADT (bank, queue, set, semiqueue, map, escrow).
     pub syntheses: Vec<TableSynthesis>,
     /// Gap reports for the ADTs that have hand-written tables in
-    /// `atomicity-baselines` (the bench crate appends its own map table's
-    /// report). The escrow counter has none: its table is 100%
+    /// `atomicity-baselines` (bank, queue, set, the semiqueue's borrowed
+    /// one, map). The escrow counter has none: its table is 100%
     /// machine-derived.
     pub gaps: Vec<HandTableGap>,
 }
@@ -667,6 +701,7 @@ pub fn standard_syntheses(config: &SynthConfig) -> SynthSuite {
             "queue_commutativity (borrowed)",
             &queue_commutativity,
         ),
+        gap_against(&map, "map_commutativity", &map_commutativity),
     ];
 
     SynthSuite {
@@ -777,14 +812,27 @@ mod tests {
 
     #[test]
     fn forward_is_strictly_stronger_than_observational_on_the_semiqueue() {
-        use atomicity_baselines::derive::commute_in_state;
         let spec = SemiqueueSpec::new();
-        // State {1,2}: observationally deq/deq commute (either order can
-        // produce either pair), but they do not forward-commute: both
-        // holders can independently take 1.
+        // State {1,2}: observationally deq/deq commute (run in sequence,
+        // either order can produce either result pair and ends in {}), but
+        // they do not forward-commute: both holders can independently
+        // take 1.
         let state: std::collections::BTreeMap<i64, u32> = [(1, 1), (2, 1)].into_iter().collect();
         let deq = op("deq", [] as [i64; 0]);
-        assert!(commute_in_state(&spec, &state, &deq, &deq));
+        let mut sequential: Vec<(Value, Value)> = Vec::new();
+        for (first, after) in spec.step(&state, &deq) {
+            for (second, end) in spec.step(&after, &deq) {
+                assert!(end.is_empty());
+                sequential.push((first.clone(), second));
+            }
+        }
+        sequential.sort();
+        let mut swapped: Vec<_> = sequential
+            .iter()
+            .map(|(a, b)| (b.clone(), a.clone()))
+            .collect();
+        swapped.sort();
+        assert_eq!(sequential, swapped, "same result pairs in either order");
         assert!(!forward_commute_in_state(&spec, &state, &deq, &deq));
     }
 

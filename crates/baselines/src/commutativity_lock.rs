@@ -1,15 +1,9 @@
 //! Commutativity-table locking (Schwarz & Spector 82).
 
-use crate::locks::ModeLock;
-use crate::{invalid_operation, Deferred};
-use atomicity_core::trace::ObjectMetrics;
-use atomicity_core::{
-    Admission, AdmissionOutcome, AdmissionRequest, AtomicObject, CommutesRel, HistoryLog,
-    Participant, Txn, TxnError, TxnManager,
-};
-use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
-use parking_lot::Mutex;
-use std::sync::{Arc, Weak};
+use crate::locked::{LockRelation, LockedObject};
+use atomicity_core::{CommutesRel, TxnManager};
+use atomicity_spec::{ObjectId, Operation, SequentialSpec};
+use std::sync::Arc;
 
 /// A static commutativity predicate over operations: `true` iff the two
 /// operations commute **in every state** — the state-independent relation
@@ -18,7 +12,8 @@ use std::sync::{Arc, Weak};
 /// Function pointers of this type implement
 /// [`CommutesRel`](atomicity_core::CommutesRel), as do the generated
 /// [`ConflictTable`](atomicity_core::ConflictTable)s from `atomicity-lint`;
-/// [`CommutativityLockedObject::with_relation`] accepts either.
+/// [`CommutativityLockedObject::with_relation`](LockedObject::with_relation)
+/// accepts either.
 pub type Commutes = fn(&Operation, &Operation) -> bool;
 
 /// The §5.1 commutativity table for the bank account: only
@@ -62,6 +57,24 @@ pub fn set_commutativity(p: &Operation, q: &Operation) -> bool {
     }
 }
 
+/// The kv-map table: different keys always commute; same-key
+/// `adjust`/`adjust` commutes; observers commute with observers.
+/// Whole-map scans (`sum`, `size`) conflict with every mutator.
+pub fn map_commutativity(p: &Operation, q: &Operation) -> bool {
+    let observer = |n: &str| matches!(n, "get" | "sum" | "size");
+    let scan = |n: &str| matches!(n, "sum" | "size");
+    if observer(p.name()) && observer(q.name()) {
+        return true;
+    }
+    if scan(p.name()) || scan(q.name()) {
+        return false;
+    }
+    match (p.int_arg(0), q.int_arg(0)) {
+        (Some(i), Some(j)) if i != j => true,
+        _ => matches!((p.name(), q.name()), ("adjust", "adjust")),
+    }
+}
+
 /// An object protected by operation-level locks with a **static
 /// commutativity table**.
 ///
@@ -89,179 +102,36 @@ pub fn set_commutativity(p: &Operation, q: &Operation) -> bool {
 /// mgr.commit(t)?;
 /// # Ok::<(), atomicity_core::TxnError>(())
 /// ```
-pub struct CommutativityLockedObject<S: SequentialSpec> {
-    id: ObjectId,
-    spec: S,
-    commutes: Arc<dyn CommutesRel>,
-    log: HistoryLog,
-    lock: ModeLock<Operation>,
-    state: Mutex<Deferred<S>>,
-    metrics: ObjectMetrics,
-    self_ref: Weak<CommutativityLockedObject<S>>,
+pub type CommutativityLockedObject<S> = LockedObject<S, Arc<dyn CommutesRel>>;
+
+/// The lock mode is the operation itself; two holders are compatible iff
+/// the table says their operations commute.
+impl<S: SequentialSpec> LockRelation<S> for Arc<dyn CommutesRel> {
+    type Mode = Operation;
+
+    fn mode(&self, _spec: &S, operation: &Operation) -> Operation {
+        operation.clone()
+    }
+
+    fn compatible(&self, a: &Operation, b: &Operation) -> bool {
+        self.commutes(a, b)
+    }
 }
 
-impl<S: SequentialSpec> CommutativityLockedObject<S> {
+impl<S: SequentialSpec> LockedObject<S, Arc<dyn CommutesRel>> {
     /// Creates the object with the given hand-written commutativity table.
     pub fn new(id: ObjectId, spec: S, mgr: &TxnManager, commutes: Commutes) -> Arc<Self> {
         Self::with_relation(id, spec, mgr, Arc::new(commutes))
-    }
-
-    /// Creates the object with any [`CommutesRel`] — in particular a
-    /// machine-generated [`ConflictTable`](atomicity_core::ConflictTable)
-    /// from the `atomicity-lint` synthesis pass.
-    pub fn with_relation(
-        id: ObjectId,
-        spec: S,
-        mgr: &TxnManager,
-        commutes: Arc<dyn CommutesRel>,
-    ) -> Arc<Self> {
-        let state = Mutex::new(Deferred::new(&spec));
-        Arc::new_cyclic(|self_ref| CommutativityLockedObject {
-            id,
-            spec,
-            commutes,
-            log: mgr.log(),
-            lock: ModeLock::new(),
-            state,
-            metrics: mgr.metrics().object(id),
-            self_ref: self_ref.clone(),
-        })
-    }
-
-    /// Number of transactions currently holding operation locks here.
-    pub fn holder_count(&self) -> usize {
-        self.lock.holder_count()
-    }
-}
-
-impl<S: SequentialSpec> AtomicObject for CommutativityLockedObject<S> {
-    fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        self.try_admit(txn, operation).into_result(self.id)
-    }
-
-    fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
-        self.register_txn(txn);
-        let me = txn.id();
-        // Validity pre-check so ill-typed operations leave no events.
-        let results = self.state.lock().results_for(&self.spec, me, &operation);
-        if results.is_empty() {
-            return Err(invalid_operation(self.id, &operation));
-        }
-        self.log
-            .record(Event::invoke(me, self.id, operation.clone()));
-        let commutes = |a: &Operation, b: &Operation| self.commutes.commutes(a, b);
-        let invoke_sw = self.metrics.stopwatch();
-        // Fast path first so block-wait time is only measured under
-        // contention.
-        if !self.lock.try_acquire(txn, operation.clone(), commutes) {
-            self.metrics.record_block_round(me);
-            let block_sw = self.metrics.stopwatch();
-            if let Err(e) = self.lock.acquire(txn, self.id, operation.clone(), commutes) {
-                if matches!(e, TxnError::Deadlock { .. }) {
-                    self.metrics.record_deadlock_kill(me);
-                }
-                return Err(e);
-            }
-            self.metrics.record_block_wait(&block_sw);
-        }
-        let v = self.execute_locked(me, operation)?;
-        self.metrics.record_admission(me, &invoke_sw);
-        self.log.record(Event::respond(me, self.id, v.clone()));
-        Ok(v)
-    }
-
-    fn metrics(&self) -> ObjectMetrics {
-        self.metrics.clone()
-    }
-}
-
-impl<S: SequentialSpec> CommutativityLockedObject<S> {
-    /// Executes `operation` for `me`, whose operation lock is already held.
-    fn execute_locked(&self, me: ActivityId, operation: Operation) -> Result<Value, TxnError> {
-        let invalid = invalid_operation(self.id, &operation);
-        let mut st = self.state.lock();
-        st.execute(&self.spec, me, operation).ok_or(invalid)
-    }
-}
-
-impl<S: SequentialSpec> Admission for CommutativityLockedObject<S> {
-    fn register_txn(&self, txn: &Txn) {
-        txn.register(
-            self.self_ref
-                .upgrade()
-                .expect("CommutativityLockedObject used after its Arc was dropped"),
-        );
-    }
-
-    fn admit_one(&self, request: &AdmissionRequest) -> AdmissionOutcome {
-        let me = request.txn;
-        let operation = &request.operation;
-        let commutes = |a: &Operation, b: &Operation| self.commutes.commutes(a, b);
-        let invoke_sw = self.metrics.stopwatch();
-        if let Err(holders) = self.lock.try_acquire_id(me, operation.clone(), commutes) {
-            self.metrics.record_block_round(me);
-            return AdmissionOutcome::Blocked { holders };
-        }
-        // Mode taken; on an invalid operation it stays held until
-        // commit/abort, as in the blocking path.
-        match self.execute_locked(me, operation.clone()) {
-            Ok(v) => {
-                self.metrics.record_admission(me, &invoke_sw);
-                self.log.record_all([
-                    Event::invoke(me, self.id, operation.clone()),
-                    Event::respond(me, self.id, v.clone()),
-                ]);
-                AdmissionOutcome::Admitted(v)
-            }
-            Err(e) => AdmissionOutcome::Rejected(e),
-        }
-    }
-}
-
-impl<S: SequentialSpec> Participant for CommutativityLockedObject<S> {
-    fn object_id(&self) -> ObjectId {
-        self.id
-    }
-
-    fn commit(&self, txn: ActivityId, ts: Option<Timestamp>) {
-        let mut st = self.state.lock();
-        st.install(&self.spec, txn);
-        let event = match ts {
-            Some(t) => Event::commit_ts(txn, self.id, t),
-            None => Event::commit(txn, self.id),
-        };
-        self.metrics.record_commit(txn);
-        self.log.record(event);
-        drop(st);
-        self.lock.release_all(txn);
-    }
-
-    fn abort(&self, txn: ActivityId) {
-        self.state.lock().discard(txn);
-        self.metrics.record_abort(txn);
-        self.log.record(Event::abort(txn, self.id));
-        self.lock.release_all(txn);
-    }
-}
-
-impl<S: SequentialSpec> std::fmt::Debug for CommutativityLockedObject<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommutativityLockedObject")
-            .field("id", &self.id)
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomicity_core::Protocol;
+    use atomicity_core::{AtomicObject, Protocol, TxnError};
     use atomicity_spec::atomicity::is_dynamic_atomic;
     use atomicity_spec::specs::{BankAccountSpec, IntSetSpec};
-    use atomicity_spec::{op, SystemSpec};
+    use atomicity_spec::{op, SystemSpec, Value};
     use std::time::Duration;
 
     fn x() -> ObjectId {
@@ -414,5 +284,23 @@ mod tests {
         mgr.commit(b).unwrap();
         let spec = SystemSpec::new().with_object(x(), BankAccountSpec::new());
         assert!(is_dynamic_atomic(&mgr.history(), &spec));
+    }
+
+    #[test]
+    fn map_table_shape() {
+        assert!(map_commutativity(
+            &op("adjust", [1, 5]),
+            &op("adjust", [1, 9])
+        ));
+        assert!(map_commutativity(&op("put", [1, 5]), &op("put", [2, 9])));
+        assert!(!map_commutativity(&op("put", [1, 5]), &op("put", [1, 9])));
+        assert!(!map_commutativity(
+            &op("adjust", [1, 5]),
+            &op("sum", [] as [i64; 0])
+        ));
+        assert!(map_commutativity(
+            &op("get", [1]),
+            &op("sum", [] as [i64; 0])
+        ));
     }
 }

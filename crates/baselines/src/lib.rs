@@ -6,7 +6,10 @@
 //! - [`CommutativityLockedObject`]: operation-level locking with a
 //!   *static commutativity table* (Schwarz & Spector 82, Korth 81,
 //!   Bernstein 81) — two operations may run concurrently only if the
-//!   table says they commute, independent of the current state.
+//!   table says they commute, independent of the current state. The two
+//!   are one lock-based deferred-update object, [`LockedObject`], under
+//!   two compatibility relations: 2PL is commutativity locking under
+//!   "both are read-only".
 //! - [`SchedulerModel`]: the scheduler/storage architecture of Figure 5-1,
 //!   with the property the paper criticizes: invocations are applied to
 //!   the storage module in schedule order, so the storage state — not the
@@ -23,15 +26,17 @@
 #![warn(missing_docs)]
 
 mod commutativity_lock;
-pub mod derive;
+mod locked;
 mod locks;
 mod reed_rw;
 mod rw_2pl;
 mod scheduler_model;
 
 pub use commutativity_lock::{
-    bank_commutativity, queue_commutativity, set_commutativity, CommutativityLockedObject, Commutes,
+    bank_commutativity, map_commutativity, queue_commutativity, set_commutativity,
+    CommutativityLockedObject, Commutes,
 };
+pub use locked::LockedObject;
 pub use locks::{LockMode, ModeLock};
 pub use reed_rw::ReedRegister;
 pub use rw_2pl::TwoPhaseLockedObject;
@@ -50,7 +55,7 @@ pub(crate) fn invalid_operation(object: ObjectId, operation: &Operation) -> TxnE
     }
 }
 
-/// The deferred-update state both lock baselines keep behind their
+/// The deferred-update state the lock-based object keeps behind its
 /// `state` mutex: the committed frontier and, per active transaction,
 /// the intentions list applied to it at commit.
 pub(crate) struct Deferred<S: SequentialSpec> {

@@ -1,16 +1,10 @@
 //! Strict two-phase locking with read/write locks.
 
-use crate::locks::{LockMode, ModeLock};
-use crate::{invalid_operation, Deferred};
-use atomicity_core::stats::StatsSnapshot;
-use atomicity_core::trace::ObjectMetrics;
-use atomicity_core::{
-    Admission, AdmissionOutcome, AdmissionRequest, AtomicObject, HistoryLog, Participant, Txn,
-    TxnError, TxnManager,
-};
-use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
-use parking_lot::Mutex;
-use std::sync::{Arc, Weak};
+use crate::locked::{LockRelation, LockedObject};
+use crate::locks::LockMode;
+use atomicity_core::TxnManager;
+use atomicity_spec::{ObjectId, Operation, SequentialSpec};
+use std::sync::Arc;
 
 /// An object protected by strict two-phase read/write locking.
 ///
@@ -40,182 +34,44 @@ use std::sync::{Arc, Weak};
 /// mgr.commit(t)?;
 /// # Ok::<(), atomicity_core::TxnError>(())
 /// ```
-pub struct TwoPhaseLockedObject<S: SequentialSpec> {
-    id: ObjectId,
-    spec: S,
-    log: HistoryLog,
-    lock: ModeLock<LockMode>,
-    state: Mutex<Deferred<S>>,
-    metrics: ObjectMetrics,
-    self_ref: Weak<TwoPhaseLockedObject<S>>,
-}
+pub type TwoPhaseLockedObject<S> = LockedObject<S, ReadWrite>;
 
-impl<S: SequentialSpec> TwoPhaseLockedObject<S> {
-    /// Creates the object and wires it to the manager's history log.
-    pub fn new(id: ObjectId, spec: S, mgr: &TxnManager) -> Arc<Self> {
-        let state = Mutex::new(Deferred::new(&spec));
-        Arc::new_cyclic(|self_ref| TwoPhaseLockedObject {
-            id,
-            spec,
-            log: mgr.log(),
-            lock: ModeLock::new(),
-            state,
-            metrics: mgr.metrics().object(id),
-            self_ref: self_ref.clone(),
-        })
-    }
+/// The read/write relation derived from [`SequentialSpec::is_read_only`]:
+/// an operation locks in [`LockMode::Read`] if it is read-only, else in
+/// [`LockMode::Write`].
+#[derive(Debug)]
+pub struct ReadWrite;
 
-    /// Number of transactions currently holding locks here.
-    pub fn holder_count(&self) -> usize {
-        self.lock.holder_count()
-    }
+impl<S: SequentialSpec> LockRelation<S> for ReadWrite {
+    type Mode = LockMode;
 
-    /// A snapshot of this object's contention counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.metrics.stats()
-    }
-}
-
-impl<S: SequentialSpec> AtomicObject for TwoPhaseLockedObject<S> {
-    fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        self.try_admit(txn, operation).into_result(self.id)
-    }
-
-    fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
-        self.register_txn(txn);
-        let me = txn.id();
-        let mode = self.mode_of(&operation);
-        // Validity pre-check so ill-typed operations leave no events.
-        let results = self.state.lock().results_for(&self.spec, me, &operation);
-        if results.is_empty() {
-            return Err(invalid_operation(self.id, &operation));
-        }
-        self.log
-            .record(Event::invoke(me, self.id, operation.clone()));
-        let invoke_sw = self.metrics.stopwatch();
-        // Fast path first so the blocking path (and its wait timing) is
-        // only entered when the lock is actually contended.
-        if !self.lock.try_acquire(txn, mode, |a, b| a.compatible(*b)) {
-            self.metrics.record_block_round(me);
-            let block_sw = self.metrics.stopwatch();
-            if let Err(e) = self
-                .lock
-                .acquire(txn, self.id, mode, |a, b| a.compatible(*b))
-            {
-                if matches!(e, TxnError::Deadlock { .. }) {
-                    self.metrics.record_deadlock_kill(me);
-                }
-                return Err(e);
-            }
-            self.metrics.record_block_wait(&block_sw);
-        }
-        let v = self.execute_locked(me, operation)?;
-        self.metrics.record_admission(me, &invoke_sw);
-        self.log.record(Event::respond(me, self.id, v.clone()));
-        Ok(v)
-    }
-
-    fn metrics(&self) -> ObjectMetrics {
-        self.metrics.clone()
-    }
-}
-
-impl<S: SequentialSpec> TwoPhaseLockedObject<S> {
-    fn mode_of(&self, operation: &Operation) -> LockMode {
-        if self.spec.is_read_only(operation) {
+    fn mode(&self, spec: &S, operation: &Operation) -> LockMode {
+        if spec.is_read_only(operation) {
             LockMode::Read
         } else {
             LockMode::Write
         }
     }
 
-    /// Executes `operation` for `me`, whose lock mode is already held.
-    fn execute_locked(&self, me: ActivityId, operation: Operation) -> Result<Value, TxnError> {
-        let invalid = invalid_operation(self.id, &operation);
-        let mut st = self.state.lock();
-        st.execute(&self.spec, me, operation).ok_or(invalid)
+    fn compatible(&self, a: &LockMode, b: &LockMode) -> bool {
+        a.compatible(*b)
     }
 }
 
-impl<S: SequentialSpec> Admission for TwoPhaseLockedObject<S> {
-    fn register_txn(&self, txn: &Txn) {
-        txn.register(
-            self.self_ref
-                .upgrade()
-                .expect("TwoPhaseLockedObject used after its Arc was dropped"),
-        );
-    }
-
-    fn admit_one(&self, request: &AdmissionRequest) -> AdmissionOutcome {
-        let me = request.txn;
-        let operation = &request.operation;
-        let mode = self.mode_of(operation);
-        let invoke_sw = self.metrics.stopwatch();
-        if let Err(holders) = self.lock.try_acquire_id(me, mode, |a, b| a.compatible(*b)) {
-            self.metrics.record_block_round(me);
-            return AdmissionOutcome::Blocked { holders };
-        }
-        // Lock taken; execute and record invoke+respond atomically. On an
-        // invalid operation the mode stays held until commit/abort, as in
-        // the blocking path.
-        match self.execute_locked(me, operation.clone()) {
-            Ok(v) => {
-                self.metrics.record_admission(me, &invoke_sw);
-                self.log.record_all([
-                    Event::invoke(me, self.id, operation.clone()),
-                    Event::respond(me, self.id, v.clone()),
-                ]);
-                AdmissionOutcome::Admitted(v)
-            }
-            Err(e) => AdmissionOutcome::Rejected(e),
-        }
-    }
-}
-
-impl<S: SequentialSpec> Participant for TwoPhaseLockedObject<S> {
-    fn object_id(&self) -> ObjectId {
-        self.id
-    }
-
-    fn commit(&self, txn: ActivityId, ts: Option<Timestamp>) {
-        let mut st = self.state.lock();
-        st.install(&self.spec, txn);
-        let event = match ts {
-            Some(t) => Event::commit_ts(txn, self.id, t),
-            None => Event::commit(txn, self.id),
-        };
-        self.metrics.record_commit(txn);
-        self.log.record(event);
-        drop(st);
-        self.lock.release_all(txn);
-    }
-
-    fn abort(&self, txn: ActivityId) {
-        self.state.lock().discard(txn);
-        self.metrics.record_abort(txn);
-        self.log.record(Event::abort(txn, self.id));
-        self.lock.release_all(txn);
-    }
-}
-
-impl<S: SequentialSpec> std::fmt::Debug for TwoPhaseLockedObject<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TwoPhaseLockedObject")
-            .field("id", &self.id)
-            .finish()
+impl<S: SequentialSpec> LockedObject<S, ReadWrite> {
+    /// Creates the object and wires it to the manager's history log.
+    pub fn new(id: ObjectId, spec: S, mgr: &TxnManager) -> Arc<Self> {
+        Self::with_relation(id, spec, mgr, ReadWrite)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atomicity_core::Protocol;
+    use atomicity_core::{AtomicObject, Protocol, TxnError};
     use atomicity_spec::atomicity::is_dynamic_atomic;
     use atomicity_spec::specs::BankAccountSpec;
-    use atomicity_spec::{op, SystemSpec};
+    use atomicity_spec::{op, SystemSpec, Value};
     use std::time::Duration;
 
     fn x() -> ObjectId {

@@ -16,7 +16,6 @@
 //! the paper's claim next to each table, and names the `benchmark/`
 //! metric for everything this binary used to time.
 
-use atomicity_bench::engines::map_commutativity;
 use atomicity_bench::engines::Engine;
 use atomicity_bench::enumerate::{enumerate_histories, standard_programs};
 use atomicity_bench::explore::{engine_factory, explore, property_verifier, Script};
@@ -31,10 +30,7 @@ use atomicity_bench::workloads::recovery::{
 };
 use atomicity_bench::workloads::skew::{run_skew, SkewParams};
 use atomicity_lint::lockorder::read_sources;
-use atomicity_lint::{
-    audit_lock_order, audit_table, certify, standard_audits, AuditConfig, LockOrderReport,
-    PairClass, Property, TableAudit,
-};
+use atomicity_lint::{audit_lock_order, certify, LockOrderReport, Property, SynthSuite};
 use atomicity_spec::atomicity::{is_atomic, is_dynamic_atomic, is_hybrid_atomic, is_static_atomic};
 use atomicity_spec::well_formed::WellFormedness;
 use atomicity_spec::{op, paper, ObjectId, SystemSpec};
@@ -101,7 +97,7 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "e9",
-        title: "static analysis — table audits & linear-time certification (DESIGN.md §5)",
+        title: "static analysis — hand-table gaps & linear-time certification (DESIGN.md §5)",
         flags: &[],
         run: e9_static_analysis,
     },
@@ -160,8 +156,8 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "lint",
-        title: "conflict-table audit + lock-order audit + nondeterminism scan (the CI gate)",
-        flags: &["--synth", "--json=PATH", "--demo-unsound"],
+        title: "synthesis gate + lock-order audit + nondeterminism scan (the CI gate)",
+        flags: &["--json=PATH", "--demo-unsound"],
         run: run_lint,
     },
 ];
@@ -1279,47 +1275,14 @@ fn e12_simulation(args: &Args) -> Result<(), GateFailure> {
 }
 
 /// E9 (DESIGN.md §5): the static-analysis passes as an experiment — the
-/// audit verdict for every hand-written conflict table, the derived lock
+/// gap verdict for every hand-written conflict table, the derived lock
 /// ordering, and the linear-time certifier against the exhaustive
 /// checkers on a real multi-thread history.
 fn e9_static_analysis(args: &Args) -> Result<(), GateFailure> {
     use atomicity_bench::workloads::stress::{stress_history, StressParams};
     use atomicity_spec::specs::BankAccountSpec;
 
-    let mut table = Table::new(vec![
-        "table",
-        "spec",
-        "pairs",
-        "commute",
-        "conflict",
-        "conservative",
-        "unsound",
-        "states",
-    ])
-    .with_title("hand-written conflict tables vs the relation derived from each spec");
-    for audit in all_table_audits() {
-        let (mut commute, mut conflict, mut conservative, mut unsound) = (0, 0, 0, 0);
-        for f in &audit.findings {
-            match f.class {
-                PairClass::AgreeCommute => commute += 1,
-                PairClass::AgreeConflict => conflict += 1,
-                PairClass::Conservative { .. } => conservative += 1,
-                PairClass::Unsound(_) | PairClass::Asymmetric => unsound += 1,
-                PairClass::Unsupported => {}
-            }
-        }
-        table.row(vec![
-            audit.table.clone(),
-            audit.spec_name.clone(),
-            audit.findings.len().to_string(),
-            commute.to_string(),
-            conflict.to_string(),
-            conservative.to_string(),
-            unsound.to_string(),
-            audit.states_explored.to_string(),
-        ]);
-    }
-    println!("{table}");
+    println!("{}", gap_table(atomicity_bench::synthesized_suite()));
 
     match lock_order_report() {
         Ok(report) if report.is_clean() => {
@@ -1380,7 +1343,7 @@ fn e9_static_analysis(args: &Args) -> Result<(), GateFailure> {
 /// the engines lock with, the hand-table minimality gap report, the
 /// recoverability asymmetries, and the dependency-footprint extraction.
 fn e13_synthesis(_: &Args) -> Result<(), GateFailure> {
-    let suite = full_synth_suite();
+    let suite = atomicity_bench::synthesized_suite();
 
     let mut table = Table::new(vec![
         "adt",
@@ -1405,28 +1368,7 @@ fn e13_synthesis(_: &Args) -> Result<(), GateFailure> {
     }
     println!("{table}");
 
-    let mut gaps = Table::new(vec![
-        "hand table",
-        "adt",
-        "justified",
-        "data-dep",
-        "over-conservative",
-        "unsound",
-        "verdict",
-    ])
-    .with_title("hand-written tables vs the synthesized relation (minimality report)");
-    for g in &suite.gaps {
-        gaps.row(vec![
-            g.hand_table.clone(),
-            g.adt.clone(),
-            g.justified.len().to_string(),
-            g.data_dependent.len().to_string(),
-            g.over_conservative.len().to_string(),
-            g.unsound.len().to_string(),
-            if g.minimal { "minimal" } else { "gap" }.to_string(),
-        ]);
-    }
-    println!("{gaps}");
+    println!("{}", gap_table(suite));
 
     for g in &suite.gaps {
         for e in &g.over_conservative {
@@ -1479,38 +1421,31 @@ fn e13_synthesis(_: &Args) -> Result<(), GateFailure> {
     Ok(())
 }
 
-/// The full synthesis suite: the workspace-standard one plus the bench
-/// kv-map hand table's gap report (the map hand table lives in this crate,
-/// so `atomicity-lint` cannot diff it itself).
-fn full_synth_suite() -> atomicity_lint::SynthSuite {
-    let mut suite = atomicity_bench::synthesized_suite().clone();
-    let map = suite
-        .synthesis("map")
-        .expect("map table synthesized")
-        .clone();
-    suite.gaps.push(atomicity_lint::gap_against(
-        &map,
-        "map_commutativity",
-        &map_commutativity,
-    ));
-    suite
-}
-
-/// Every hand-written conflict table in the workspace, audited against
-/// its specification: the four baseline tables plus the bench kv-map
-/// table.
-fn all_table_audits() -> Vec<TableAudit> {
-    let config = AuditConfig::default();
-    let mut audits = standard_audits(&config);
-    audits.push(audit_table(
-        "map_commutativity",
-        "KvMapSpec",
-        &atomicity_spec::specs::KvMapSpec::new(),
-        &atomicity_lint::synth::map_universe(),
-        map_commutativity,
-        &config,
-    ));
-    audits
+/// Every hand-written conflict table against the synthesized relation
+/// for its ADT, one row per table.
+fn gap_table(suite: &SynthSuite) -> Table {
+    let mut gaps = Table::new(vec![
+        "hand table",
+        "adt",
+        "justified",
+        "data-dep",
+        "over-conservative",
+        "unsound",
+        "verdict",
+    ])
+    .with_title("hand-written tables vs the synthesized relation (minimality report)");
+    for g in &suite.gaps {
+        gaps.row(vec![
+            g.hand_table.clone(),
+            g.adt.clone(),
+            g.justified.len().to_string(),
+            g.data_dependent.len().to_string(),
+            g.over_conservative.len().to_string(),
+            g.unsound.len().to_string(),
+            if g.minimal { "minimal" } else { "gap" }.to_string(),
+        ]);
+    }
+    gaps
 }
 
 /// Scans the lock-holding sources (core, engines, baselines, the
@@ -1570,7 +1505,7 @@ fn nondet_findings() -> std::io::Result<Vec<atomicity_lint::NondetFinding>> {
 }
 
 /// Re-proves a generated table from scratch against its own spec and
-/// universe — the independent soundness check `lint --synth` gates on.
+/// universe — the independent soundness check `lint` gates on.
 fn verify_generated(
     table: &atomicity_core::ConflictTable,
     config: &atomicity_lint::SynthConfig,
@@ -1601,9 +1536,9 @@ fn verify_generated(
 /// Returns the error count. With `demo_unsound` the generated bank table is corrupted
 /// (withdraw/withdraw forced to commute) before verification to
 /// demonstrate the failure path.
-fn run_synth_lint(demo_unsound: bool, json_path: &str) -> Result<usize, GateFailure> {
+fn synthesis_gate(demo_unsound: bool, json_path: &str) -> Result<usize, GateFailure> {
     let config = atomicity_lint::SynthConfig::default();
-    let suite = full_synth_suite();
+    let suite = atomicity_bench::synthesized_suite();
     let mut errors = 0usize;
 
     for s in &suite.syntheses {
@@ -1631,6 +1566,9 @@ fn run_synth_lint(demo_unsound: bool, json_path: &str) -> Result<usize, GateFail
         );
         for v in &violations {
             println!("  ERROR unsound entry ({}, {}): {}", v.p, v.q, v.detail);
+        }
+        for o in s.unsupported() {
+            println!("  warning: {o} is accepted in no explored state; its pairs are not diffed");
         }
         errors += violations.len();
     }
@@ -1686,69 +1624,14 @@ fn run_synth_lint(demo_unsound: bool, json_path: &str) -> Result<usize, GateFail
     Ok(errors)
 }
 
-/// The `lint` subcommand: conflict-table audits, the lock-order scan, and
-/// the nondeterminism scan — plus, with `--synth`, the synthesis gate —
-/// failing on any unsound entry, asymmetric entry, lock cycle, or
-/// nondeterminism finding. Conservative entries are warnings — reported,
-/// never fatal. `--demo-unsound` corrupts a bank table (the hand one, or
-/// the generated one under `--synth`) to demonstrate the failure path.
+/// The `lint` subcommand: the synthesis gate, the lock-order scan, and the
+/// nondeterminism scan — failing on any generated-table soundness
+/// violation, unsound or asymmetric hand-table entry, lock cycle, or
+/// nondeterminism finding. Over-conservative hand-table entries are
+/// warnings — reported, never fatal. `--demo-unsound` corrupts the
+/// generated bank table to demonstrate the failure path.
 fn run_lint(args: &Args) -> Result<(), GateFailure> {
-    let demo_unsound = args.has("--demo-unsound");
-    let mut audits = all_table_audits();
-    if demo_unsound {
-        audits.push(audit_table(
-            "bank_commutativity (CORRUPTED: withdraw/withdraw forced to commute)",
-            "BankAccountSpec",
-            &atomicity_spec::specs::BankAccountSpec::new(),
-            &atomicity_lint::audit::bank_universe(),
-            |p, q| {
-                (p.name() == "withdraw" && q.name() == "withdraw")
-                    || atomicity_baselines::bank_commutativity(p, q)
-            },
-            &AuditConfig::default(),
-        ));
-    }
-    let mut errors = 0usize;
-    for audit in &audits {
-        let unsound: Vec<_> = audit.errors().collect();
-        let warnings: Vec<_> = audit.warnings().collect();
-        println!(
-            "table `{}` vs {}: {} pairs over {} states{} — {} unsound, {} conservative",
-            audit.table,
-            audit.spec_name,
-            audit.findings.len(),
-            audit.states_explored,
-            if audit.truncated > 0 {
-                " (state sample TRUNCATED)"
-            } else {
-                ""
-            },
-            unsound.len(),
-            warnings.len(),
-        );
-        for f in &unsound {
-            match &f.class {
-                PairClass::Unsound(cx) => {
-                    println!("  ERROR unsound entry ({}, {}): {}", f.p, f.q, cx)
-                }
-                _ => println!("  ERROR {} entry ({}, {})", f.class.label(), f.p, f.q),
-            }
-        }
-        for f in &warnings {
-            if let PairClass::Conservative {
-                commuting_states,
-                total_states,
-            } = &f.class
-            {
-                println!(
-                    "  warning: ({}, {}) rejected by the table but commutes in {}/{} states",
-                    f.p, f.q, commuting_states, total_states
-                );
-            }
-        }
-        errors += unsound.len();
-    }
-    println!();
+    let mut errors = synthesis_gate(args.has("--demo-unsound"), &args.json("synth_gap"))?;
     match lock_order_report() {
         Ok(report) => {
             println!(
@@ -1778,10 +1661,6 @@ fn run_lint(args: &Args) -> Result<(), GateFailure> {
             errors += findings.len();
         }
         Err(e) => println!("nondeterminism scan: skipped (sources unavailable: {e})"),
-    }
-    if args.has("--synth") {
-        println!();
-        errors += run_synth_lint(demo_unsound, &args.json("synth_gap"))?;
     }
     if errors > 0 {
         return Err(GateFailure(format!("{errors} error(s)")));

@@ -507,28 +507,6 @@ pub fn build_object<S: SequentialSpec>(
     construct(engine, id, spec, mgr, serial)
 }
 
-/// The hand-written kv-map table: different keys always commute; same-key
-/// `adjust`/`adjust` commutes; observers commute with observers.
-/// Whole-map scans (`sum`, `size`) conflict with every mutator.
-///
-/// Kept as the **gap-report baseline** only — the engines lock against
-/// the synthesized map table ([`synthesized_suite`]), and E13 diffs this
-/// table against it.
-pub fn map_commutativity(p: &atomicity_spec::Operation, q: &atomicity_spec::Operation) -> bool {
-    let observer = |n: &str| matches!(n, "get" | "sum" | "size");
-    let scan = |n: &str| matches!(n, "sum" | "size");
-    if observer(p.name()) && observer(q.name()) {
-        return true;
-    }
-    if scan(p.name()) || scan(q.name()) {
-        return false;
-    }
-    match (p.int_arg(0), q.int_arg(0)) {
-        (Some(i), Some(j)) if i != j => true,
-        _ => matches!((p.name(), q.name()), ("adjust", "adjust")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,24 +577,6 @@ mod tests {
         esc.invoke(&d, op("debit", [3])).unwrap();
         mgr.commit(c).unwrap();
         mgr.commit(d).unwrap();
-    }
-
-    #[test]
-    fn map_table_shape() {
-        assert!(map_commutativity(
-            &op("adjust", [1, 5]),
-            &op("adjust", [1, 9])
-        ));
-        assert!(map_commutativity(&op("put", [1, 5]), &op("put", [2, 9])));
-        assert!(!map_commutativity(&op("put", [1, 5]), &op("put", [1, 9])));
-        assert!(!map_commutativity(
-            &op("adjust", [1, 5]),
-            &op("sum", [] as [i64; 0])
-        ));
-        assert!(map_commutativity(
-            &op("get", [1]),
-            &op("sum", [] as [i64; 0])
-        ));
     }
 
     #[test]

@@ -36,7 +36,5 @@ pub mod report;
 pub mod table;
 pub mod workloads;
 
-pub use engines::{
-    map_commutativity, synthesized_suite, CertifyMode, Engine, EngineBuilder, EngineHandle,
-};
+pub use engines::{synthesized_suite, CertifyMode, Engine, EngineBuilder, EngineHandle};
 pub use table::Table;

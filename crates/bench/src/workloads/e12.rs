@@ -192,8 +192,7 @@ pub fn run_seed(seed: u64, plan: &FaultPlan, params: &E12Params) -> SeedRun {
     cluster.add_checker(Box::new(StandardChecker));
     // Streaming in-loop certification: each checkpoint observes only the
     // events recorded since the previous one, instead of re-certifying
-    // the whole history (the old merge-then-check [`CertifierCheck`]
-    // cost, quadratic over a run).
+    // the whole history post hoc (quadratic over a run).
     let certifier = OnlineCertifierCheck::hybrid(&cluster);
     cluster.add_checker(Box::new(certifier));
     let rng = cluster.client_rng(0);

@@ -1,18 +1,19 @@
-//! The CI gate, tested as a gate: `experiments lint` must exit zero on
-//! the shipped conflict tables and engine sources, and non-zero when an
-//! unsound table is injected (`--demo-unsound`); `experiments lint
-//! --synth` must additionally re-prove every synthesized table sound,
-//! certify the hand tables' minimality gaps, and write the JSON gap
-//! report. The registry's own command-line contract is gated the same
-//! way: an unknown experiment name or a flag the named experiment does
-//! not accept fails loudly instead of being ignored.
+//! The CI gate, tested as a gate: `experiments lint` must re-prove every
+//! synthesized table sound, certify the hand tables' minimality gaps,
+//! scan the engine sources, write the JSON gap report and exit zero —
+//! and exit non-zero when an unsound table is injected
+//! (`--demo-unsound`). The registry's own command-line contract is gated
+//! the same way: an unknown experiment name or a flag the named
+//! experiment does not accept (the retired `--synth` among them) fails
+//! loudly instead of being ignored.
 
 use std::process::Command;
 
 #[test]
 fn lint_passes_on_shipped_tables() {
+    let json = std::env::temp_dir().join("lint_gate_synth_gap.json");
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .arg("lint")
+        .args(["lint", &format!("--json={}", json.display())])
         .output()
         .expect("run experiments lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -20,39 +21,6 @@ fn lint_passes_on_shipped_tables() {
     assert!(stdout.contains("lint: clean"), "{stdout}");
     // The lock-order pass found the sources and derived an order.
     assert!(stdout.contains("derived order:"), "{stdout}");
-    // The paper's showcase over-conservatism is reported as a warning.
-    assert!(
-        stdout.contains("(enq(1), enq(2)) rejected by the table"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn lint_fails_on_a_corrupted_table() {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["lint", "--demo-unsound"])
-        .output()
-        .expect("run experiments lint --demo-unsound");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        !out.status.success(),
-        "corrupted table was not rejected:\n{stdout}"
-    );
-    assert!(stdout.contains("ERROR unsound entry"), "{stdout}");
-    // The counterexample certificate names the diverging result pairs.
-    assert!(stdout.contains("order p;q yields result pairs"), "{stdout}");
-}
-
-#[test]
-fn synth_lint_proves_generated_tables_and_reports_gaps() {
-    let json = std::env::temp_dir().join("lint_gate_synth_gap.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["lint", "--synth", &format!("--json={}", json.display())])
-        .output()
-        .expect("run experiments lint --synth");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "synth lint failed:\n{stdout}");
-    assert!(stdout.contains("lint: clean"), "{stdout}");
     // Every generated table re-proves sound from scratch.
     for adt in ["bank", "queue", "set", "semiqueue", "map", "escrow"] {
         assert!(
@@ -83,17 +51,16 @@ fn synth_lint_proves_generated_tables_and_reports_gaps() {
 }
 
 #[test]
-fn synth_lint_fails_on_a_corrupted_generated_table() {
+fn lint_fails_on_a_corrupted_table() {
     let json = std::env::temp_dir().join("lint_gate_synth_demo.json");
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args([
             "lint",
-            "--synth",
             "--demo-unsound",
             &format!("--json={}", json.display()),
         ])
         .output()
-        .expect("run experiments lint --synth --demo-unsound");
+        .expect("run experiments lint --demo-unsound");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         !out.status.success(),
@@ -102,6 +69,7 @@ fn synth_lint_fails_on_a_corrupted_generated_table() {
     // The independent verifier catches the corruption in the generated
     // bank table, with a forward-commutativity counterexample.
     assert!(stdout.contains("CORRUPTED: withdraw/withdraw"), "{stdout}");
+    assert!(stdout.contains("ERROR unsound entry"), "{stdout}");
     assert!(
         stdout.contains("admitted pair does not forward-commute"),
         "{stdout}"
@@ -145,15 +113,20 @@ fn a_named_experiment_prints_its_header_and_exits_zero() {
 
 #[test]
 fn a_flag_the_experiment_does_not_accept_is_rejected() {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["e1", "--replay=1"])
-        .output()
-        .expect("run experiments e1 --replay=1");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "a misplaced flag was ignored");
-    assert!(out.stdout.is_empty(), "nothing may run");
-    assert!(
-        stderr.contains("`e1` does not accept `--replay=1`"),
-        "{stderr}"
-    );
+    // `--synth` was `lint`'s switch for the synthesis gate until the gate
+    // became all of `lint`; it is now as unknown as any other flag.
+    for (name, flag) in [("e1", "--replay=1"), ("lint", "--synth")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args([name, flag])
+            .output()
+            .expect("run experiments with a misplaced flag");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "a misplaced flag was ignored");
+        assert!(out.stdout.is_empty(), "nothing may run");
+        assert!(
+            stderr.contains(&format!("`{name}` does not accept `{flag}`")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: experiments"), "{stderr}");
+    }
 }

@@ -1190,7 +1190,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::invariant::{CertifierCheck, StandardChecker};
+    use crate::invariant::{OnlineCertifierCheck, StandardChecker};
     use crate::model::TransferClient;
 
     #[test]
@@ -1520,7 +1520,7 @@ mod tests {
     fn full_fault_matrix_with_checkers_stays_clean() {
         let mut cluster = Cluster::new(full_fault_config(1234));
         cluster.add_checker(Box::new(StandardChecker));
-        let certifier = CertifierCheck::hybrid(&cluster);
+        let certifier = OnlineCertifierCheck::hybrid(&cluster);
         cluster.add_checker(Box::new(certifier));
         let rng = cluster.client_rng(0);
         let accounts = cluster.account_count();
@@ -1534,6 +1534,15 @@ mod tests {
         );
         assert!(cluster.stats().invariant_checks > 0, "checkpoints must run");
         assert!(cluster.stats().mttf_crashes > 0, "failure clocks must fire");
+        let post_hoc = atomicity_lint::certify(
+            atomicity_lint::Property::Hybrid,
+            cluster.history().expect("history recorded"),
+            &cluster.system_spec(),
+        );
+        assert!(
+            !matches!(post_hoc.verdict, atomicity_lint::Verdict::Refuted(_)),
+            "{post_hoc}"
+        );
         cluster.verify_atomicity().unwrap();
         cluster.verify_conservation().unwrap();
     }

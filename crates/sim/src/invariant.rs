@@ -9,7 +9,7 @@
 //! invariant first broke; the seed plus that index is a complete
 //! reproducer.
 //!
-//! Three checkers ship with the crate:
+//! Two checkers ship with the crate:
 //!
 //! - [`StandardChecker`] — the mid-run-safe all-or-nothing check (a
 //!   participant may still be *undecided* about a decided transaction,
@@ -17,18 +17,17 @@
 //!   oracle (the set of fully-applied committed transfers must conserve
 //!   the grand total, read from the durable logs alone so it holds even
 //!   while nodes are down).
-//! - [`CertifierCheck`] — the linear-time hybrid-atomicity certifier from
-//!   `atomicity-lint` run over the history the cluster records (requires
-//!   [`crate::SimConfig::record_history`]).
-//! - [`OnlineCertifierCheck`] — the streaming monitor from
-//!   `atomicity-certify` fed incrementally: each checkpoint observes only
-//!   the events recorded since the previous one, replacing
-//!   [`CertifierCheck`]'s merge-then-check re-certification (linear per
-//!   checkpoint, quadratic over the run) with constant amortized work.
+//! - [`OnlineCertifierCheck`] — the streaming hybrid-atomicity monitor
+//!   from `atomicity-certify` over the history the cluster records
+//!   (requires [`crate::SimConfig::record_history`]), fed incrementally:
+//!   each checkpoint observes only the events recorded since the previous
+//!   one, where re-running `atomicity-lint`'s post-hoc certifier would be
+//!   linear per checkpoint and quadratic over the run. The post-hoc
+//!   certifier stays the reference the tests compare it with.
 
 use crate::cluster::Cluster;
 use atomicity_certify::OnlineCertifier;
-use atomicity_lint::{CertifierHook, Property, Verdict};
+use atomicity_lint::{Property, Verdict};
 use std::fmt;
 
 /// One invariant failure observed at a checkpoint.
@@ -118,47 +117,12 @@ impl InvariantChecker for StandardChecker {
     }
 }
 
-/// The linear-time certifier as a checkpoint invariant: certifies the
-/// cluster's recorded history for hybrid atomicity.
-#[derive(Debug)]
-pub struct CertifierCheck {
-    hook: CertifierHook,
-}
-
-impl CertifierCheck {
-    /// Builds the checker for `cluster` (captures its system spec). The
-    /// cluster must have been configured with
-    /// [`crate::SimConfig::record_history`], otherwise the check passes
-    /// vacuously.
-    pub fn hybrid(cluster: &Cluster) -> Self {
-        CertifierCheck {
-            hook: CertifierHook::new(Property::Hybrid, cluster.system_spec()),
-        }
-    }
-}
-
-impl InvariantChecker for CertifierCheck {
-    fn name(&self) -> &'static str {
-        "certifier"
-    }
-
-    fn check(&mut self, cluster: &Cluster) -> Result<(), String> {
-        match cluster.history() {
-            Some(h) => self.hook.check(h),
-            None => Ok(()),
-        }
-    }
-}
-
 /// The streaming certifier as a checkpoint invariant.
 ///
-/// Where [`CertifierCheck`] re-certifies the *entire* recorded history at
-/// every checkpoint (merge-then-check: linear per checkpoint, quadratic
-/// over the run), this feeds only the events recorded since the previous
-/// checkpoint into an [`OnlineCertifier`] and fails the moment the
-/// monitor flags a violation or the provisional certificate refutes the
-/// prefix. Verdict mapping follows [`CertifierHook::check`]: `Refuted`
-/// is a violation, `Certified` and `Unknown` pass.
+/// Feeds only the events recorded since the previous checkpoint into an
+/// [`OnlineCertifier`] and fails the moment the monitor flags a violation
+/// or the provisional certificate refutes the prefix: `Refuted` is a
+/// violation, `Certified` and `Unknown` pass.
 pub struct OnlineCertifierCheck {
     monitor: OnlineCertifier,
     cursor: usize,
@@ -229,7 +193,6 @@ mod tests {
             ..SimConfig::default()
         });
         let mut online = OnlineCertifierCheck::hybrid(&cluster);
-        let mut post_hoc = CertifierCheck::hybrid(&cluster);
         let t1 = cluster.submit_transfer(0, 5, 25);
         let t2 = cluster.submit_transfer(2, 3, 10);
         cluster.run_to_quiescence();
@@ -246,9 +209,13 @@ mod tests {
         assert_eq!(online.check(&cluster), Ok(()));
         assert_eq!(online.observed(), recorded);
 
-        // The streaming verdict maps onto the same pass/violation shape
-        // as the post-hoc hook.
-        assert_eq!(post_hoc.check(&cluster), Ok(()));
+        // The post-hoc certifier, the reference, does not refute it either.
+        let history = cluster.history().expect("history recorded");
+        let post_hoc = atomicity_lint::certify(Property::Hybrid, history, &cluster.system_spec());
+        assert!(
+            !matches!(post_hoc.verdict, Verdict::Refuted(_)),
+            "{post_hoc}"
+        );
     }
 
     #[test]

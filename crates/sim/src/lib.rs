@@ -19,9 +19,8 @@
 //! ordered maps. [`Cluster::trace_hash`] and [`Cluster::state_digest`]
 //! make the determinism checkable; a failing seed is a complete
 //! reproducer. Invariants ([`InvariantChecker`]) run at configurable
-//! checkpoints inside the loop, including the linear-time hybrid
-//! atomicity certifier from `atomicity-lint` ([`CertifierCheck`]) and its
-//! streaming replacement from `atomicity-certify`
+//! checkpoints inside the loop, including the streaming hybrid
+//! atomicity certifier from `atomicity-certify`
 //! ([`OnlineCertifierCheck`]), which observes only the events recorded
 //! since the previous checkpoint instead of re-certifying from scratch.
 //!
@@ -79,9 +78,7 @@ mod queue;
 mod rng;
 
 pub use cluster::{Cluster, MttfConfig, SimConfig, SimStats};
-pub use invariant::{
-    CertifierCheck, InvariantChecker, OnlineCertifierCheck, StandardChecker, Violation,
-};
+pub use invariant::{InvariantChecker, OnlineCertifierCheck, StandardChecker, Violation};
 pub use message::{Endpoint, Message, NodeId, SimEvent};
 pub use model::{
     Action, ClientRequest, ClientTurn, DeterministicClient, DeterministicNode, NodeTimer,

@@ -12,9 +12,8 @@
 
 use atomicity_core::DurableLog;
 use atomicity_durable::{RestartableWal, SyncPolicy, WalOptions};
-use atomicity_sim::{
-    CertifierCheck, Cluster, NodeId, OnlineCertifierCheck, SimConfig, StandardChecker,
-};
+use atomicity_lint::{certify, Property, Verdict};
+use atomicity_sim::{Cluster, NodeId, OnlineCertifierCheck, SimConfig, StandardChecker};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -72,12 +71,9 @@ fn node_killed_at_arbitrary_event_recovers_through_the_wal() {
         let victim = NodeId::new((i as u32) % cfg.nodes);
         let (mut cluster, wals) = wal_backed_cluster(cfg, &dir);
         cluster.add_checker(Box::new(StandardChecker));
-        // Post-hoc and streaming certifiers run side by side: each
-        // checkpoint both re-certifies the whole recorded history and
-        // feeds the incremental monitor the new events, so a disagreement
-        // between the two shows up as exactly one of them violating.
-        let certifier = CertifierCheck::hybrid(&cluster);
-        cluster.add_checker(Box::new(certifier));
+        // Each checkpoint feeds the streaming certifier the new events;
+        // the post-hoc certifier, its reference, judges the whole
+        // recorded history once the cluster has healed.
         let online = OnlineCertifierCheck::hybrid(&cluster);
         cluster.add_checker(Box::new(online));
         let t1 = cluster.submit_transfer(0, 5, 25);
@@ -96,6 +92,12 @@ fn node_killed_at_arbitrary_event_recovers_through_the_wal() {
             cluster.violations().is_empty(),
             "case {i}: invariants broke: {:?}",
             cluster.violations()
+        );
+        let history = cluster.history().expect("history recorded");
+        let post_hoc = certify(Property::Hybrid, history, &cluster.system_spec());
+        assert!(
+            !matches!(post_hoc.verdict, Verdict::Refuted(_)),
+            "case {i}: post-hoc certifier refuted the history: {post_hoc}"
         );
         cluster
             .verify_atomicity()

@@ -25,6 +25,8 @@ const X: ObjectId = ObjectId::new(1);
 
 type Entry = fn(&dyn AtomicObject, &Txn, Operation) -> Result<Value, TxnError>;
 
+type Build = fn(&TxnManager) -> Arc<dyn AtomicObject>;
+
 fn via_invoke(o: &dyn AtomicObject, t: &Txn, operation: Operation) -> Result<Value, TxnError> {
     o.invoke(t, operation)
 }
@@ -228,7 +230,7 @@ fn transcript() -> String {
     // The lock baselines, `try_invoke` only: one thread cannot drive a
     // blocking `invoke` past a lock conflict. Under locking, script A's
     // requests that conflict with another holder are refused.
-    let locked: [(&str, fn(&TxnManager) -> Arc<dyn AtomicObject>); 3] = [
+    let locked: [(&str, Build); 3] = [
         ("2pl", |mgr| TwoPhaseLockedObject::new(X, spec(), mgr)),
         ("commut-lock/hand", |mgr| {
             CommutativityLockedObject::new(X, spec(), mgr, bank_commutativity)
