@@ -24,8 +24,8 @@
 //!    whether two operations commute; an earlier audit pass that judged
 //!    the hand tables by the *observational* relation was dropped because
 //!    that relation is unsound for locking non-deterministic operations
-//!    (see [`synth`]'s module doc). [`audit`] keeps the operation
-//!    universes of the ADTs that have hand tables.
+//!    (see [`synth`]'s module doc). [`synth`] also holds the operation
+//!    universe of every ADT it synthesizes.
 //!
 //! 2. [`certify()`] — **linear-time history certification**. The exhaustive
 //!    dynamic-atomicity checker enumerates every total order consistent
@@ -36,44 +36,29 @@
 //!    object, falling back to bounded enumeration only where the order is
 //!    genuinely partial.
 //!
-//! 3. [`lockorder`] — the **lock-order audit**. A static scan of the
-//!    engine sources recovers the lock-acquisition graph (which locks are
-//!    taken while which others are held, including through calls) and
-//!    flags cycles — the implementation-level deadlocks the wait-graph
-//!    machinery of `core::deadlock` cannot see because they live *under*
-//!    it, in the engines' own mutexes.
-//!
-//! 4. [`nondet`] — the **nondeterminism lint**, generalizing the
+//! 3. [`nondet`] — the **nondeterminism lint**, generalizing the
 //!    simulator's wall-clock scan: a configurable source scan for
 //!    nondeterminism escape hatches (wall clocks in deterministic code,
 //!    unseeded RNG anywhere) with a per-rule allowlist.
 //!
-//! 5. [`footprint`] — the **dependency-footprint extractor**: a static
-//!    read/write-set analysis of the transaction programs in the bench
-//!    workloads, the seed format for dependency-logged parallel recovery.
-//!
-//! The `experiments lint` subcommand in `atomicity-bench` runs passes 1,
-//! 3 and 4 as a CI gate (any unsound table entry, lock-order cycle, or
-//! nondeterminism finding makes it exit non-zero) and writes pass 1's
-//! gap-report JSON artifact.
+//! The `experiments lint` subcommand in `atomicity-bench` runs passes 1
+//! and 3 as a CI gate (any unsound table entry or nondeterminism finding
+//! makes it exit non-zero) and writes pass 1's gap-report JSON artifact.
+//! Lock order is not a pass here: `atomicity_core::sync` checks it where
+//! locks are taken, in debug builds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod certify;
 mod derive;
-pub mod footprint;
-pub mod lockorder;
 pub mod nondet;
 pub mod synth;
 
 pub use certify::{
     certify, certify_with_relation, Certificate, Method, Property, Verdict, Violation,
 };
-pub use footprint::{extract_footprints, FnFootprint, FootprintReport, OpClass};
-pub use lockorder::{audit_lock_order, LockOrderReport, SourceFile};
-pub use nondet::{scan_nondeterminism, NondetConfig, NondetFinding, NondetRule};
+pub use nondet::{scan_nondeterminism, NondetConfig, NondetFinding, NondetRule, SourceFile};
 pub use synth::{
     forward_commute_in_state, gap_against, right_mover_in_state, standard_syntheses,
     synthesize_table, verify_table, Asymmetry, ForwardCounterexample, GapEntry, HandTableGap,

@@ -1,4 +1,4 @@
-//! Pass 4: the nondeterminism lint — a configurable source scan for
+//! Pass 3: the nondeterminism lint — a configurable source scan for
 //! nondeterminism escape hatches.
 //!
 //! Generalizes the simulator's original `no_wall_clock.rs` test: the
@@ -13,8 +13,17 @@
 //! Patterns are assembled from fragments at runtime so the lint's own
 //! source (and this documentation) never matches itself.
 
-use crate::lockorder::SourceFile;
 use std::path::Path;
+
+/// One source file to scan: a display label (what findings and the
+/// allowlist refer to) plus its text.
+#[derive(Debug, Clone)]
+pub struct SourceFile {
+    /// Display label.
+    pub label: String,
+    /// The file's contents.
+    pub text: String,
+}
 
 /// One forbidden-pattern rule.
 #[derive(Debug, Clone)]

@@ -8,8 +8,9 @@
 //! would mean the bucket generalization or the rule lookup (not the
 //! bounded exploration) is wrong.
 
-use atomicity_lint::audit::{bank_universe, queue_universe, semiqueue_universe, set_universe};
-use atomicity_lint::synth::{escrow_universe, map_universe};
+use atomicity_lint::synth::{
+    bank_universe, escrow_universe, map_universe, queue_universe, semiqueue_universe, set_universe,
+};
 use atomicity_lint::{forward_commute_in_state, standard_syntheses, SynthConfig, SynthSuite};
 use atomicity_spec::specs::{
     BankAccountSpec, EscrowCounterSpec, FifoQueueSpec, IntSetSpec, KvMapSpec, SemiqueueSpec,

@@ -104,10 +104,7 @@ impl<S: SequentialSpec> Deferred<S> {
         Some(v)
     }
 
-    /// Applies `txn`'s intentions list to the committed frontier. (Not
-    /// named `commit`: the lock-order scan resolves calls by name, and a
-    /// `commit` made under the `state` guard would read as
-    /// [`atomicity_core::Participant::commit`].)
+    /// Applies `txn`'s intentions list to the committed frontier.
     pub(crate) fn install(&mut self, spec: &S, txn: ActivityId) {
         if let Some(list) = self.intentions.remove(&txn) {
             let next = replay_frontier(spec, &self.committed, &list);

@@ -10,13 +10,13 @@
 
 use crate::locks::ModeLock;
 use crate::{invalid_operation, Deferred};
+use atomicity_core::sync::{Mutex, Rank};
 use atomicity_core::trace::ObjectMetrics;
 use atomicity_core::{
     Admission, AdmissionOutcome, AdmissionRequest, AtomicObject, HistoryLog, Participant, Txn,
     TxnError, TxnManager,
 };
 use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
-use parking_lot::Mutex;
 use std::sync::{Arc, Weak};
 
 /// The state-independent compatibility relation a [`LockedObject`] locks
@@ -57,7 +57,7 @@ impl<S: SequentialSpec, R: LockRelation<S>> LockedObject<S, R> {
     /// from the `atomicity-lint` synthesis pass — and wires it to the
     /// manager's history log.
     pub fn with_relation(id: ObjectId, spec: S, mgr: &TxnManager, relation: R) -> Arc<Self> {
-        let state = Mutex::new(Deferred::new(&spec));
+        let state = Mutex::new(Rank::LockedState, Deferred::new(&spec));
         Arc::new_cyclic(|self_ref| LockedObject {
             id,
             spec,

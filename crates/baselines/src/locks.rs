@@ -1,8 +1,8 @@
 //! A generic mode-based lock with pluggable compatibility.
 
+use atomicity_core::sync::{Condvar, Mutex, Rank};
 use atomicity_core::{Txn, TxnError, WaitDecision};
 use atomicity_spec::{ActivityId, ObjectId};
-use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
@@ -41,7 +41,7 @@ impl<M: Clone + Send> ModeLock<M> {
     /// Creates an empty lock table.
     pub fn new() -> Self {
         ModeLock {
-            held: Mutex::new(BTreeMap::new()),
+            held: Mutex::new(Rank::LocksHeld, BTreeMap::new()),
             cv: Condvar::new(),
         }
     }

@@ -2,9 +2,9 @@
 //! ([Reed 78]) — the special case that
 //! [`atomicity_core::StaticObject`] generalizes to arbitrary operations.
 
+use atomicity_core::sync::{Condvar, Mutex, Rank};
 use atomicity_core::{AtomicObject, HistoryLog, Participant, Txn, TxnError, TxnManager};
 use atomicity_spec::{ActivityId, Event, ObjectId, Operation, Timestamp, Value};
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -67,16 +67,19 @@ impl ReedRegister {
         Arc::new_cyclic(|self_ref| ReedRegister {
             id,
             log: mgr.log(),
-            mu: Mutex::new(Inner {
-                versions: vec![Version {
-                    wts: 0,
-                    value: initial,
-                    owner: None,
-                    committed: true,
-                    read_horizon: 0,
-                }],
-                initiated: BTreeSet::new(),
-            }),
+            mu: Mutex::new(
+                Rank::ReedRwMu,
+                Inner {
+                    versions: vec![Version {
+                        wts: 0,
+                        value: initial,
+                        owner: None,
+                        committed: true,
+                        read_horizon: 0,
+                    }],
+                    initiated: BTreeSet::new(),
+                },
+            ),
             cv: Condvar::new(),
             self_ref: self_ref.clone(),
         })

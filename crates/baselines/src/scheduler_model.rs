@@ -16,8 +16,8 @@
 //! impossible, even though it is dynamic atomic.
 
 use atomicity_core::engine::replay_frontier;
+use atomicity_core::sync::{Mutex, Rank};
 use atomicity_spec::{EventKind, History, ObjectId, Operation, SequentialSpec, Value};
-use parking_lot::Mutex;
 
 /// The storage-module side of Figure 5-1: applies invocations immediately
 /// in schedule order.
@@ -50,7 +50,7 @@ impl<S: SequentialSpec> SchedulerModel<S> {
         SchedulerModel {
             id,
             spec,
-            state: Mutex::new(initial),
+            state: Mutex::new(Rank::SchedulerModelState, initial),
         }
     }
 

@@ -29,8 +29,7 @@ use atomicity_bench::workloads::recovery::{
     run_crash_sweep, run_crash_sweep_with, run_distributed_audits, run_lossy, run_recovery_cost,
 };
 use atomicity_bench::workloads::skew::{run_skew, SkewParams};
-use atomicity_lint::lockorder::read_sources;
-use atomicity_lint::{audit_lock_order, certify, LockOrderReport, Property, SynthSuite};
+use atomicity_lint::{certify, Property, SynthSuite};
 use atomicity_spec::atomicity::{is_atomic, is_dynamic_atomic, is_hybrid_atomic, is_static_atomic};
 use atomicity_spec::well_formed::WellFormedness;
 use atomicity_spec::{op, paper, ObjectId, SystemSpec};
@@ -156,7 +155,7 @@ const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "lint",
-        title: "synthesis gate + lock-order audit + nondeterminism scan (the CI gate)",
+        title: "synthesis gate + nondeterminism scan (the CI gate)",
         flags: &["--json=PATH", "--demo-unsound"],
         run: run_lint,
     },
@@ -1275,27 +1274,14 @@ fn e12_simulation(args: &Args) -> Result<(), GateFailure> {
 }
 
 /// E9 (DESIGN.md §5): the static-analysis passes as an experiment — the
-/// gap verdict for every hand-written conflict table, the derived lock
-/// ordering, and the linear-time certifier against the exhaustive
-/// checkers on a real multi-thread history.
+/// gap verdict for every hand-written conflict table, and the linear-time
+/// certifier against the exhaustive checkers on a real multi-thread
+/// history.
 fn e9_static_analysis(args: &Args) -> Result<(), GateFailure> {
     use atomicity_bench::workloads::stress::{stress_history, StressParams};
     use atomicity_spec::specs::BankAccountSpec;
 
     println!("{}", gap_table(atomicity_bench::synthesized_suite()));
-
-    match lock_order_report() {
-        Ok(report) if report.is_clean() => {
-            println!(
-                "derived lock order ({} locks, {} edges): {}\n",
-                report.locks.len(),
-                report.edges.len(),
-                report.order.join(" < ")
-            );
-        }
-        Ok(report) => println!("lock-order audit found cycles: {:?}\n", report.cycles),
-        Err(e) => println!("lock-order audit skipped (sources unavailable: {e})\n"),
-    }
 
     let threads = 4;
     let txns = if args.smoke() { 50 } else { 200 };
@@ -1340,8 +1326,8 @@ fn e9_static_analysis(args: &Args) -> Result<(), GateFailure> {
 }
 
 /// E13 (DESIGN.md §5): conflict-table synthesis — the generated tables
-/// the engines lock with, the hand-table minimality gap report, the
-/// recoverability asymmetries, and the dependency-footprint extraction.
+/// the engines lock with, the hand-table minimality gap report, and the
+/// recoverability asymmetries.
 fn e13_synthesis(_: &Args) -> Result<(), GateFailure> {
     let suite = atomicity_bench::synthesized_suite();
 
@@ -1393,31 +1379,6 @@ fn e13_synthesis(_: &Args) -> Result<(), GateFailure> {
         }
     }
     println!();
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/workloads");
-    match atomicity_lint::nondet::read_sources_recursive(&root, "bench/workloads/") {
-        Ok(files) => {
-            let report = atomicity_lint::extract_footprints(&files);
-            let mut fp = Table::new(vec!["file", "function", "reads", "writes", "unknown"])
-                .with_title("static dependency footprints of the workload transaction programs");
-            for f in &report.functions {
-                fp.row(vec![
-                    f.file.clone(),
-                    f.function.clone(),
-                    f.reads.join(" "),
-                    f.writes.join(" "),
-                    f.unknown.join(" "),
-                ]);
-            }
-            println!("{fp}");
-            println!(
-                "{} writer function(s), {} read-only — the dependency-logging seed for parallel recovery\n",
-                report.writers(),
-                report.read_only()
-            );
-        }
-        Err(e) => println!("footprint extraction skipped (sources unavailable: {e})\n"),
-    }
     Ok(())
 }
 
@@ -1448,25 +1409,11 @@ fn gap_table(suite: &SynthSuite) -> Table {
     gaps
 }
 
-/// Scans the lock-holding sources (core, engines, baselines, the
-/// simulator, and the partitioned service) for the lock-order audit.
-/// Paths resolve relative to this crate's manifest, so the scan works
-/// from any working directory as long as the source tree is present.
-fn lock_order_report() -> std::io::Result<LockOrderReport> {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-    let files = read_sources(&[
-        &root.join("core/src"),
-        &root.join("core/src/engine"),
-        &root.join("baselines/src"),
-        &root.join("sim/src"),
-        &root.join("dist/src"),
-    ])?;
-    Ok(audit_lock_order(&files))
-}
-
 /// Scans the workspace sources for nondeterminism escape hatches: the
 /// strict deterministic-simulation rules over `crates/sim`, the
-/// reproduce-by-seed rules (unseeded RNG) over every crate.
+/// reproduce-by-seed rules (unseeded RNG) over every crate. Paths resolve
+/// relative to this crate's manifest, so the scan works from any working
+/// directory as long as the source tree is present.
 fn nondet_findings() -> std::io::Result<Vec<atomicity_lint::NondetFinding>> {
     use atomicity_lint::nondet::read_sources_recursive;
     use atomicity_lint::{scan_nondeterminism, NondetConfig};
@@ -1510,8 +1457,10 @@ fn verify_generated(
     table: &atomicity_core::ConflictTable,
     config: &atomicity_lint::SynthConfig,
 ) -> Vec<atomicity_lint::SoundnessViolation> {
-    use atomicity_lint::audit::{bank_universe, queue_universe, semiqueue_universe, set_universe};
-    use atomicity_lint::synth::{escrow_universe, map_universe};
+    use atomicity_lint::synth::{
+        bank_universe, escrow_universe, map_universe, queue_universe, semiqueue_universe,
+        set_universe,
+    };
     use atomicity_lint::verify_table;
     use atomicity_spec::specs::{
         BankAccountSpec, EscrowCounterSpec, FifoQueueSpec, IntSetSpec, KvMapSpec, SemiqueueSpec,
@@ -1624,34 +1573,14 @@ fn synthesis_gate(demo_unsound: bool, json_path: &str) -> Result<usize, GateFail
     Ok(errors)
 }
 
-/// The `lint` subcommand: the synthesis gate, the lock-order scan, and the
-/// nondeterminism scan — failing on any generated-table soundness
-/// violation, unsound or asymmetric hand-table entry, lock cycle, or
-/// nondeterminism finding. Over-conservative hand-table entries are
-/// warnings — reported, never fatal. `--demo-unsound` corrupts the
-/// generated bank table to demonstrate the failure path.
+/// The `lint` subcommand: the synthesis gate and the nondeterminism scan —
+/// failing on any generated-table soundness violation, unsound or
+/// asymmetric hand-table entry, or nondeterminism finding.
+/// Over-conservative hand-table entries are warnings — reported, never
+/// fatal. `--demo-unsound` corrupts the generated bank table to
+/// demonstrate the failure path.
 fn run_lint(args: &Args) -> Result<(), GateFailure> {
     let mut errors = synthesis_gate(args.has("--demo-unsound"), &args.json("synth_gap"))?;
-    match lock_order_report() {
-        Ok(report) => {
-            println!(
-                "lock-order audit: {} locks, {} acquisition edges",
-                report.locks.len(),
-                report.edges.len()
-            );
-            if report.is_clean() {
-                println!("  derived order: {}", report.order.join(" < "));
-            } else {
-                for cycle in &report.cycles {
-                    println!("  ERROR lock-order cycle: {}", cycle.join(" -> "));
-                    errors += 1;
-                }
-            }
-        }
-        // Not an error: the lint still gates the tables when the binary
-        // runs from an installed artifact without the source tree.
-        Err(e) => println!("lock-order audit: skipped (sources unavailable: {e})"),
-    }
     match nondet_findings() {
         Ok(findings) => {
             println!("nondeterminism scan: {} finding(s)", findings.len());

@@ -143,8 +143,11 @@ pub fn run_audit(engine: Engine, params: &AuditParams) -> AuditOutcome {
             let (mut committed, mut aborted, mut inconsistent) = (0u64, 0u64, 0u64);
             let mut latency = Duration::ZERO;
             let mut runs = 0u64;
-            for _ in 0..params.audits_per_auditor {
-                if stop.load(Ordering::Relaxed) {
+            for i in 0..params.audits_per_auditor {
+                // The first audit runs however late this thread starts:
+                // a starved auditor would otherwise see `stop` and audit
+                // nothing.
+                if i > 0 && stop.load(Ordering::Relaxed) {
                     break;
                 }
                 let begun = Instant::now();

@@ -24,8 +24,9 @@
 
 use atomicity_bench::{synthesized_suite, Engine};
 use atomicity_core::{AdmissionOutcome, AdmissionRequest, CommutesRel};
-use atomicity_lint::audit::{bank_universe, queue_universe, semiqueue_universe, set_universe};
-use atomicity_lint::synth::{escrow_universe, map_universe};
+use atomicity_lint::synth::{
+    bank_universe, escrow_universe, map_universe, queue_universe, semiqueue_universe, set_universe,
+};
 use atomicity_lint::{certify, Property};
 use atomicity_spec::specs::{
     BankAccountSpec, EscrowCounterSpec, FifoQueueSpec, IntSetSpec, KvMapSpec, SemiqueueSpec,

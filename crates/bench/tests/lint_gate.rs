@@ -1,6 +1,7 @@
 //! The CI gate, tested as a gate: `experiments lint` must re-prove every
 //! synthesized table sound, certify the hand tables' minimality gaps,
-//! scan the engine sources, write the JSON gap report and exit zero —
+//! scan the sources for nondeterminism, write the JSON gap report and
+//! exit zero —
 //! and exit non-zero when an unsound table is injected
 //! (`--demo-unsound`). The registry's own command-line contract is gated
 //! the same way: an unknown experiment name or a flag the named
@@ -19,8 +20,6 @@ fn lint_passes_on_shipped_tables() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "lint failed:\n{stdout}");
     assert!(stdout.contains("lint: clean"), "{stdout}");
-    // The lock-order pass found the sources and derived an order.
-    assert!(stdout.contains("derived order:"), "{stdout}");
     // Every generated table re-proves sound from scratch.
     for adt in ["bank", "queue", "set", "semiqueue", "map", "escrow"] {
         assert!(

@@ -19,9 +19,9 @@
 
 use crate::error::TxnError;
 use crate::object::AtomicObject;
+use crate::sync::{Mutex, Rank};
 use crate::txn::{Txn, TxnKind};
 use atomicity_spec::{ActivityId, ObjectId, Operation, Timestamp, Value};
-use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -181,7 +181,7 @@ pub trait Admission: AtomicObject {
 /// written), clone the `Arc`, and retry if the counter moved — so a
 /// reader's critical section on a slot mutex is a handful of
 /// instructions and never overlaps a writer's.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SeqlockCell<T> {
     /// Serializes writers; readers never touch it.
     writer: Mutex<()>,
@@ -196,9 +196,12 @@ impl<T> SeqlockCell<T> {
     /// first publish.
     pub fn new() -> Self {
         SeqlockCell {
-            writer: Mutex::new(()),
+            writer: Mutex::new(Rank::AdmissionWriter, ()),
             seq: AtomicU64::new(0),
-            slots: [Mutex::new(None), Mutex::new(None)],
+            slots: [
+                Mutex::new(Rank::AdmissionSlots, None),
+                Mutex::new(Rank::AdmissionSlots, None),
+            ],
         }
     }
 
@@ -234,6 +237,12 @@ impl<T> SeqlockCell<T> {
     /// Number of publishes so far.
     pub fn version(&self) -> u64 {
         self.seq.load(Ordering::Acquire) / 2
+    }
+}
+
+impl<T> Default for SeqlockCell<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 

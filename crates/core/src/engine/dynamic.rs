@@ -24,10 +24,10 @@ use crate::error::TxnError;
 use crate::manager::TxnManager;
 use crate::object::{AtomicObject, Participant};
 use crate::stats::StatsSnapshot;
+use crate::sync::{Condvar, Mutex, Rank};
 use crate::trace::ObjectMetrics;
 use crate::txn::Txn;
 use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
-use parking_lot::{Condvar, Mutex};
 use std::sync::{Arc, Weak};
 
 /// An atomic object guaranteeing **dynamic atomicity** for a sequential
@@ -94,7 +94,7 @@ impl<S: SequentialSpec> DynamicObject<S> {
         let (core, initial) = DynamicCore::new(id, spec, mgr, max_check, table);
         Arc::new_cyclic(|self_ref| DynamicObject {
             core,
-            mu: Mutex::new(initial),
+            mu: Mutex::new(Rank::DynamicMu, initial),
             cv: Condvar::new(),
             self_ref: self_ref.clone(),
         })

@@ -24,10 +24,10 @@ use crate::error::TxnError;
 use crate::manager::TxnManager;
 use crate::object::{AtomicObject, Participant};
 use crate::stats::StatsSnapshot;
+use crate::sync::{Condvar, Mutex, Rank};
 use crate::trace::ObjectMetrics;
 use crate::txn::{Txn, TxnKind};
 use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Weak};
 
@@ -114,13 +114,16 @@ impl<S: SequentialSpec> HybridObject<S> {
         let (core, updates) = DynamicCore::new(id, spec, mgr, max_check, table);
         Arc::new_cyclic(|self_ref| HybridObject {
             core,
-            mu: Mutex::new(Inner {
-                updates,
-                versions: Vec::new(),
-            }),
+            mu: Mutex::new(
+                Rank::HybridMu,
+                Inner {
+                    updates,
+                    versions: Vec::new(),
+                },
+            ),
             cv: Condvar::new(),
             latest: SeqlockCell::new(),
-            readers: Mutex::new(BTreeSet::new()),
+            readers: Mutex::new(Rank::HybridReaders, BTreeSet::new()),
             self_ref: self_ref.clone(),
         })
     }

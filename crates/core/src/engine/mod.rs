@@ -33,10 +33,10 @@ use crate::deadlock::WaitDecision;
 use crate::error::TxnError;
 use crate::log::HistoryLog;
 use crate::manager::TxnManager;
+use crate::sync::{Condvar, MutexGuard};
 use crate::trace::{ObjectMetrics, Stopwatch};
 use crate::txn::Txn;
 use atomicity_spec::{ActivityId, Event, ObjectId, OpResult, Operation, SequentialSpec, Value};
-use parking_lot::{Condvar, MutexGuard};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;

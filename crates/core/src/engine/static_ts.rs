@@ -29,12 +29,12 @@ use crate::log::HistoryLog;
 use crate::manager::TxnManager;
 use crate::object::{AtomicObject, Participant};
 use crate::stats::StatsSnapshot;
+use crate::sync::{Condvar, Mutex, Rank};
 use crate::trace::ObjectMetrics;
 use crate::txn::Txn;
 use atomicity_spec::{
     ActivityId, Event, ObjectId, OpResult, Operation, SequentialSpec, Timestamp, Value,
 };
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Weak};
 
@@ -129,13 +129,16 @@ impl<S: SequentialSpec> StaticObject<S> {
             id,
             spec,
             log: mgr.log(),
-            mu: Mutex::new(Inner {
-                base: initial,
-                watermark: 0,
-                entries: Vec::new(),
-                next_seq: 0,
-                initiated: BTreeSet::new(),
-            }),
+            mu: Mutex::new(
+                Rank::StaticTsMu,
+                Inner {
+                    base: initial,
+                    watermark: 0,
+                    entries: Vec::new(),
+                    next_seq: 0,
+                    initiated: BTreeSet::new(),
+                },
+            ),
             cv: Condvar::new(),
             max_futures,
             compaction_threshold,

@@ -17,6 +17,8 @@
 //!   definitions with [`atomicity_spec::atomicity`].
 //! - Recovery substrates ([`recovery`]): simulated stable storage,
 //!   intentions-list redo, and undo-log rollback.
+//! - The workspace's ranked locks ([`sync`]): one table orders every
+//!   mutex, and debug builds check the order where locks are taken.
 //!
 //! # Example
 //!
@@ -62,6 +64,7 @@ pub mod manager;
 pub mod object;
 pub mod recovery;
 pub mod stats;
+pub mod sync;
 pub mod trace;
 pub mod txn;
 

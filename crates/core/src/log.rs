@@ -20,8 +20,8 @@
 //! old one-big-mutex recorder — benchmarks use it as the contention
 //! baseline (experiment E8).
 
+use crate::sync::{Mutex, Rank};
 use atomicity_spec::{Event, History};
-use parking_lot::Mutex;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -102,7 +102,9 @@ impl HistoryLog {
         HistoryLog {
             inner: Arc::new(LogInner {
                 next_seq: AtomicU64::new(0),
-                shards: (0..shards).map(|_| Mutex::new(Vec::new())).collect(),
+                shards: (0..shards)
+                    .map(|_| Mutex::new(Rank::LogShard, Vec::new()))
+                    .collect(),
             }),
         }
     }

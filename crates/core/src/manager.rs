@@ -5,10 +5,10 @@ use crate::deadlock::{DeadlockPolicy, WaitDecision, WaitGraph};
 use crate::error::TxnError;
 use crate::log::HistoryLog;
 use crate::object::Participant;
+use crate::sync::{Mutex, Rank};
 use crate::trace::MetricsRegistry;
 use crate::txn::{Txn, TxnKind, TxnStatus};
 use atomicity_spec::{ActivityId, History, Timestamp};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
@@ -132,11 +132,11 @@ impl ManagerBuilder {
                 next_id: AtomicU32::new(1),
                 clock: Arc::new(LamportClock::new()),
                 log: self.log,
-                commit_gate: Mutex::new(()),
+                commit_gate: Mutex::new(Rank::ManagerCommitGate, ()),
                 txns: (0..TXN_SHARDS)
-                    .map(|_| Mutex::new(HashMap::new()))
+                    .map(|_| Mutex::new(Rank::ManagerTxnShard, HashMap::new()))
                     .collect(),
-                waits: Mutex::new(WaitGraph::new()),
+                waits: Mutex::new(Rank::ManagerWaits, WaitGraph::new()),
                 has_waiters: AtomicBool::new(false),
                 metrics: self.metrics,
             }),

@@ -25,22 +25,18 @@
 //! — the latter is what the kill-based crash harness and `experiments e6
 //! --disk` exercise.
 
+use crate::sync::{Mutex, Rank};
 use atomicity_spec::{ActivityId, ObjectId, OpResult, SequentialSpec};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// The read/write key footprint a dependency-logged commit record carries.
-///
-/// This is the runtime twin of the static shapes in `atomicity-lint`'s
-/// footprint extractor (`analysis::footprint::FnFootprint`): where the
-/// static pass classifies whole functions by the operations they invoke,
-/// this records which integer keys one committed transaction actually
-/// read and wrote at one object. Recovery (à la Yao et al., "dependency
-/// logging") uses the footprints to build a transaction dependency graph
-/// — two commits depend on each other only if their footprints overlap on
-/// a key *and* the operations on that key do not commute — and replays
-/// independent chains in parallel instead of scanning the log serially.
+/// The read/write key footprint a dependency-logged commit record carries:
+/// which integer keys one committed transaction actually read and wrote
+/// at one object. Recovery (à la Yao et al., "dependency logging") uses
+/// the footprints to build a transaction dependency graph — two commits
+/// depend on each other only if their footprints overlap on a key *and*
+/// the operations on that key do not commute — and replays independent
+/// chains in parallel instead of scanning the log serially.
 ///
 /// Operations without an integer first argument (whole-object scans like
 /// `sum`/`size`) have no key to record; they set the `unkeyed_*` flags,
@@ -75,8 +71,7 @@ impl KeyFootprint {
     /// Derives the footprint of a transaction's staged operations: the
     /// integer first argument is the key (the convention every keyed ADT
     /// spec in the workspace follows), and `spec.is_read_only` decides
-    /// read vs write — the same classification
-    /// `analysis::footprint::classify_op` applies statically.
+    /// read vs write.
     pub fn from_ops<S: SequentialSpec>(spec: &S, ops: &[OpResult]) -> Self {
         let mut fp = KeyFootprint::default();
         for (op, _) in ops {
@@ -221,7 +216,7 @@ pub trait DurableLog: Send + Sync + std::fmt::Debug {
 
 /// Simulated stable storage: an append-only record log that survives
 /// crashes. Clones share the same storage (it is the "disk").
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct StableLog {
     records: Arc<Mutex<Vec<LogRecord>>>,
 }
@@ -230,7 +225,7 @@ impl StableLog {
     /// Creates empty stable storage.
     pub fn new() -> Self {
         StableLog {
-            records: Arc::new(Mutex::new(Vec::new())),
+            records: Arc::new(Mutex::new(Rank::RecoveryRecords, Vec::new())),
         }
     }
 
@@ -258,6 +253,12 @@ impl StableLog {
     /// injector to model a crash that lost a suffix of un-flushed records.
     pub fn truncate(&self, n: usize) {
         self.records.lock().truncate(n);
+    }
+}
+
+impl Default for StableLog {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -366,8 +367,8 @@ impl<S: SequentialSpec> IntentionsStore<S> {
             spec,
             object,
             log,
-            volatile: Mutex::new(Some(initial)),
-            index: Mutex::new(TxnIndex::default()),
+            volatile: Mutex::new(Rank::RecoveryVolatile, Some(initial)),
+            index: Mutex::new(Rank::RecoveryIndex, TxnIndex::default()),
         }
     }
 
@@ -654,11 +655,14 @@ impl<S: SequentialSpec> UndoStore<S> {
         UndoStore {
             spec,
             object,
-            durable: Mutex::new(UndoDurable {
-                state: initial,
-                applied: Vec::new(),
-                committed: BTreeSet::new(),
-            }),
+            durable: Mutex::new(
+                Rank::RecoveryDurable,
+                UndoDurable {
+                    state: initial,
+                    applied: Vec::new(),
+                    committed: BTreeSet::new(),
+                },
+            ),
         }
     }
 

@@ -43,8 +43,8 @@
 
 use crate::error::AbortReason;
 use crate::stats::{ObjectStats, StatsSnapshot};
+use crate::sync::{Mutex, Rank};
 use atomicity_spec::{ActivityId, ObjectId};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -482,7 +482,7 @@ impl MetricsRegistry {
                 abort_reasons: std::array::from_fn(|_| AtomicU64::new(0)),
                 certifier_observed: AtomicU64::new(0),
                 certifier_retained_peak: AtomicU64::new(0),
-                objects: Mutex::new(Vec::new()),
+                objects: Mutex::new(Rank::TraceObjects, Vec::new()),
             })),
         }
     }

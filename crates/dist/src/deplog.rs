@@ -29,10 +29,10 @@
 
 use crate::kv::ShardKvSpec;
 use atomicity_core::recovery::{IntentionsStore, StableLog};
+use atomicity_core::sync::{Mutex, Rank};
 use atomicity_core::{CommutesRel, ConflictTable, KeyFootprint, LogRecord, RecordKind};
 use atomicity_lint::{synthesize_table, SynthConfig};
 use atomicity_spec::{ActivityId, OpResult, Operation};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -262,8 +262,7 @@ impl DepGraph {
 
 /// Shared scheduling state of one parallel replay. Idle workers spin
 /// with `yield_now` rather than parking on a condvar: a replay lasts
-/// milliseconds, and it keeps the hold-a-lock-while-calling pattern out
-/// of the crate entirely (the lock-order lint scans this directory).
+/// milliseconds.
 struct ReplayQueue {
     ready: Mutex<VecDeque<u32>>,
     remaining: AtomicUsize,
@@ -312,11 +311,13 @@ fn apply_op(stripes: &[Mutex<BTreeMap<i64, i64>>], op: &Operation) {
 /// and each is applied atomically under its key stripe's lock.
 pub fn parallel_replay(graph: &DepGraph, threads: usize) -> BTreeMap<i64, i64> {
     let n = graph.records.len();
-    let stripes: Vec<Mutex<BTreeMap<i64, i64>>> =
-        (0..STRIPES).map(|_| Mutex::new(BTreeMap::new())).collect();
+    let stripes: Vec<Mutex<BTreeMap<i64, i64>>> = (0..STRIPES)
+        .map(|_| Mutex::new(Rank::DeplogStripes, BTreeMap::new()))
+        .collect();
     let indegree: Vec<AtomicU32> = graph.indegree.iter().map(|&d| AtomicU32::new(d)).collect();
     let queue = ReplayQueue {
         ready: Mutex::new(
+            Rank::DeplogReady,
             (0..n as u32)
                 .filter(|&i| graph.indegree[i as usize] == 0)
                 .collect(),

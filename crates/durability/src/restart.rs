@@ -19,7 +19,7 @@
 
 use crate::wal::{Wal, WalOptions, WalRecoveryInfo};
 use atomicity_core::recovery::{DurableLog, LogRecord};
-use parking_lot::Mutex;
+use atomicity_core::sync::{Mutex, Rank};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -72,11 +72,14 @@ impl RestartableWal {
         Ok(RestartableWal {
             dir,
             opts,
-            inner: Mutex::new(Inner {
-                wal: Some(wal),
-                last_recovery: info,
-                restarts: 0,
-            }),
+            inner: Mutex::new(
+                Rank::RestartInner,
+                Inner {
+                    wal: Some(wal),
+                    last_recovery: info,
+                    restarts: 0,
+                },
+            ),
         })
     }
 

@@ -42,9 +42,9 @@
 
 use crate::frame::{encode_frame, read_frame, FrameRead};
 use atomicity_core::recovery::{DurableLog, LogRecord, RecordKind};
+use atomicity_core::sync::{Condvar, Mutex, Rank};
 use atomicity_core::trace::MetricsRegistry;
 use atomicity_spec::{ActivityId, ObjectId};
-use parking_lot::{Condvar, Mutex};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -157,7 +157,7 @@ struct WalState {
 /// Work flags shared with the flusher thread. Owned by an `Arc` of its
 /// own (not inside `WalInner`) so the thread can keep waiting on it with
 /// only a `Weak` back-reference to the log.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct FlushSignal {
     flags: Mutex<FlushFlags>,
     cond: Condvar,
@@ -315,20 +315,26 @@ impl Wal {
             segment_bytes: opts.segment_bytes.max(1),
             sync: opts.sync,
             metrics: opts.metrics,
-            state: Mutex::new(WalState {
-                file,
-                seg_path,
-                seg_bytes,
-                next_lsn,
-                base,
-                tail,
-                ckpt_lsn,
-            }),
+            state: Mutex::new(
+                Rank::WalState,
+                WalState {
+                    file,
+                    seg_path,
+                    seg_bytes,
+                    next_lsn,
+                    base,
+                    tail,
+                    ckpt_lsn,
+                },
+            ),
             // Everything recovered is on disk by definition.
-            durable: Mutex::new(next_lsn),
+            durable: Mutex::new(Rank::WalDurable, next_lsn),
             durable_cond: Condvar::new(),
-            signal: Arc::new(FlushSignal::default()),
-            flusher: Mutex::new(None),
+            signal: Arc::new(FlushSignal {
+                flags: Mutex::new(Rank::WalFlags, FlushFlags::default()),
+                cond: Condvar::new(),
+            }),
+            flusher: Mutex::new(Rank::WalFlusher, None),
         });
 
         if let SyncPolicy::GroupCommit { window } = opts.sync {

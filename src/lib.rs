@@ -26,8 +26,9 @@
 //!   log with CRC32 framing, group commit, fuzzy checkpointing, and the
 //!   kill-based crash harness.
 //! - [`analysis`] — static analysis (`atomicity-lint`): conflict-table
-//!   audits with counterexample certificates, linear-time history
-//!   certification, and the lock-order audit behind `experiments lint`.
+//!   synthesis and the hand-table diff with counterexample certificates,
+//!   linear-time history certification, and the nondeterminism lint
+//!   behind `experiments lint`.
 //! - `bench` ([`atomicity_bench`]) — workload generators and the
 //!   experiment harness that regenerates every comparison in the paper.
 //!
