@@ -42,7 +42,7 @@ pub use reed_rw::ReedRegister;
 pub use rw_2pl::TwoPhaseLockedObject;
 pub use scheduler_model::SchedulerModel;
 
-use atomicity_core::engine::{candidates, replay_frontier};
+use atomicity_core::engine::{candidates, replay_frontier, replay_into};
 use atomicity_core::TxnError;
 use atomicity_spec::{ActivityId, ObjectId, OpResult, Operation, SequentialSpec, Value};
 use std::collections::BTreeMap;
@@ -107,10 +107,7 @@ impl<S: SequentialSpec> Deferred<S> {
     /// Applies `txn`'s intentions list to the committed frontier.
     pub(crate) fn install(&mut self, spec: &S, txn: ActivityId) {
         if let Some(list) = self.intentions.remove(&txn) {
-            let next = replay_frontier(spec, &self.committed, &list);
-            if !next.is_empty() {
-                self.committed = next;
-            }
+            replay_into(spec, &mut self.committed, &list);
         }
     }
 

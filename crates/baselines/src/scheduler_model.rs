@@ -15,7 +15,7 @@
 //! queue history (dequeues `1,2,1,2` after interleaved enqueues) is
 //! impossible, even though it is dynamic atomic.
 
-use atomicity_core::engine::replay_frontier;
+use atomicity_core::engine::replay_into;
 use atomicity_core::sync::{Mutex, Rank};
 use atomicity_spec::{EventKind, History, ObjectId, Operation, SequentialSpec, Value};
 
@@ -112,9 +112,7 @@ impl<S: SequentialSpec> SchedulerModel<S> {
                     // The storage module applies the invocation now; the
                     // recorded result must be one of its possible results.
                     applied.push((operation, value.clone()));
-                    frontier =
-                        replay_frontier(&self.spec, &frontier, &applied[applied.len() - 1..]);
-                    if frontier.is_empty() {
+                    if !replay_into(&self.spec, &mut frontier, &applied[applied.len() - 1..]) {
                         return false;
                     }
                 }

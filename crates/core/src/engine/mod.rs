@@ -20,8 +20,9 @@
 //! lock-guarded `Intentions` is the whole of §4.1:
 //! [`dynamic::DynamicObject`] is nothing more, and
 //! [`hybrid::HybridObject`] contains one and adds only what §4.3 adds.
-//! [`replay_frontier`] and [`candidates`] are public because the lock
-//! baselines defer and pick results the same way.
+//! [`replay_frontier`] and [`replay_into`] (the specification crate's one
+//! frontier fold) and [`candidates`] are public because the lock baselines
+//! defer and pick results the same way.
 
 pub mod dynamic;
 pub mod hybrid;
@@ -56,50 +57,7 @@ const MAX_CHECK_CEILING: usize = 16;
 /// safety net on top of commit/abort notifications).
 const WAIT_SLICE: Duration = Duration::from_millis(5);
 
-/// Applies `ops` to every state in `frontier`, collecting all reachable
-/// states in which each operation returned its recorded result.
-///
-/// The frontier-set representation is what makes non-deterministic
-/// specifications (§5.2) compose correctly: committing a transaction never
-/// collapses the object's abstract state to one arbitrary branch.
-pub fn replay_frontier<S: SequentialSpec>(
-    spec: &S,
-    frontier: &[S::State],
-    ops: &[OpResult],
-) -> Vec<S::State> {
-    // The first operation reads `frontier` in place and the rest swap two
-    // buffers: replaying a list never copies the frontier, and an empty
-    // list (the uncontended path) is that one copy and nothing else.
-    let Some((first, rest)) = ops.split_first() else {
-        return frontier.to_vec();
-    };
-    let mut states: Vec<S::State> = Vec::new();
-    advance(spec, frontier, first, &mut states);
-    let mut next: Vec<S::State> = Vec::new();
-    for step in rest {
-        next.clear();
-        advance(spec, &states, step, &mut next);
-        std::mem::swap(&mut states, &mut next);
-    }
-    states
-}
-
-/// Adds to `into` each state that `op`, returning `expected`, can leave
-/// from some state of `from`.
-fn advance<S: SequentialSpec>(
-    spec: &S,
-    from: &[S::State],
-    (op, expected): &OpResult,
-    into: &mut Vec<S::State>,
-) {
-    for s in from {
-        for (value, s2) in spec.step(s, op) {
-            if &value == expected && !into.contains(&s2) {
-                into.push(s2);
-            }
-        }
-    }
-}
+pub use atomicity_spec::{replay_frontier, replay_into};
 
 /// The results `op` may return somewhere in `frontier`, without
 /// duplicates and in the fixed order every engine and baseline grants
@@ -448,14 +406,8 @@ impl<S: SequentialSpec> DynamicCore<S> {
     /// frontier.
     pub(crate) fn install(&self, state: &mut Intentions<S>, txn: ActivityId) {
         if let Some(list) = state.pending.remove(&txn) {
-            let next = replay_frontier(&self.spec, &state.committed, &list);
-            debug_assert!(
-                !next.is_empty(),
-                "admitted intentions must replay at commit"
-            );
-            if !next.is_empty() {
-                state.committed = next;
-            }
+            let replayed = replay_into(&self.spec, &mut state.committed, &list);
+            debug_assert!(replayed, "admitted intentions must replay at commit");
         }
     }
 }
@@ -465,7 +417,7 @@ mod tests {
     use super::*;
     use atomicity_spec::specs::{
         BankAccountSpec, BoundedBufferSpec, CounterSpec, EscrowCounterSpec, FifoQueueSpec,
-        IntSetSpec, KvMapSpec, SemiqueueSpec,
+        IntSetSpec, KvMapSpec, RegisterSpec, SemiqueueSpec,
     };
     use atomicity_spec::{op, Value};
     use proptest::prelude::*;
@@ -553,38 +505,159 @@ mod tests {
         list
     }
 
+    fn nullary(name: &str) -> Operation {
+        Operation::new(name, [])
+    }
+
+    /// A property checked on one specification with a small universe of
+    /// its operations.
+    trait SpecProperty {
+        fn check<S: SequentialSpec>(
+            &self,
+            name: &'static str,
+            spec: S,
+            universe: &[Operation],
+        ) -> Result<(), TestCaseError>;
+    }
+
+    /// Checks `property` on every shipped specification but the map
+    /// shard's (deterministic and not, keyed and not) and on
+    /// `HiddenChoiceSpec`.
+    fn every_spec(property: &impl SpecProperty) -> Result<(), TestCaseError> {
+        let money = |add: &str, take: &str, read: &str| {
+            vec![
+                op(add, [1]),
+                op(add, [2]),
+                op(take, [1]),
+                op(take, [2]),
+                op(take, [3]),
+                nullary(read),
+            ]
+        };
+        property.check(
+            "bank",
+            BankAccountSpec::with_initial(4),
+            &money("deposit", "withdraw", "balance"),
+        )?;
+        property.check(
+            "escrow",
+            EscrowCounterSpec::with_initial(4),
+            &money("credit", "debit", "available"),
+        )?;
+        property.check(
+            "counter",
+            CounterSpec::new(),
+            &[nullary("increment"), nullary("value")],
+        )?;
+        property.check(
+            "register",
+            RegisterSpec::new(),
+            &[op("write", [1]), op("write", [2]), nullary("read")],
+        )?;
+        property.check(
+            "set",
+            IntSetSpec::new(),
+            &[
+                op("insert", [1]),
+                op("insert", [2]),
+                op("delete", [1]),
+                op("member", [1]),
+                nullary("size"),
+            ],
+        )?;
+        property.check(
+            "map",
+            KvMapSpec::new(),
+            &[
+                op("put", [1, 1]),
+                op("put", [1, 2]),
+                op("adjust", [1, 1]),
+                op("adjust", [2, -1]),
+                op("add", [1, 1]),
+                op("get", [1]),
+                op("remove", [1]),
+                nullary("size"),
+                nullary("sum"),
+            ],
+        )?;
+        property.check(
+            "buffer",
+            BoundedBufferSpec::with_capacity(3),
+            &[
+                op("put", [1]),
+                op("put", [2]),
+                nullary("take"),
+                nullary("count"),
+            ],
+        )?;
+        property.check(
+            "fifo",
+            FifoQueueSpec::new(),
+            &[
+                op("enqueue", [1]),
+                op("enqueue", [2]),
+                nullary("dequeue"),
+                nullary("front"),
+                nullary("len"),
+            ],
+        )?;
+        property.check(
+            "semiqueue",
+            SemiqueueSpec::new(),
+            &[
+                op("enq", [1]),
+                op("enq", [2]),
+                nullary("deq"),
+                nullary("count"),
+            ],
+        )?;
+        property.check(
+            "hidden choice",
+            HiddenChoiceSpec,
+            &[
+                nullary("bump"),
+                nullary("double"),
+                op("below", [4]),
+                op("below", [7]),
+            ],
+        )
+    }
+
     /// How many generated cases each specification accepted and refused.
     static VERDICTS: Mutex<BTreeMap<&str, [usize; 2]>> = Mutex::new(BTreeMap::new());
 
     /// Builds a committed frontier from `prefix` and, from it, pending
     /// lists that each replay on their own (as admitted intentions do),
     /// and holds the subset programme to the permutation walk's verdict.
-    fn verdicts_agree<S: SequentialSpec>(
-        name: &'static str,
-        spec: S,
-        universe: &[Operation],
-        prefix: &Picks,
-        pending: &[Picks],
-    ) -> Result<(), TestCaseError> {
-        let mut committed = vec![spec.initial()];
-        draw_list(&spec, universe, &mut committed, prefix);
-        let lists: Vec<Vec<OpResult>> = pending
-            .iter()
-            .map(|picks| draw_list(&spec, universe, &mut committed.clone(), picks))
-            .collect();
-        let lists: Vec<&[OpResult]> = lists.iter().map(Vec::as_slice).collect();
-        let expected = every_permutation_replays(&spec, &committed, &lists);
-        prop_assert_eq!(all_orders_replay(&spec, &committed, &lists), expected);
-        VERDICTS
-            .lock()
-            .expect("no case panics holding it")
-            .entry(name)
-            .or_default()[usize::from(expected)] += 1;
-        Ok(())
+    struct VerdictsAgree<'a> {
+        prefix: &'a Picks,
+        pending: &'a [Picks],
     }
 
-    fn nullary(name: &str) -> Operation {
-        Operation::new(name, [])
+    impl SpecProperty for VerdictsAgree<'_> {
+        fn check<S: SequentialSpec>(
+            &self,
+            name: &'static str,
+            spec: S,
+            universe: &[Operation],
+        ) -> Result<(), TestCaseError> {
+            let mut committed = vec![spec.initial()];
+            draw_list(&spec, universe, &mut committed, self.prefix);
+            let lists: Vec<Vec<OpResult>> = self
+                .pending
+                .iter()
+                .map(|picks| draw_list(&spec, universe, &mut committed.clone(), picks))
+                .collect();
+            let lists: Vec<&[OpResult]> = lists.iter().map(Vec::as_slice).collect();
+            let expected = every_permutation_replays(&spec, &committed, &lists);
+            prop_assert_eq!(all_orders_replay(&spec, &committed, &lists), expected);
+            VERDICTS
+                .lock()
+                .expect("no case panics holding it")
+                .entry(name)
+                .or_default()[usize::from(expected)] += 1;
+            Ok(())
+        }
     }
 
     proptest! {
@@ -595,81 +668,7 @@ mod tests {
                 0..=5,
             ),
         ) {
-            let money = |add: &str, take: &str, read: &str| {
-                vec![op(add, [1]), op(add, [2]), op(take, [1]), op(take, [2]), op(take, [3]), nullary(read)]
-            };
-            verdicts_agree(
-                "bank",
-                BankAccountSpec::with_initial(4),
-                &money("deposit", "withdraw", "balance"),
-                &prefix,
-                &pending,
-            )?;
-            verdicts_agree(
-                "escrow",
-                EscrowCounterSpec::with_initial(4),
-                &money("credit", "debit", "available"),
-                &prefix,
-                &pending,
-            )?;
-            verdicts_agree(
-                "counter",
-                CounterSpec::new(),
-                &[nullary("increment"), nullary("value")],
-                &prefix,
-                &pending,
-            )?;
-            verdicts_agree(
-                "set",
-                IntSetSpec::new(),
-                &[op("insert", [1]), op("insert", [2]), op("delete", [1]), op("member", [1]), nullary("size")],
-                &prefix,
-                &pending,
-            )?;
-            verdicts_agree(
-                "map",
-                KvMapSpec::new(),
-                &[
-                    op("put", [1, 1]),
-                    op("put", [1, 2]),
-                    op("adjust", [1, 1]),
-                    op("adjust", [2, -1]),
-                    op("add", [1, 1]),
-                    op("get", [1]),
-                    op("remove", [1]),
-                    nullary("size"),
-                ],
-                &prefix,
-                &pending,
-            )?;
-            verdicts_agree(
-                "buffer",
-                BoundedBufferSpec::with_capacity(3),
-                &[op("put", [1]), op("put", [2]), nullary("take"), nullary("count")],
-                &prefix,
-                &pending,
-            )?;
-            verdicts_agree(
-                "fifo",
-                FifoQueueSpec::new(),
-                &[op("enqueue", [1]), op("enqueue", [2]), nullary("dequeue"), nullary("front")],
-                &prefix,
-                &pending,
-            )?;
-            verdicts_agree(
-                "semiqueue",
-                SemiqueueSpec::new(),
-                &[op("enq", [1]), op("enq", [2]), nullary("deq")],
-                &prefix,
-                &pending,
-            )?;
-            verdicts_agree(
-                "hidden choice",
-                HiddenChoiceSpec,
-                &[nullary("bump"), nullary("double"), op("below", [4]), op("below", [7])],
-                &prefix,
-                &pending,
-            )?;
+            every_spec(&VerdictsAgree { prefix: &prefix, pending: &pending })?;
         }
     }
 
@@ -677,13 +676,109 @@ mod tests {
     fn subset_programme_gives_the_permutation_walks_verdicts() {
         subset_programme_matches_the_permutation_walk();
         let verdicts = VERDICTS.lock().expect("no case panics holding it");
-        assert_eq!(verdicts.len(), 9);
+        assert_eq!(verdicts.len(), 10);
         for (name, [refused, accepted]) in verdicts.iter() {
             assert!(
                 *refused > 0 && *accepted > 0,
                 "{name}: {refused} refused, {accepted} accepted — one side untested"
             );
         }
+    }
+
+    /// How often each specification's `apply` answered `Some(true)`,
+    /// `Some(false)` and `None`.
+    static ANSWERS: Mutex<BTreeMap<&str, [usize; 3]>> = Mutex::new(BTreeMap::new());
+
+    /// Holds `apply` to what `step` says on one drawn case: a state some
+    /// accepted prefix reaches, an operation of the universe or an
+    /// ill-typed one under a universe name, and a result that some
+    /// operation of the universe returns in that state, or `nil`, or a
+    /// symbol none returns.
+    struct ApplyAgreesWithStep<'a> {
+        prefix: &'a Picks,
+        pick: (usize, usize, usize),
+    }
+
+    impl SpecProperty for ApplyAgreesWithStep<'_> {
+        fn check<S: SequentialSpec>(
+            &self,
+            name: &'static str,
+            spec: S,
+            universe: &[Operation],
+        ) -> Result<(), TestCaseError> {
+            let (state, operation, result) = self.pick;
+            let mut frontier = vec![spec.initial()];
+            draw_list(&spec, universe, &mut frontier, self.prefix);
+            let state = &frontier[state % frontier.len()];
+            let which = operation % (2 * universe.len());
+            let op = match universe.get(which) {
+                Some(op) => op.clone(),
+                None => Operation::new(universe[which - universe.len()].name(), [Value::sym("x")]),
+            };
+            let mut results: Vec<Value> = universe
+                .iter()
+                .flat_map(|o| spec.step(state, o))
+                .map(|(v, _)| v)
+                .collect();
+            results.extend([Value::Nil, Value::sym("wrong")]);
+            let expected = &results[result % results.len()];
+
+            let mut reached: Vec<S::State> = Vec::new();
+            for (v, next) in spec.step(state, &op) {
+                if &v == expected && !reached.contains(&next) {
+                    reached.push(next);
+                }
+            }
+            let (want, after) = match reached.as_slice() {
+                [] => (Some(false), state),
+                [only] => (Some(true), only),
+                _ => (None, state),
+            };
+            let mut moved = state.clone();
+            let answer = spec.apply(&mut moved, &op, expected);
+            prop_assert!(
+                answer == want && moved == *after,
+                "{name}: apply({op} -> {expected}) on {state:?} answered {answer:?} leaving \
+                 {moved:?}; step says {want:?} leaving {after:?}"
+            );
+            let slot = match answer {
+                Some(true) => 0,
+                Some(false) => 1,
+                None => 2,
+            };
+            ANSWERS
+                .lock()
+                .expect("no case panics holding it")
+                .entry(name)
+                .or_default()[slot] += 1;
+            Ok(())
+        }
+    }
+
+    proptest! {
+        fn apply_matches_step(
+            prefix in prop::collection::vec((0..64usize, 0..8usize), 0..6),
+            pick in (0..8usize, 0..64usize, 0..64usize),
+        ) {
+            every_spec(&ApplyAgreesWithStep { prefix: &prefix, pick })?;
+        }
+    }
+
+    #[test]
+    fn apply_gives_steps_answer_on_every_spec() {
+        apply_matches_step();
+        let answers = ANSWERS.lock().expect("no case panics holding it");
+        assert_eq!(answers.len(), 10);
+        for (name, [moved, refused, open]) in answers.iter() {
+            assert!(
+                *moved > 0 && *refused > 0,
+                "{name}: {moved} moved, {refused} refused, {open} open — one side untested"
+            );
+        }
+        assert!(
+            answers.values().any(|[_, _, open]| *open > 0),
+            "no specification left a result open"
+        );
     }
 
     /// Counts `step` calls. Over one-operation lists and one-state

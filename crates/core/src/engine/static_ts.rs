@@ -22,7 +22,7 @@
 
 use crate::admission::{Admission, AdmissionOutcome, AdmissionRequest};
 use crate::engine::{
-    attempt, candidates, invalid_operation, invoke_blocking, replay_frontier, Engine,
+    attempt, candidates, invalid_operation, invoke_blocking, replay_frontier, replay_into, Engine,
 };
 use crate::error::TxnError;
 use crate::log::HistoryLog;
@@ -319,12 +319,11 @@ impl<S: SequentialSpec> StaticObject<S> {
             && inner.entries.first().is_some_and(|e| e.committed)
         {
             let e = inner.entries.remove(0);
-            let next = replay_frontier(&self.spec, &inner.base, &[(e.op, e.value)]);
-            debug_assert!(!next.is_empty(), "committed entries must replay");
-            if next.is_empty() {
+            let replayed = replay_into(&self.spec, &mut inner.base, &[(e.op, e.value)]);
+            debug_assert!(replayed, "committed entries must replay");
+            if !replayed {
                 return;
             }
-            inner.base = next;
             inner.watermark = e.ts;
         }
     }

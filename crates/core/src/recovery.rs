@@ -26,7 +26,7 @@
 //! --disk` exercise.
 
 use crate::sync::{Mutex, Rank};
-use atomicity_spec::{ActivityId, ObjectId, OpResult, SequentialSpec};
+use atomicity_spec::{replay_into, ActivityId, ObjectId, OpResult, SequentialSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -395,7 +395,7 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// is a no-op, as is a commit after an abort — the first durable
     /// outcome wins.
     pub fn commit(&self, txn: ActivityId) {
-        self.commit_kind(txn, RecordKind::Commit);
+        self.commit_kind(txn, |_| RecordKind::Commit);
     }
 
     /// Durably commits with a dependency-log record: the commit record
@@ -403,35 +403,40 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// replay non-conflicting commits in parallel. Idempotent like
     /// [`IntentionsStore::commit`].
     pub fn commit_with_footprint(&self, txn: ActivityId, footprint: KeyFootprint) {
-        self.commit_kind(txn, RecordKind::CommitDep { footprint });
+        self.commit_kind(txn, |_| RecordKind::CommitDep { footprint });
     }
 
     /// Durably commits the staged footprint derived from the staged
     /// operations themselves (the common case: the dependency record is
     /// computed from what was prepared, not re-declared by the caller).
     pub fn commit_dependency_logged(&self, txn: ActivityId) {
-        let footprint = KeyFootprint::from_ops(&self.spec, &self.staged_ops(txn));
-        self.commit_with_footprint(txn, footprint);
+        self.commit_kind(txn, |ops| RecordKind::CommitDep {
+            footprint: KeyFootprint::from_ops(&self.spec, ops),
+        });
     }
 
-    fn commit_kind(&self, txn: ActivityId, kind: RecordKind) {
-        debug_assert!(kind.is_commit());
-        if self.outcome(txn).is_some() {
+    /// Commits `txn` unless it already has a durable outcome: appends and
+    /// forces the record `kind` builds from the staged operations, then
+    /// replays those same operations into the cache. The index is read
+    /// once, for both the outcome and the operations.
+    fn commit_kind(&self, txn: ActivityId, kind: impl FnOnce(&[OpResult]) -> RecordKind) {
+        let undecided = self.with_index(|idx| {
+            (!idx.outcome.contains_key(&txn))
+                .then(|| idx.staged.get(&txn).cloned().unwrap_or_default())
+        });
+        let Some(ops) = undecided else {
             return;
-        }
+        };
+        let kind = kind(&ops);
+        debug_assert!(kind.is_commit());
         self.log.append(LogRecord {
             txn,
             object: self.object,
             kind,
         });
         self.log.sync();
-        let ops = self.staged_ops(txn);
-        let mut vol = self.volatile.lock();
-        if let Some(states) = vol.as_mut() {
-            let next = crate::engine::replay_frontier(&self.spec, states, &ops);
-            if !next.is_empty() {
-                *states = next;
-            }
+        if let Some(states) = self.volatile.lock().as_mut() {
+            replay_into(&self.spec, states, &ops);
         }
     }
 
@@ -539,11 +544,7 @@ impl<S: SequentialSpec> IntentionsStore<S> {
             }
             open.remove(&r.txn);
             if r.kind.is_commit() {
-                let ops = self.staged_ops(r.txn);
-                let next = crate::engine::replay_frontier(&self.spec, &states, &ops);
-                if !next.is_empty() {
-                    states = next;
-                }
+                replay_into(&self.spec, &mut states, &self.staged_ops(r.txn));
                 redone.push(r.txn);
             } else {
                 discarded.push(r.txn);
@@ -606,11 +607,7 @@ impl<S: SequentialSpec> IntentionsStore<S> {
             if !filter(r.txn) || !done.insert(r.txn) {
                 continue;
             }
-            let ops = self.staged_ops(r.txn);
-            let next = crate::engine::replay_frontier(&self.spec, &states, &ops);
-            if !next.is_empty() {
-                states = next;
-            }
+            replay_into(&self.spec, &mut states, &self.staged_ops(r.txn));
         }
         states
     }
@@ -676,12 +673,10 @@ impl<S: SequentialSpec> UndoStore<S> {
     /// result is not replayable in the current state.
     pub fn apply(&self, txn: ActivityId, op: OpResult) -> bool {
         let mut d = self.durable.lock();
-        let next = crate::engine::replay_frontier(&self.spec, &d.state, std::slice::from_ref(&op));
-        if next.is_empty() {
+        if !replay_into(&self.spec, &mut d.state, std::slice::from_ref(&op)) {
             return false;
         }
         d.applied.push((txn, op));
-        d.state = next;
         true
     }
 
@@ -716,15 +711,17 @@ impl<S: SequentialSpec> UndoStore<S> {
     }
 
     fn recompute(spec: &S, d: &mut UndoDurable<S>) {
-        let ops: Vec<OpResult> = d.applied.iter().map(|(_, op)| op.clone()).collect();
-        let initial = vec![spec.initial()];
-        let next = crate::engine::replay_frontier(spec, &initial, &ops);
+        let mut states = vec![spec.initial()];
+        let replayed = d
+            .applied
+            .iter()
+            .all(|(_, op)| replay_into(spec, &mut states, std::slice::from_ref(op)));
         debug_assert!(
-            !next.is_empty(),
+            replayed,
             "surviving operations must stay replayable after rollback"
         );
-        if !next.is_empty() {
-            d.state = next;
+        if replayed {
+            d.state = states;
         }
     }
 

@@ -1,0 +1,119 @@
+//! How many times replaying a frontier copies the state. A specification
+//! whose `step` copies the state before changing it — as every map-shaped
+//! one does — pays O(state) per copy, so these counts are what keeps a
+//! committed or recovered key/value map from being copied once per
+//! operation.
+
+use atomicity_core::engine::replay_frontier;
+use atomicity_core::recovery::{IntentionsStore, StableLog};
+use atomicity_spec::{op, ActivityId, ObjectId, OpResult, Operation, SequentialSpec, Value};
+use std::cell::Cell;
+
+thread_local! {
+    /// Clones of [`Copied`] made on this thread (a test runs on one).
+    static COPIES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// A balance that counts its clones.
+#[derive(Debug, PartialEq)]
+struct Copied(i64);
+
+impl Clone for Copied {
+    fn clone(&self) -> Self {
+        COPIES.with(|c| c.set(c.get() + 1));
+        Copied(self.0)
+    }
+}
+
+/// Deposits into a [`Copied`] balance: `step` copies the state and changes
+/// the copy, `apply` changes the state in place.
+struct Deposits;
+
+impl SequentialSpec for Deposits {
+    type State = Copied;
+
+    fn initial(&self) -> Copied {
+        Copied(0)
+    }
+
+    fn step(&self, state: &Copied, op: &Operation) -> Vec<(Value, Copied)> {
+        match (op.name(), op.int_arg(0)) {
+            ("deposit", Some(n)) => {
+                let mut next = state.clone();
+                next.0 += n;
+                vec![(Value::ok(), next)]
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    fn apply(&self, state: &mut Copied, op: &Operation, expected: &Value) -> Option<bool> {
+        match (op.name(), op.int_arg(0)) {
+            ("deposit", Some(n)) if expected.is_ok_unit() => {
+                state.0 += n;
+                Some(true)
+            }
+            _ => Some(false),
+        }
+    }
+}
+
+/// Deposits of 1, 2, …, `k`.
+fn deposits(k: i64) -> Vec<OpResult> {
+    (1..=k).map(|n| (op("deposit", [n]), Value::ok())).collect()
+}
+
+/// The clones `f` makes.
+fn copies(f: impl FnOnce()) -> usize {
+    let before = COPIES.with(Cell::get);
+    f();
+    COPIES.with(Cell::get) - before
+}
+
+#[test]
+fn committing_one_operation_copies_no_state() {
+    let store = IntentionsStore::new(Deposits, ObjectId::new(1), StableLog::new());
+    let txn = ActivityId::new(1);
+    store.prepare(txn, deposits(1));
+    assert_eq!(copies(|| store.commit(txn)), 0);
+    assert_eq!(store.committed_frontier(), vec![Copied(1)]);
+}
+
+#[test]
+fn recovery_copies_once_per_longer_commit_and_never_for_one_operation() {
+    const N: u32 = 40;
+    for (k, want) in [(1, 0), (2, N as usize)] {
+        let store = IntentionsStore::new(Deposits, ObjectId::new(1), StableLog::new());
+        for t in 1..=N {
+            store.prepare(ActivityId::new(t), deposits(k));
+            store.commit(ActivityId::new(t));
+        }
+        store.crash();
+        assert_eq!(
+            copies(|| {
+                store.recover();
+            }),
+            want,
+            "{N} commits of {k} operations"
+        );
+        let per_commit: i64 = (1..=k).sum();
+        assert_eq!(
+            store.committed_frontier(),
+            vec![Copied(i64::from(N) * per_commit)]
+        );
+    }
+}
+
+#[test]
+fn replaying_a_list_from_one_state_copies_it_once() {
+    for k in [1, 2, 8] {
+        let list = deposits(k);
+        let mut after = Vec::new();
+        assert_eq!(
+            copies(|| after = replay_frontier(&Deposits, &[Copied(0)], &list)),
+            1,
+            "a list of {k}"
+        );
+        assert_eq!(after, vec![Copied((1..=k).sum())]);
+    }
+}

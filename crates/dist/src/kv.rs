@@ -66,6 +66,19 @@ impl SequentialSpec for ShardKvSpec {
         }
     }
 
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        match (op.name(), op.args().len(), op.int_arg(0), op.int_arg(1)) {
+            ("set", 2, Some(k), Some(v)) => {
+                let replayed = expected.is_ok_unit();
+                if replayed {
+                    state.insert(k, v);
+                }
+                Some(replayed)
+            }
+            _ => self.inner.apply(state, op, expected),
+        }
+    }
+
     fn is_read_only(&self, op: &Operation) -> bool {
         self.inner.is_read_only(op)
     }
@@ -74,6 +87,8 @@ impl SequentialSpec for ShardKvSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::Mutex;
 
     #[test]
     fn set_is_a_blind_overwrite() {
@@ -96,5 +111,66 @@ mod tests {
             (op("sum", [] as [i64; 0]), Value::from(10)),
         ]));
         assert!(m.step(&BTreeMap::new(), &op("set", [1])).is_empty());
+    }
+
+    /// How often `apply` moved the state and how often it refused.
+    static ANSWERS: Mutex<[usize; 2]> = Mutex::new([0; 2]);
+
+    proptest! {
+        /// `apply` on a state some prefix of the synthesis universe
+        /// reaches, for an operation of the universe or an ill-typed one
+        /// under a universe name, against a result some operation of the
+        /// universe returns there, `nil`, or a symbol none returns.
+        fn apply_matches_step(
+            prefix in prop::collection::vec(0..64usize, 0..8),
+            pick in (0..64usize, 0..64usize),
+        ) {
+            let spec = ShardKvSpec::new();
+            let universe = ShardKvSpec::universe();
+            let mut state = spec.initial();
+            for which in prefix {
+                let (_, next) = spec.step(&state, &universe[which % universe.len()]).remove(0);
+                state = next;
+            }
+            let (operation, result) = pick;
+            let which = operation % (2 * universe.len());
+            let op = match universe.get(which) {
+                Some(op) => op.clone(),
+                None => Operation::new(universe[which - universe.len()].name(), [Value::sym("x")]),
+            };
+            let mut results: Vec<Value> = universe
+                .iter()
+                .flat_map(|o| spec.step(&state, o))
+                .map(|(v, _)| v)
+                .collect();
+            results.extend([Value::Nil, Value::sym("wrong")]);
+            let expected = &results[result % results.len()];
+
+            let mut reached = spec.step(&state, &op);
+            reached.retain(|(v, _)| v == expected);
+            prop_assert!(reached.len() <= 1, "the shard specification is deterministic");
+            let mut moved = state.clone();
+            let answer = spec.apply(&mut moved, &op, expected);
+            let (want, after) = match reached.pop() {
+                Some((_, next)) => (Some(true), next),
+                None => (Some(false), state.clone()),
+            };
+            prop_assert!(
+                answer == want && moved == after,
+                "apply({op} -> {expected}) on {state:?} answered {answer:?} leaving {moved:?}; \
+                 step says {want:?} leaving {after:?}"
+            );
+            ANSWERS.lock().expect("no case panics holding it")[usize::from(answer == Some(false))] += 1;
+        }
+    }
+
+    #[test]
+    fn apply_gives_steps_answer_on_shard_states() {
+        apply_matches_step();
+        let [moved, refused] = *ANSWERS.lock().expect("no case panics holding it");
+        assert!(
+            moved > 0 && refused > 0,
+            "{moved} moved, {refused} refused — one side untested"
+        );
     }
 }

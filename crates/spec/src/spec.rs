@@ -120,6 +120,47 @@ pub trait SequentialSpec: Send + Sync + 'static {
     /// All permissible (result, next-state) outcomes of `op` in `state`.
     fn step(&self, state: &Self::State, op: &Operation) -> Vec<(Value, Self::State)>;
 
+    /// Moves `state` in place along the outcomes of `op` that return
+    /// `expected`, and says whether it could:
+    ///
+    /// - `Some(true)`: every outcome of `step(state, op)` returning
+    ///   `expected` leads to one and the same state, and `state` now is it;
+    /// - `Some(false)`: no outcome returns `expected`; `state` is untouched;
+    /// - `None`: the outcomes returning `expected` reach more than one
+    ///   distinct state; `state` is untouched, and the caller takes the
+    ///   set-valued path through `step`.
+    ///
+    /// The default is written in terms of `step` and is the reference. A
+    /// specification whose `step` has at most one outcome per result
+    /// overrides it to update the state without copying it — on a keyed
+    /// map, the difference between O(1) and O(map) per replayed operation.
+    ///
+    /// ```
+    /// use atomicity_spec::specs::BankAccountSpec;
+    /// use atomicity_spec::{SequentialSpec, op, Value};
+    /// let acct = BankAccountSpec::new();
+    /// let mut balance = 5;
+    /// assert_eq!(acct.apply(&mut balance, &op("withdraw", [3]), &Value::ok()), Some(true));
+    /// assert_eq!(balance, 2);
+    /// assert_eq!(acct.apply(&mut balance, &op("withdraw", [3]), &Value::ok()), Some(false));
+    /// assert_eq!(balance, 2);
+    /// ```
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let mut reached = self
+            .step(state, op)
+            .into_iter()
+            .filter(|(result, _)| result == expected)
+            .map(|(_, next)| next);
+        let Some(next) = reached.next() else {
+            return Some(false);
+        };
+        if reached.any(|other| other != next) {
+            return None;
+        }
+        *state = next;
+        Some(true)
+    }
+
     /// Whether `op` can never change the state, regardless of the state it
     /// runs in. Used to classify read-only activities for hybrid atomicity
     /// (§4.3). Conservative default: `false`.
@@ -133,28 +174,126 @@ pub trait SequentialSpec: Send + Sync + 'static {
     /// This is the workhorse of acceptance checking: a serial sequence is
     /// accepted iff the reachable-state set is non-empty.
     fn replay(&self, state: &Self::State, ops: &[OpResult]) -> Vec<Self::State> {
-        let mut frontier = vec![state.clone()];
-        for (op, expected) in ops {
-            let mut next = Vec::new();
-            for s in &frontier {
-                for (result, s2) in self.step(s, op) {
-                    if &result == expected && !next.contains(&s2) {
-                        next.push(s2);
-                    }
-                }
-            }
-            if next.is_empty() {
-                return Vec::new();
-            }
-            frontier = next;
-        }
-        frontier
+        replay_frontier(self, std::slice::from_ref(state), ops)
     }
 
     /// Whether the serial sequence of completed invocations `ops` is
     /// accepted from the initial state.
     fn accepts_serial(&self, ops: &[OpResult]) -> bool {
         !self.replay(&self.initial(), ops).is_empty()
+    }
+}
+
+/// Applies `ops` to every state in `frontier`, collecting all reachable
+/// states in which each operation returned its recorded result; empty
+/// means the list does not replay.
+///
+/// The frontier-set representation is what makes non-deterministic
+/// specifications (§5.2) compose correctly: committing a transaction never
+/// collapses the object's abstract state to one arbitrary branch.
+///
+/// ```
+/// use atomicity_spec::specs::BankAccountSpec;
+/// use atomicity_spec::{op, replay_frontier, Value};
+/// let acct = BankAccountSpec::new();
+/// let list = [(op("deposit", [5]), Value::ok()), (op("withdraw", [3]), Value::ok())];
+/// assert_eq!(replay_frontier(&acct, &[0], &list), vec![2]);
+/// assert!(replay_frontier(&acct, &[0], &list[1..]).is_empty());
+/// ```
+pub fn replay_frontier<S: SequentialSpec + ?Sized>(
+    spec: &S,
+    frontier: &[S::State],
+    ops: &[OpResult],
+) -> Vec<S::State> {
+    // A one-state frontier is copied once and stepped in place; a wider one
+    // is read where it lies by the first operation. An empty list (the
+    // uncontended path) is that one copy and nothing else.
+    let (mut states, rest) = match ops {
+        [(op, expected), rest @ ..] if frontier.len() != 1 => {
+            let mut states = Vec::new();
+            successors(spec, frontier, op, expected, &mut states);
+            (states, rest)
+        }
+        _ => (frontier.to_vec(), ops),
+    };
+    advance(spec, &mut states, rest);
+    states
+}
+
+/// Replays `ops` into `frontier` in place and returns whether the list
+/// replayed; on refusal `frontier` is left as it was.
+///
+/// For an owner of a frontier (a committed state, a recovered cache) this
+/// is [`replay_frontier`] without the copy: a one-operation list on a
+/// one-state frontier copies no state, and a longer list copies it at most
+/// once and swaps the copy in on success.
+pub fn replay_into<S: SequentialSpec + ?Sized>(
+    spec: &S,
+    frontier: &mut Vec<S::State>,
+    ops: &[OpResult],
+) -> bool {
+    let next = match (frontier.as_mut_slice(), ops) {
+        (states, []) => return !states.is_empty(),
+        ([only], [(op, expected)]) => match spec.apply(only, op, expected) {
+            Some(replayed) => return replayed,
+            None => {
+                let mut next = Vec::new();
+                successors(spec, frontier, op, expected, &mut next);
+                next
+            }
+        },
+        _ => replay_frontier(spec, frontier, ops),
+    };
+    if next.is_empty() {
+        return false;
+    }
+    *frontier = next;
+    true
+}
+
+/// The frontier fold: advances `states` by each recorded (operation,
+/// result) of `ops` in turn, leaving every state reachable that way — none
+/// if the list does not replay. A lone state is moved in place by
+/// [`SequentialSpec::apply`]; a wider frontier, or an operation whose
+/// result leaves the state open, takes the set-valued path, swapping two
+/// buffers rather than allocating one per operation.
+fn advance<S: SequentialSpec + ?Sized>(spec: &S, states: &mut Vec<S::State>, ops: &[OpResult]) {
+    let mut next = Vec::new();
+    for (op, expected) in ops {
+        if let [only] = states.as_mut_slice() {
+            match spec.apply(only, op, expected) {
+                Some(true) => continue,
+                Some(false) => {
+                    states.clear();
+                    return;
+                }
+                None => {}
+            }
+        }
+        next.clear();
+        successors(spec, states, op, expected, &mut next);
+        std::mem::swap(states, &mut next);
+        if states.is_empty() {
+            return;
+        }
+    }
+}
+
+/// Adds to `into` each state that `op`, returning `expected`, can leave
+/// from some state of `from`.
+fn successors<S: SequentialSpec + ?Sized>(
+    spec: &S,
+    from: &[S::State],
+    op: &Operation,
+    expected: &Value,
+    into: &mut Vec<S::State>,
+) {
+    for s in from {
+        for (result, next) in spec.step(s, op) {
+            if &result == expected && !into.contains(&next) {
+                into.push(next);
+            }
+        }
     }
 }
 
@@ -214,20 +353,7 @@ struct FrontierReplayer<S: SequentialSpec> {
 
 impl<S: SequentialSpec> StateReplayer for FrontierReplayer<S> {
     fn apply(&mut self, ops: &[OpResult]) -> bool {
-        for (op, expected) in ops {
-            let mut next: Vec<S::State> = Vec::new();
-            for s in &self.frontier {
-                for (result, s2) in self.spec.step(s, op) {
-                    if &result == expected && !next.contains(&s2) {
-                        next.push(s2);
-                    }
-                }
-            }
-            self.frontier = next;
-            if self.frontier.is_empty() {
-                return false;
-            }
-        }
+        advance(&*self.spec, &mut self.frontier, ops);
         !self.frontier.is_empty()
     }
 
@@ -339,6 +465,8 @@ mod tests {
                     (Value::from(true), Some(true)),
                     (Value::from(false), Some(false)),
                 ],
+                // Lands a face without saying which.
+                "toss" => vec![(Value::ok(), Some(true)), (Value::ok(), Some(false))],
                 "peek" => match state {
                     Some(b) => vec![(Value::from(*b), *state)],
                     None => vec![(Value::Nil, *state)],
@@ -380,6 +508,38 @@ mod tests {
         assert_eq!(states, vec![Some(false)]);
         // Empty op list: the initial state itself.
         assert_eq!(c.replay(&None, &[]), vec![None]);
+    }
+
+    #[test]
+    fn replay_into_moves_the_frontier_only_when_the_list_replays() {
+        let acct = crate::specs::BankAccountSpec::new();
+        let withdraw = (op("withdraw", [3]), Value::ok());
+        let mut balance = vec![5];
+        assert!(!replay_into(
+            &acct,
+            &mut balance,
+            &[withdraw.clone(), withdraw.clone()]
+        ));
+        assert_eq!(
+            balance,
+            vec![5],
+            "a refused list leaves the frontier as it was"
+        );
+        assert!(replay_into(&acct, &mut balance, &[withdraw]));
+        assert_eq!(balance, vec![2]);
+
+        let toss = (op("toss", [] as [i64; 0]), Value::ok());
+        let mut coin = vec![None];
+        assert!(replay_into(&CoinSpec, &mut coin, &[toss]));
+        assert_eq!(coin, vec![Some(true), Some(false)], "an open result splits");
+        assert!(!replay_into(&CoinSpec, &mut coin, &[(peek(), Value::Nil)]));
+        assert_eq!(coin, vec![Some(true), Some(false)]);
+        assert!(replay_into(
+            &CoinSpec,
+            &mut coin,
+            &[(peek(), Value::from(false))]
+        ));
+        assert_eq!(coin, vec![Some(false)]);
     }
 
     #[test]

@@ -44,9 +44,11 @@ impl BankAccountSpec {
 
     /// The result symbol for a failed withdrawal.
     pub fn insufficient_funds() -> Value {
-        Value::sym("insufficient_funds")
+        Value::sym(INSUFFICIENT_FUNDS)
     }
 }
+
+const INSUFFICIENT_FUNDS: &str = "insufficient_funds";
 
 impl SequentialSpec for BankAccountSpec {
     type State = i64;
@@ -72,6 +74,29 @@ impl SequentialSpec for BankAccountSpec {
             }
             _ => Vec::new(),
         }
+    }
+
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let (replayed, next) = match (op.name(), op.int_arg(0)) {
+            ("deposit", Some(n)) if op.args().len() == 1 && n >= 0 => {
+                (expected.is_ok_unit(), *state + n)
+            }
+            ("withdraw", Some(n)) if op.args().len() == 1 && n >= 0 => {
+                if *state >= n {
+                    (expected.is_ok_unit(), *state - n)
+                } else {
+                    (expected.is_sym(INSUFFICIENT_FUNDS), *state)
+                }
+            }
+            ("balance", None) if op.args().is_empty() => {
+                (expected.as_int() == Some(*state), *state)
+            }
+            _ => (false, *state),
+        };
+        if replayed {
+            *state = next;
+        }
+        Some(replayed)
     }
 
     fn is_read_only(&self, op: &Operation) -> bool {

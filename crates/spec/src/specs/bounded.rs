@@ -1,5 +1,6 @@
 //! A bounded buffer: capacity-limited, weakly ordered.
 
+use super::update_if;
 use crate::spec::{Operation, SequentialSpec};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -47,9 +48,11 @@ impl BoundedBufferSpec {
 
     /// The result symbol for a rejected `put`.
     pub fn full() -> Value {
-        Value::sym("full")
+        Value::sym(FULL)
     }
 }
+
+const FULL: &str = "full";
 
 impl Default for BoundedBufferSpec {
     fn default() -> Self {
@@ -108,6 +111,38 @@ impl SequentialSpec for BoundedBufferSpec {
             }
             _ => Vec::new(),
         }
+    }
+
+    /// `take` has one outcome per present element, but each returns its
+    /// own element, so the recorded result picks at most one of them.
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let replayed = match (op.name(), op.args().len()) {
+            ("put", 1) => match op.int_arg(0) {
+                Some(_) if size(state) >= self.capacity => expected.is_sym(FULL),
+                Some(i) => update_if(expected.is_ok_unit(), || {
+                    *state.entry(i).or_insert(0) += 1;
+                }),
+                None => false,
+            },
+            ("take", 0) => match expected {
+                Value::Nil => state.is_empty(),
+                Value::Int(i) => match state.get_mut(i) {
+                    Some(n) if *n > 1 => {
+                        *n -= 1;
+                        true
+                    }
+                    Some(_) => {
+                        state.remove(i);
+                        true
+                    }
+                    None => false,
+                },
+                _ => false,
+            },
+            ("count", 0) => expected.as_int() == Some(i64::from(size(state))),
+            _ => false,
+        };
+        Some(replayed)
     }
 
     fn is_read_only(&self, op: &Operation) -> bool {

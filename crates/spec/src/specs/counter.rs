@@ -57,6 +57,20 @@ impl SequentialSpec for CounterSpec {
         }
     }
 
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let next = match op.name() {
+            "increment" if op.args().is_empty() => *state + 1,
+            "value" if op.args().is_empty() => *state,
+            _ => return Some(false),
+        };
+        // Both operations return the count they leave.
+        let replayed = expected.as_int() == Some(next);
+        if replayed {
+            *state = next;
+        }
+        Some(replayed)
+    }
+
     fn is_read_only(&self, op: &Operation) -> bool {
         op.name() == "value"
     }

@@ -54,9 +54,11 @@ impl EscrowCounterSpec {
 
     /// The result symbol for a refused debit.
     pub fn refused() -> Value {
-        Value::sym("refused")
+        Value::sym(REFUSED)
     }
 }
+
+const REFUSED: &str = "refused";
 
 impl SequentialSpec for EscrowCounterSpec {
     type State = i64;
@@ -85,6 +87,31 @@ impl SequentialSpec for EscrowCounterSpec {
             }
             _ => Vec::new(),
         }
+    }
+
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let (replayed, next) = match (op.name(), op.int_arg(0)) {
+            ("credit", Some(n)) if op.args().len() == 1 && n >= 0 => {
+                (expected.is_ok_unit(), *state + n)
+            }
+            // The recorded result picks the outcome: `ok` where funds
+            // suffice, `refused` anywhere.
+            ("debit", Some(n)) if op.args().len() == 1 && n >= 0 => {
+                if *state >= n && expected.is_ok_unit() {
+                    (true, *state - n)
+                } else {
+                    (expected.is_sym(REFUSED), *state)
+                }
+            }
+            ("available", None) if op.args().is_empty() => {
+                (expected.as_int() == Some(*state), *state)
+            }
+            _ => (false, *state),
+        };
+        if replayed {
+            *state = next;
+        }
+        Some(replayed)
     }
 
     fn is_read_only(&self, op: &Operation) -> bool {

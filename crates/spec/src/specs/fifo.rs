@@ -1,5 +1,6 @@
 //! The first-in-first-out queue of §5.1.
 
+use super::update_if;
 use crate::spec::{Operation, SequentialSpec};
 use crate::value::Value;
 use std::collections::VecDeque;
@@ -62,10 +63,7 @@ impl SequentialSpec for FifoQueueSpec {
                     None => vec![(Value::Nil, s)],
                 }
             }
-            "front" if op.args().is_empty() => {
-                let v = state.front().map(|&i| Value::from(i)).unwrap_or(Value::Nil);
-                vec![(v, state.clone())]
-            }
+            "front" if op.args().is_empty() => vec![(front(state), state.clone())],
             "len" if op.args().is_empty() => {
                 vec![(Value::from(state.len() as i64), state.clone())]
             }
@@ -73,9 +71,30 @@ impl SequentialSpec for FifoQueueSpec {
         }
     }
 
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let replayed = match (op.name(), op.args().len()) {
+            ("enqueue", 1) => match op.int_arg(0) {
+                Some(i) => update_if(expected.is_ok_unit(), || state.push_back(i)),
+                None => false,
+            },
+            ("dequeue", 0) => update_if(front(state) == *expected, || {
+                state.pop_front();
+            }),
+            ("front", 0) => front(state) == *expected,
+            ("len", 0) => expected.as_int() == Some(state.len() as i64),
+            _ => false,
+        };
+        Some(replayed)
+    }
+
     fn is_read_only(&self, op: &Operation) -> bool {
         matches!(op.name(), "front" | "len")
     }
+}
+
+/// The element at the front, `nil` on an empty queue.
+fn front(state: &VecDeque<i64>) -> Value {
+    state.front().map(|&i| Value::from(i)).unwrap_or(Value::Nil)
 }
 
 #[cfg(test)]

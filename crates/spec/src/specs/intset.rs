@@ -1,5 +1,6 @@
 //! The integer-set object of §2–§3.
 
+use super::update_if;
 use crate::spec::{Operation, SequentialSpec};
 use crate::value::Value;
 use std::collections::BTreeSet;
@@ -72,6 +73,23 @@ impl SequentialSpec for IntSetSpec {
             }
             _ => Vec::new(),
         }
+    }
+
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let replayed = match (op.name(), op.int_arg(0)) {
+            ("insert", Some(i)) if op.args().len() == 1 => update_if(expected.is_ok_unit(), || {
+                state.insert(i);
+            }),
+            ("delete", Some(i)) if op.args().len() == 1 => update_if(expected.is_ok_unit(), || {
+                state.remove(&i);
+            }),
+            ("member", Some(i)) if op.args().len() == 1 => {
+                expected.as_bool() == Some(state.contains(&i))
+            }
+            ("size", None) if op.args().is_empty() => expected.as_int() == Some(state.len() as i64),
+            _ => false,
+        };
+        Some(replayed)
     }
 
     fn is_read_only(&self, op: &Operation) -> bool {

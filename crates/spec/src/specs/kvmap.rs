@@ -1,5 +1,6 @@
 //! An integer key/value map: the substrate for multi-account workloads.
 
+use super::update_if;
 use crate::spec::{Operation, SequentialSpec};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -113,6 +114,31 @@ impl SequentialSpec for KvMapSpec {
             }
             _ => Vec::new(),
         }
+    }
+
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let replayed = match (op.name(), op.args().len(), op.int_arg(0), op.int_arg(1)) {
+            ("put", 2, Some(k), Some(v)) => update_if(old_value(state, k) == *expected, || {
+                state.insert(k, v);
+            }),
+            ("get", 1, Some(k), _) => old_value(state, k) == *expected,
+            ("remove", 1, Some(k), _) => update_if(old_value(state, k) == *expected, || {
+                state.remove(&k);
+            }),
+            ("add", 2, Some(k), Some(d)) => {
+                let new = state.get(&k).copied().unwrap_or(0) + d;
+                update_if(expected.as_int() == Some(new), || {
+                    state.insert(k, new);
+                })
+            }
+            ("adjust", 2, Some(k), Some(d)) => update_if(expected.is_ok_unit(), || {
+                *state.entry(k).or_insert(0) += d;
+            }),
+            ("size", 0, ..) => expected.as_int() == Some(state.len() as i64),
+            ("sum", 0, ..) => expected.as_int() == Some(state.values().sum::<i64>()),
+            _ => false,
+        };
+        Some(replayed)
     }
 
     fn is_read_only(&self, op: &Operation) -> bool {

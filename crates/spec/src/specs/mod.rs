@@ -43,3 +43,12 @@ pub use intset::IntSetSpec;
 pub use kvmap::KvMapSpec;
 pub use register::RegisterSpec;
 pub use semiqueue::SemiqueueSpec;
+
+/// The shape of an in-place `apply` arm: the recorded result is checked
+/// against the state first, and `update` runs only if it `matches`.
+fn update_if(matches: bool, update: impl FnOnce()) -> bool {
+    if matches {
+        update();
+    }
+    matches
+}

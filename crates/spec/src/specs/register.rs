@@ -54,6 +54,18 @@ impl SequentialSpec for RegisterSpec {
         }
     }
 
+    fn apply(&self, state: &mut Self::State, op: &Operation, expected: &Value) -> Option<bool> {
+        let (replayed, next) = match (op.name(), op.int_arg(0)) {
+            ("write", Some(v)) if op.args().len() == 1 => (expected.is_ok_unit(), v),
+            ("read", None) if op.args().is_empty() => (expected.as_int() == Some(*state), *state),
+            _ => (false, *state),
+        };
+        if replayed {
+            *state = next;
+        }
+        Some(replayed)
+    }
+
     fn is_read_only(&self, op: &Operation) -> bool {
         op.name() == "read"
     }

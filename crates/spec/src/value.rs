@@ -98,6 +98,19 @@ impl Value {
     pub fn is_ok_unit(&self) -> bool {
         matches!(self, Value::Unit)
     }
+
+    /// Whether this value is the symbolic constant `name` — the test
+    /// [`Value::sym`] would answer, without building one.
+    ///
+    /// ```
+    /// use atomicity_spec::Value;
+    /// assert!(Value::sym("full").is_sym("full"));
+    /// assert!(!Value::sym("full").is_sym("refused"));
+    /// assert!(!Value::ok().is_sym("ok"));
+    /// ```
+    pub fn is_sym(&self, name: &str) -> bool {
+        matches!(self, Value::Sym(s) if s == name)
+    }
 }
 
 impl From<i64> for Value {
