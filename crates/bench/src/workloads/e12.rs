@@ -19,8 +19,8 @@
 
 use crate::report::ReportHeader;
 use atomicity_sim::{
-    Cluster, Endpoint, MttfConfig, NodeId, OnlineCertifierCheck, PartitionWindow, SimConfig,
-    SimRng, SimStats, StandardChecker, TransferClient,
+    Cluster, Endpoint, MttfConfig, NetStats, NodeId, OnlineCertifierCheck, PartitionWindow,
+    SimConfig, SimRng, SimStats, StandardChecker, TransferClient,
 };
 use serde::{Deserialize, Serialize};
 
@@ -134,6 +134,8 @@ pub struct SeedRun {
     pub state_digest: u64,
     /// The run's stats.
     pub stats: SimStats,
+    /// What the network did to the run's traffic.
+    pub network: NetStats,
 }
 
 impl SeedRun {
@@ -223,6 +225,7 @@ pub fn run_seed(seed: u64, plan: &FaultPlan, params: &E12Params) -> SeedRun {
         trace_hash: cluster.trace_hash(),
         state_digest: cluster.state_digest(),
         stats: cluster.stats().clone(),
+        network: cluster.network_stats(),
     }
 }
 
@@ -301,7 +304,7 @@ pub struct FaultTotals {
     pub reordered: u64,
     /// Messages cut by partitions.
     pub cut: u64,
-    /// Vote/prepare retransmissions.
+    /// Vote retransmissions.
     pub resends: u64,
     /// Transactions committed.
     pub committed: u64,
@@ -311,14 +314,14 @@ pub struct FaultTotals {
 
 impl FaultTotals {
     /// Folds one run's stats into the totals.
-    pub fn absorb(&mut self, s: &SimStats) {
+    pub fn absorb(&mut self, s: &SimStats, net: &NetStats) {
         self.crashes += s.crashes;
         self.mttf_crashes += s.mttf_crashes;
         self.recoveries += s.recoveries;
-        self.lost += s.lost;
-        self.duplicated += s.duplicated;
-        self.reordered += s.reordered;
-        self.cut += s.cut;
+        self.lost += net.lost;
+        self.duplicated += net.duplicated;
+        self.reordered += net.reordered;
+        self.cut += net.cut;
         self.resends += s.resends;
         self.committed += s.committed;
         self.aborted += s.aborted;
@@ -367,7 +370,7 @@ pub fn run_sweep(params: &E12Params) -> E12Report {
     let mut violations = Vec::new();
     for seed in params.first_seed..params.first_seed + params.seeds {
         let run = run_seed(seed, &plan, params);
-        totals.absorb(&run.stats);
+        totals.absorb(&run.stats, &run.network);
         invariant_checks += run.stats.invariant_checks;
         if !run.clean() {
             let detail = run.violations[0].clone();
@@ -453,5 +456,6 @@ mod tests {
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a.state_digest, b.state_digest);
         assert_eq!(a.stats, b.stats);
+        assert_eq!(a.network, b.network);
     }
 }

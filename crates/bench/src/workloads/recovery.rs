@@ -144,14 +144,14 @@ pub fn run_lossy(transfers: usize, drop_p: f64, dup_p: f64, seed: u64) -> LossyR
     cluster.run_to_quiescence();
     cluster.heal();
     let atomic = cluster.verify_atomicity().is_ok() && cluster.verify_conservation().is_ok();
-    let stats = cluster.stats();
+    let (stats, net) = (cluster.stats(), cluster.network_stats());
     LossyRow {
         drop_probability: drop_p,
         duplicate_probability: dup_p,
         committed: stats.committed,
         aborted: stats.aborted,
-        lost: stats.lost,
-        duplicated: stats.duplicated,
+        lost: net.lost,
+        duplicated: net.duplicated,
         resends: stats.resends,
         atomic,
     }
@@ -222,7 +222,7 @@ pub fn run_distributed_audits(
         committed: stats.committed,
         aborted: stats.aborted,
         crashes: stats.crashes,
-        lost: stats.lost,
+        lost: cluster.network_stats().lost,
     }
 }
 

@@ -1,17 +1,19 @@
 //! A partitioned multi-node transaction service with dependency-logged
 //! parallel recovery.
 //!
-//! This crate scales the single-coordinator cluster of `atomicity-sim`
-//! out to a *partitioned* service: objects (integer-keyed accounts)
-//! shard across N nodes by key hash ([`ShardMap`]), multi-shard
-//! transactions run two-phase commit through a batching coordinator
-//! ([`DistCoordinator`]), and each shard persists through its own
-//! intentions-list log ([`atomicity_core::recovery::IntentionsStore`]).
-//! Client traffic is open-loop — "millions of users" modeled as seeded
-//! request streams ([`Workload`]) — and every run is a pure function of
-//! its seed: the event loop ([`DistService`]) reuses the deterministic
-//! scheduler and fault-injecting network of `atomicity-sim`, so
-//! `trace_hash`/`state_digest` make any run replayable bit-for-bit.
+//! This crate scales the two-phase-commit core of `atomicity-sim` out to
+//! a *partitioned* service: objects (integer-keyed accounts) shard across
+//! N nodes by key hash ([`ShardMap`]), multi-shard transactions run the
+//! core's batching coordinator ([`atomicity_sim::Coordinator`]) with a
+//! service-time model on every shard, and each shard persists through
+//! its own intentions-list log
+//! ([`atomicity_core::recovery::IntentionsStore`]). Client traffic is
+//! open-loop — "millions of users" modeled as seeded request streams
+//! ([`Workload`]) — and every run is a pure function of its seed: the
+//! service ([`DistService`]) is the same deterministic event loop
+//! ([`atomicity_sim::Simulator`]) that drives the single-object
+//! `Cluster`, so `trace_hash`/`state_digest` make any run replayable
+//! bit-for-bit.
 //!
 //! The recovery half is the paper-facing contribution. Classical value
 //! logging replays the commit log *serially* — recovery time grows with
@@ -48,20 +50,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod coordinator;
 pub mod deplog;
 mod kv;
-mod message;
-mod node;
 mod service;
 mod shard;
 mod workload;
 
-pub use coordinator::{CoordStats, DistCoordinator};
 pub use deplog::{map_commutes, CommitRecord, DepGraph, DepGraphStats, RecoveryCertificate};
 pub use kv::ShardKvSpec;
-pub use message::{DistEvent, DistMessage, TxnPrepare};
-pub use node::ShardNode;
 pub use service::{CrashPlan, DistConfig, DistService, DistStats};
 pub use shard::ShardMap;
 pub use workload::{Workload, WorkloadKind, LISTING_BASE};

@@ -1,23 +1,28 @@
-//! The deterministic event loop of the partitioned service.
+//! The partitioned service: the one two-phase-commit core of
+//! `atomicity-sim` configured for scale-out.
 //!
-//! [`DistService`] wires the pieces together: a [`ShardMap`] routes keys,
-//! a [`DistCoordinator`] batches two-phase commit, [`ShardNode`]s stage
-//! and apply with a service-time model, and the fault-injecting
-//! [`Network`] of `atomicity-sim` plans every delivery. Time is logical,
-//! every random draw comes from split [`SimRng`] streams, and the event
-//! queue breaks ties by insertion order — a run is a pure function of
-//! [`DistConfig::seed`], checkable via [`DistService::trace_hash`] and
-//! [`DistService::state_digest`].
+//! [`DistService`] adds what only the service has: a [`ShardMap`] routes
+//! keys, open-loop client streams draw transactions from a [`Workload`],
+//! shards commit with dependency footprints when asked, planned shard
+//! outages fire at simulated times, and [`DistService::verify`] checks
+//! the finished run. Coordinator batching, the shards' service-time
+//! model, re-votes, timeouts, crashes and recovery are the core's
+//! ([`Simulator`]). Time is logical, every random draw comes from split
+//! [`SimRng`] streams, and the event queue breaks ties by insertion
+//! order — a run is a pure function of [`DistConfig::seed`], checkable
+//! via [`DistService::trace_hash`] and [`DistService::state_digest`].
 
-use crate::coordinator::{DistCoordinator, FlushReq};
-use crate::message::{DistEvent, DistMessage};
-use crate::node::ShardNode;
+use crate::kv::ShardKvSpec;
 use crate::shard::ShardMap;
 use crate::workload::{Workload, WorkloadKind, LISTING_BASE};
-use atomicity_sim::PartitionSchedule;
-use atomicity_sim::{fnv1a, Endpoint, EventQueue, FaultConfig, Network, NodeId, SimRng};
+use atomicity_core::recovery::{DurableLog, StableLog};
+use atomicity_sim::{
+    fnv1a, FaultConfig, Network, Node, NodeId, PartitionSchedule, ProtocolParams, SimEvent, SimRng,
+    Simulator,
+};
 use atomicity_spec::ActivityId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A planned shard outage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +80,8 @@ pub struct DistConfig {
     pub listings: u64,
     /// Network fault model (applied to every link).
     pub faults: FaultConfig,
-    /// Planned shard outages.
+    /// Planned shard outages. A crash of a shard that is already down
+    /// does nothing.
     pub crashes: Vec<CrashPlan>,
     /// Keep the full event trace in memory (the rolling hash is always
     /// maintained).
@@ -146,19 +152,10 @@ pub struct DistStats {
 pub struct DistService {
     config: DistConfig,
     map: ShardMap,
-    coordinator: DistCoordinator,
-    nodes: Vec<ShardNode>,
-    network: Network,
-    queue: EventQueue<DistEvent>,
-    now: u64,
-    next_txn: u32,
+    core: Simulator<ShardKvSpec>,
     client_rngs: Vec<SimRng>,
     client_ticks_left: Vec<u64>,
     workload: Workload,
-    trace: Vec<String>,
-    trace_hash: u64,
-    decided_seen: u64,
-    stats: DistStats,
 }
 
 impl DistService {
@@ -172,337 +169,76 @@ impl DistService {
             config.faults.clone(),
             PartitionSchedule::new(),
         );
-        let nodes: Vec<ShardNode> = (0..config.shards)
-            .map(|i| ShardNode::new(NodeId::new(i), config.dep_logging))
+        let nodes = (0..config.shards)
+            .map(|i| {
+                let log: Arc<dyn DurableLog> = Arc::new(StableLog::new());
+                Node::new(NodeId::new(i), ShardKvSpec::new(), log, config.dep_logging)
+            })
             .collect();
-        let client_rngs: Vec<SimRng> = (0..config.clients)
-            .map(|i| root.split("dist-client", i as u64))
-            .collect();
-        let workload = Workload::new(
-            config.workload,
-            config.accounts,
-            config.hot_fraction,
-            config.hot_accounts,
-            config.listings,
-        );
-        let mut queue = EventQueue::new();
+        let params = ProtocolParams {
+            max_batch: config.max_batch,
+            batch_window: config.batch_window,
+            txn_timeout: config.txn_timeout,
+            resolve_timeout: config.resolve_timeout,
+            max_resolve_attempts: config.max_resolve_attempts,
+            per_op_cost: config.per_op_cost,
+            per_batch_cost: config.per_batch_cost,
+            record_trace: config.record_trace,
+            demo_lost_ack: false,
+        };
+        let mut core = Simulator::new(params, network, nodes);
         for client in 0..config.clients {
             // Stagger first ticks across the interval so clients do not
             // arrive in lockstep (still fully deterministic).
             let offset = 1 + (client as u64 * config.tick_interval) / config.clients.max(1) as u64;
-            queue.schedule(offset, DistEvent::ClientTick { client });
+            core.schedule(offset, SimEvent::ClientTick(client));
         }
-        for plan in &config.crashes {
-            if plan.shard < config.shards {
-                let shard = NodeId::new(plan.shard);
-                queue.schedule(plan.at, DistEvent::ShardCrash { shard });
-                queue.schedule(
-                    plan.at + plan.downtime.max(1),
-                    DistEvent::ShardRecover { shard },
-                );
-            }
+        for plan in config.crashes.iter().filter(|p| p.shard < config.shards) {
+            let (node, down_for) = (NodeId::new(plan.shard), plan.downtime.max(1));
+            core.schedule(plan.at, SimEvent::Crash { node, down_for });
         }
-        let ticks_left = vec![config.ticks; config.clients];
         DistService {
             map: ShardMap::new(config.shards),
-            coordinator: DistCoordinator::new(config.max_batch),
-            nodes,
-            network,
-            queue,
-            now: 0,
-            next_txn: 1,
-            client_rngs,
-            client_ticks_left: ticks_left,
-            workload,
-            trace: Vec::new(),
-            trace_hash: 0,
-            decided_seen: 0,
-            stats: DistStats::default(),
+            core,
+            client_rngs: (0..config.clients)
+                .map(|i| root.split("dist-client", i as u64))
+                .collect(),
+            client_ticks_left: vec![config.ticks; config.clients],
+            workload: Workload::new(
+                config.workload,
+                config.accounts,
+                config.hot_fraction,
+                config.hot_accounts,
+                config.listings,
+            ),
             config,
         }
     }
 
-    fn note(&mut self, line: String) {
-        self.trace_hash = self.trace_hash.rotate_left(5) ^ fnv1a(line.as_bytes());
-        if self.config.record_trace {
-            self.trace.push(line);
+    /// A client's tick: submit its burst and schedule its next tick.
+    fn tick(&mut self, client: usize) {
+        if self.client_ticks_left[client] == 0 {
+            return;
         }
-    }
-
-    /// Sends `message` over the simulated network, scheduling one
-    /// delivery event per planned copy.
-    fn send(&mut self, at: u64, src: Endpoint, dst: Endpoint, message: DistMessage) {
-        for t in self.network.plan(at, src, dst) {
-            self.queue.schedule(
-                t,
-                DistEvent::Deliver {
-                    dst,
-                    message: message.clone(),
-                },
-            );
+        self.client_ticks_left[client] -= 1;
+        for _ in 0..self.config.requests_per_tick {
+            let seq = self.core.submitted() as u32 + 1;
+            let ops = self.workload.next_txn(&mut self.client_rngs[client], seq);
+            self.core.submit(self.map.partition(&ops));
         }
-    }
-
-    fn schedule_prepare_flushes(&mut self, reqs: Vec<FlushReq>) {
-        for r in reqs {
-            let delay = if r.immediate {
-                0
-            } else {
-                self.config.batch_window
-            };
-            self.queue.schedule(
-                self.now + delay,
-                DistEvent::FlushPrepares { shard: r.shard },
-            );
-        }
-    }
-
-    fn schedule_decision_flushes(&mut self, reqs: Vec<FlushReq>) {
-        for r in reqs {
-            let delay = if r.immediate {
-                0
-            } else {
-                self.config.batch_window
-            };
-            self.queue.schedule(
-                self.now + delay,
-                DistEvent::FlushDecisions { shard: r.shard },
-            );
-        }
-    }
-
-    fn submit_one(&mut self, client: usize) {
-        let txn = ActivityId::new(self.next_txn);
-        let ops = self
-            .workload
-            .next_txn(&mut self.client_rngs[client], self.next_txn);
-        self.next_txn += 1;
-        self.stats.submitted += 1;
-        let slices = self.map.partition(&ops);
-        self.note(format!(
-            "t={} submit {txn} shards={}",
-            self.now,
-            slices.len()
-        ));
-        let reqs = self.coordinator.admit(txn, slices);
-        self.schedule_prepare_flushes(reqs);
-        self.queue.schedule(
-            self.now + self.config.txn_timeout,
-            DistEvent::TxnTimeout { txn },
-        );
-    }
-
-    fn deliver(&mut self, dst: Endpoint, message: DistMessage) {
-        self.stats.deliveries += 1;
-        match (dst, message) {
-            (Endpoint::Node(n), DistMessage::PrepareBatch { batch, txns }) => {
-                let node = &mut self.nodes[n.raw() as usize];
-                if !node.is_up() {
-                    return;
-                }
-                let ops: usize = txns.iter().map(|t| t.ops.len()).sum();
-                let done = node.book_work(
-                    self.now,
-                    ops,
-                    self.config.per_batch_cost,
-                    self.config.per_op_cost,
-                );
-                node.stage_batch(&txns);
-                let ids: Vec<ActivityId> = txns.iter().map(|t| t.txn).collect();
-                self.note(format!(
-                    "t={} n{} staged batch={batch} txns={}",
-                    self.now,
-                    n.raw(),
-                    ids.len()
-                ));
-                for &txn in &ids {
-                    self.queue.schedule(
-                        done + self.config.resolve_timeout,
-                        DistEvent::ResolveNudge {
-                            shard: n,
-                            txn,
-                            attempt: 0,
-                        },
-                    );
-                }
-                self.send(
-                    done,
-                    Endpoint::Node(n),
-                    Endpoint::Coordinator,
-                    DistMessage::VoteBatch {
-                        shard: n,
-                        txns: ids,
-                    },
-                );
-            }
-            (Endpoint::Node(n), DistMessage::DecisionBatch { decisions }) => {
-                let node = &mut self.nodes[n.raw() as usize];
-                if !node.is_up() {
-                    return;
-                }
-                node.book_work(
-                    self.now,
-                    decisions.len(),
-                    self.config.per_batch_cost,
-                    self.config.per_op_cost,
-                );
-                for (txn, commit) in decisions {
-                    node.learn_outcome(txn, commit);
-                }
-            }
-            (Endpoint::Coordinator, DistMessage::VoteBatch { shard, txns }) => {
-                let reqs = self.coordinator.record_votes(shard, &txns);
-                self.schedule_decision_flushes(reqs);
-            }
-            // Misrouted combinations cannot be constructed by this loop.
-            _ => {}
+        if self.client_ticks_left[client] > 0 {
+            let at = self.core.now() + self.config.tick_interval;
+            self.core.schedule(at, SimEvent::ClientTick(client));
         }
     }
 
     /// Processes one scheduled event; returns `false` when the queue is
     /// drained.
     pub fn step_event(&mut self) -> bool {
-        let Some(scheduled) = self.queue.pop() else {
-            return false;
-        };
-        self.now = self.now.max(scheduled.time);
-        self.stats.events += 1;
-        self.stats.makespan = self.now;
-        match scheduled.event {
-            DistEvent::ClientTick { client } => {
-                if self.client_ticks_left[client] == 0 {
-                    return true;
-                }
-                self.client_ticks_left[client] -= 1;
-                for _ in 0..self.config.requests_per_tick {
-                    self.submit_one(client);
-                }
-                if self.client_ticks_left[client] > 0 {
-                    self.queue.schedule(
-                        self.now + self.config.tick_interval,
-                        DistEvent::ClientTick { client },
-                    );
-                }
-            }
-            DistEvent::FlushPrepares { shard } => {
-                let (batch, more) = self.coordinator.drain_prepares(shard);
-                if more {
-                    self.queue
-                        .schedule(self.now, DistEvent::FlushPrepares { shard });
-                }
-                if let Some((id, txns)) = batch {
-                    self.send(
-                        self.now,
-                        Endpoint::Coordinator,
-                        Endpoint::Node(shard),
-                        DistMessage::PrepareBatch { batch: id, txns },
-                    );
-                }
-            }
-            DistEvent::FlushDecisions { shard } => {
-                let (decisions, more) = self.coordinator.drain_decisions(shard);
-                if more {
-                    self.queue
-                        .schedule(self.now, DistEvent::FlushDecisions { shard });
-                }
-                if !decisions.is_empty() {
-                    self.send(
-                        self.now,
-                        Endpoint::Coordinator,
-                        Endpoint::Node(shard),
-                        DistMessage::DecisionBatch { decisions },
-                    );
-                }
-            }
-            DistEvent::Deliver { dst, message } => self.deliver(dst, message),
-            DistEvent::TxnTimeout { txn } => {
-                let reqs = self.coordinator.on_timeout(txn);
-                if !reqs.is_empty() {
-                    self.note(format!("t={} timeout-abort {txn}", self.now));
-                }
-                self.schedule_decision_flushes(reqs);
-            }
-            DistEvent::ShardCrash { shard } => {
-                self.stats.crashes += 1;
-                self.note(format!("t={} crash n{}", self.now, shard.raw()));
-                self.nodes[shard.raw() as usize].crash();
-            }
-            DistEvent::ShardRecover { shard } => {
-                let outcome = self.nodes[shard.raw() as usize].restart();
-                self.stats.recoveries += 1;
-                self.stats.in_doubt += outcome.in_doubt.len() as u64;
-                self.note(format!(
-                    "t={} recover n{} redone={} in_doubt={}",
-                    self.now,
-                    shard.raw(),
-                    outcome.redone.len(),
-                    outcome.in_doubt.len()
-                ));
-                if !outcome.in_doubt.is_empty() {
-                    // Re-vote for every in-doubt transaction: the
-                    // coordinator either completes the vote set or
-                    // answers with the durable decision.
-                    self.send(
-                        self.now,
-                        Endpoint::Node(shard),
-                        Endpoint::Coordinator,
-                        DistMessage::VoteBatch {
-                            shard,
-                            txns: outcome.in_doubt.clone(),
-                        },
-                    );
-                    for txn in outcome.in_doubt {
-                        self.queue.schedule(
-                            self.now + self.config.resolve_timeout,
-                            DistEvent::ResolveNudge {
-                                shard,
-                                txn,
-                                attempt: 0,
-                            },
-                        );
-                    }
-                }
-            }
-            DistEvent::ResolveNudge {
-                shard,
-                txn,
-                attempt,
-            } => {
-                let node = &self.nodes[shard.raw() as usize];
-                if !node.is_up() || node.outcome_of(txn).is_some() || !node.has_staged(txn) {
-                    return true;
-                }
-                if attempt >= self.config.max_resolve_attempts {
-                    self.note(format!(
-                        "t={} n{} gave up resolving {txn}",
-                        self.now,
-                        shard.raw()
-                    ));
-                    return true;
-                }
-                self.send(
-                    self.now,
-                    Endpoint::Node(shard),
-                    Endpoint::Coordinator,
-                    DistMessage::VoteBatch {
-                        shard,
-                        txns: vec![txn],
-                    },
-                );
-                self.queue.schedule(
-                    self.now + self.config.resolve_timeout,
-                    DistEvent::ResolveNudge {
-                        shard,
-                        txn,
-                        attempt: attempt + 1,
-                    },
-                );
-            }
-        }
-        let c = self.coordinator.stats();
-        if c.committed + c.aborted > self.decided_seen {
-            self.decided_seen = c.committed + c.aborted;
-            self.stats.last_decision_at = self.now;
+        match self.core.next_event() {
+            None => return false,
+            Some(SimEvent::ClientTick(client)) => self.tick(client),
+            Some(event) => self.core.handle(event),
         }
         true
     }
@@ -514,26 +250,34 @@ impl DistService {
         while self.step_event() {}
     }
 
-    /// Run counters (coordinator decisions folded in).
+    /// Run counters.
     pub fn stats(&self) -> DistStats {
-        let mut s = self.stats;
-        let c = self.coordinator.stats();
-        s.committed = c.committed;
-        s.aborted = c.aborted;
-        s.timeout_aborts = c.timeout_aborts;
-        s
+        let s = self.core.stats();
+        DistStats {
+            submitted: self.core.submitted(),
+            committed: s.committed,
+            aborted: s.aborted,
+            timeout_aborts: s.timeout_aborts,
+            events: s.events,
+            deliveries: s.messages,
+            crashes: s.crashes,
+            recoveries: s.recoveries,
+            in_doubt: s.in_doubt,
+            makespan: self.core.now(),
+            last_decision_at: s.last_decision_at,
+        }
     }
 
     /// The rolling hash of the run's trace lines — equal across runs with
     /// equal configs, the replay fingerprint.
     pub fn trace_hash(&self) -> u64 {
-        self.trace_hash
+        self.core.trace_hash()
     }
 
     /// The recorded trace lines (empty unless
     /// [`DistConfig::record_trace`]).
     pub fn trace(&self) -> &[String] {
-        &self.trace
+        self.core.trace()
     }
 
     /// A digest of the final observable state: every shard's committed
@@ -545,14 +289,14 @@ impl DistService {
     pub fn state_digest(&self) -> u64 {
         let mut d = 0u64;
         let mut mix = |bytes: &[u8]| d = d.rotate_left(7) ^ fnv1a(bytes);
-        for node in &self.nodes {
+        for node in self.core.nodes() {
             mix(&u64::from(node.id().raw()).to_le_bytes());
             for (k, v) in node.state() {
                 mix(&k.to_le_bytes());
                 mix(&v.to_le_bytes());
             }
         }
-        for (txn, commit) in self.coordinator.all_decisions() {
+        for (txn, commit) in self.core.coordinator().decisions() {
             mix(&u64::from(txn.raw()).to_le_bytes());
             mix(&[u8::from(commit)]);
         }
@@ -569,41 +313,37 @@ impl DistService {
     ///    committed transfer's deltas cancel and aborted ones must leave
     ///    no trace.
     pub fn verify(&self) -> Result<(), String> {
-        for node in &self.nodes {
-            if !node.is_up() {
-                return Err(format!("shard n{} still crashed", node.id().raw()));
-            }
+        let nodes = self.core.nodes();
+        if let Some(down) = nodes.iter().find(|n| !n.is_up()) {
+            return Err(format!("shard {} still crashed", down.id()));
         }
-        if self.coordinator.undecided() > 0 {
+        let coordinator = self.core.coordinator();
+        if coordinator.undecided() > 0 {
             return Err(format!(
                 "{} transactions admitted but never decided",
-                self.coordinator.undecided()
+                coordinator.undecided()
             ));
         }
-        for (txn, decided) in self.coordinator.all_decisions() {
-            for node in &self.nodes {
-                if !node.has_staged(txn) {
-                    continue;
-                }
-                match node.outcome_of(txn) {
+        for (txn, decided) in coordinator.decisions() {
+            for node in nodes.iter().filter(|n| n.prepared(txn)) {
+                match node.outcome(txn) {
                     Some(learned) if learned != decided => {
                         return Err(format!(
-                            "outcome disagreement: {txn} decided {decided} but n{} applied {learned}",
-                            node.id().raw()
+                            "outcome disagreement: {txn} decided {decided} but {} applied {learned}",
+                            node.id()
                         ));
                     }
                     None if decided => {
                         return Err(format!(
-                            "committed {txn} never applied at prepared shard n{}",
-                            node.id().raw()
+                            "committed {txn} never applied at prepared shard {}",
+                            node.id()
                         ));
                     }
                     _ => {}
                 }
             }
         }
-        let total: i64 = self
-            .nodes
+        let total: i64 = nodes
             .iter()
             .flat_map(|n| n.state())
             .filter(|(k, _)| *k < LISTING_BASE)
@@ -617,28 +357,22 @@ impl DistService {
 
     /// The committed key/value state of shard `i`.
     pub fn shard_state(&self, i: u32) -> BTreeMap<i64, i64> {
-        self.nodes[i as usize].state()
+        self.core.node(NodeId::new(i)).state()
     }
 
-    /// A handle onto shard `i`'s durable log (for the offline recovery
-    /// experiments).
-    pub fn shard_log(&self, i: u32) -> atomicity_core::recovery::StableLog {
-        self.nodes[i as usize].stable_log()
-    }
-
-    /// The run's configuration.
-    pub fn config(&self) -> &DistConfig {
-        &self.config
+    /// Shard `i`'s durable log (for the offline recovery experiments).
+    pub fn shard_log(&self, i: u32) -> &dyn DurableLog {
+        self.core.node(NodeId::new(i)).stable_log()
     }
 
     /// Current simulated time.
     pub fn now(&self) -> u64 {
-        self.now
+        self.core.now()
     }
 
     /// The coordinator's durable decision for `txn`, if any.
     pub fn decision(&self, txn: ActivityId) -> Option<bool> {
-        self.coordinator.decision(txn)
+        self.core.coordinator().decision(txn)
     }
 }
 
@@ -714,6 +448,36 @@ mod tests {
         let stats = s.stats();
         assert_eq!(stats.crashes, 1);
         assert_eq!(stats.recoveries, 1);
+        assert_eq!(stats.committed + stats.aborted, stats.submitted);
+        s.verify().unwrap();
+    }
+
+    #[test]
+    fn a_crash_of_a_down_shard_neither_crashes_nor_recovers_it() {
+        // The second outage falls inside the first: the shard stays down
+        // until the first one ends, and recovers once.
+        let mut s = DistService::new(DistConfig {
+            crashes: vec![
+                CrashPlan {
+                    at: 2_000,
+                    shard: 1,
+                    downtime: 4_000,
+                },
+                CrashPlan {
+                    at: 3_000,
+                    shard: 1,
+                    downtime: 1_000,
+                },
+            ],
+            ..smoke_config()
+        });
+        while s.now() < 4_500 {
+            assert!(s.step_event());
+        }
+        assert!(!s.core.node(NodeId::new(1)).is_up(), "back before t=6000");
+        s.run_to_quiescence();
+        let stats = s.stats();
+        assert_eq!((stats.crashes, stats.recoveries), (1, 1));
         assert_eq!(stats.committed + stats.aborted, stats.submitted);
         s.verify().unwrap();
     }

@@ -1,7 +1,9 @@
-//! The cluster: the deterministic event loop that owns the nodes, the
-//! fault-injecting network, the two-phase-commit coordinator, crash
-//! injection (scheduled and MTTF-driven), checkpointed invariant
-//! checking, and the replayable event trace.
+//! The cluster: sharded bank accounts over the one two-phase-commit core
+//! ([`Simulator`]), one transaction per message, with what only this
+//! façade has — accounts at an initial balance, workload clients,
+//! timestamped audits, history recording, checkpointed invariant
+//! checking, crash injection by event index and by MTTF failure clocks,
+//! the restart hook, and [`Cluster::heal`].
 //!
 //! Everything here is a pure function of [`SimConfig`] (most importantly
 //! its seed): logical time advances only when events are processed, every
@@ -10,15 +12,16 @@
 //! run bit-for-bit, which [`Cluster::trace_hash`] and
 //! [`Cluster::state_digest`] make checkable.
 
+use crate::coordinator::Coordinator;
 use crate::invariant::{InvariantChecker, Violation};
 use crate::message::{Endpoint, Message, NodeId, SimEvent};
-use crate::model::{Action, ClientRequest, DeterministicClient, DeterministicNode, NodeTimer};
+use crate::model::{ClientRequest, DeterministicClient};
 use crate::network::{FaultConfig, NetStats, Network};
 use crate::node::Node;
 use crate::partition::{PartitionSchedule, PartitionWindow};
-use crate::queue::EventQueue;
 use crate::rng::{fnv1a, SimRng};
-use atomicity_core::{AbortReason, MetricsRegistry};
+use crate::simulator::{ProtocolParams, SimStats, Simulator};
+use atomicity_core::DurableLog;
 use atomicity_spec::specs::KvMapSpec;
 use atomicity_spec::{op, ActivityId, Event, History, ObjectId, OpResult, SystemSpec, Value};
 use std::collections::{BTreeMap, BTreeSet};
@@ -63,18 +66,19 @@ pub struct SimConfig {
     pub min_latency: u64,
     /// Maximum one-way message latency.
     pub max_latency: u64,
-    /// Coordinator prepare timeout: missing votes ⇒ abort.
+    /// Coordinator vote-collection timeout: missing votes ⇒ abort.
     pub prepare_timeout: u64,
-    /// Interval at which a recovered node re-asks for in-doubt outcomes.
+    /// Interval at which an audit whose snapshot is not yet applied at
+    /// every participant retries.
     pub retry_interval: u64,
     /// Probability a message is lost in transit (deterministic per seed).
     pub drop_probability: f64,
     /// Probability each potential extra copy of a message is delivered.
     pub duplicate_probability: f64,
-    /// How long a participant waits for a decision before re-sending its
-    /// vote (and the coordinator its prepare).
+    /// How long a prepared participant waits for a decision before
+    /// re-sending its vote.
     pub decision_timeout: u64,
-    /// Bound on retransmissions per message.
+    /// Bound on vote re-sends per (participant, transaction).
     pub max_resends: u32,
     /// Bound on extra copies per message (duplication factor).
     pub max_duplicates: u32,
@@ -89,7 +93,7 @@ pub struct SimConfig {
     /// Run the registered invariant checkers every this many processed
     /// events; `0` checks only at [`Cluster::heal`].
     pub checkpoint_every: u64,
-    /// Record a formatted line per processed event (see
+    /// Keep the protocol's trace lines in memory (see
     /// [`Cluster::trace`]); the rolling [`Cluster::trace_hash`] is kept
     /// either way.
     pub record_trace: bool,
@@ -97,7 +101,7 @@ pub struct SimConfig {
     /// commit-timestamp/abort at decision) for the certifier checker.
     pub record_history: bool,
     /// Inject the demonstration bug: the coordinator, having committed,
-    /// presumes abort for the last participant (as if its ack had been
+    /// presumes abort for the last participant (as if its vote had been
     /// lost) and tells it so — a durable all-or-nothing violation the
     /// invariant checkers must catch.
     pub demo_lost_ack: bool,
@@ -131,64 +135,6 @@ impl Default for SimConfig {
     }
 }
 
-/// Aggregate statistics of a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SimStats {
-    /// Transactions the coordinator decided to commit.
-    pub committed: u64,
-    /// Transactions the coordinator decided to abort (timeouts).
-    pub aborted: u64,
-    /// Messages delivered (including drops to down nodes).
-    pub messages: u64,
-    /// Messages dropped because the destination was down.
-    pub dropped: u64,
-    /// Messages lost in transit (network loss injection).
-    pub lost: u64,
-    /// Extra message copies delivered (duplication injection).
-    pub duplicated: u64,
-    /// Deliveries deferred by a reorder boost.
-    pub reordered: u64,
-    /// Messages refused because the link crossed an active partition.
-    pub cut: u64,
-    /// Vote/prepare retransmissions performed.
-    pub resends: u64,
-    /// Node crashes injected (scheduled and MTTF).
-    pub crashes: u64,
-    /// Crashes due to the MTTF failure clocks specifically.
-    pub mttf_crashes: u64,
-    /// Coordinator crashes injected.
-    pub coordinator_crashes: u64,
-    /// Node recoveries performed.
-    pub recoveries: u64,
-    /// Committed intentions redone during recoveries.
-    pub redo_records: u64,
-    /// In-doubt transactions found during recoveries.
-    pub in_doubt: u64,
-    /// Individual invariant checks run at checkpoints.
-    pub invariant_checks: u64,
-    /// Events processed.
-    pub events: u64,
-}
-
-#[derive(Debug)]
-struct PendingTxn {
-    participants: Vec<NodeId>,
-    acks: BTreeSet<NodeId>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum CrashTarget {
-    Node(NodeId),
-    Coordinator,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CrashPoint {
-    at_event: u64,
-    target: CrashTarget,
-    down_for: u64,
-}
-
 /// A simulated distributed transaction system: sharded bank accounts,
 /// two-phase commit, fault-injecting network, crashes, recovery, and
 /// checkpointed invariant checking.
@@ -196,10 +142,7 @@ struct CrashPoint {
 /// See the crate docs for an end-to-end example.
 pub struct Cluster {
     cfg: SimConfig,
-    time: u64,
-    queue: EventQueue,
-    nodes: Vec<Node>,
-    network: Network,
+    core: Simulator<KvMapSpec>,
     /// The run's root stream; only split from, never drawn from.
     root: SimRng,
     /// Latency draws for audit submissions.
@@ -207,46 +150,24 @@ pub struct Cluster {
     /// Per-node failure clocks.
     mttf_rngs: Vec<SimRng>,
     mttf_count: Vec<u32>,
-    next_txn: u32,
-    /// Coordinator durable state: decided outcomes (never lost — the
-    /// coordinator is modeled as reliable; participant crashes are the
-    /// interesting failures for recoverability).
-    decisions: BTreeMap<ActivityId, bool>,
-    pending: BTreeMap<ActivityId, PendingTxn>,
-    /// Intentions per (txn, node), kept by the coordinator for retransmission.
-    staged: BTreeMap<(ActivityId, NodeId), Vec<OpResult>>,
-    crash_plan: Vec<CrashPoint>,
-    coordinator_up: bool,
-    /// Commit timestamps assigned at decision time (hybrid atomicity for
-    /// the distributed setting); shared counter with audit timestamps.
-    commit_ts: BTreeMap<ActivityId, u64>,
-    ts_clock: u64,
+    /// Every submitted transfer's participants.
+    participants: BTreeMap<ActivityId, Vec<NodeId>>,
+    /// Crash events, each injected just before the processed-event
+    /// count reaches its index.
+    crash_plan: Vec<(u64, SimEvent)>,
     /// Completed audits: (timestamp, observed grand total).
     audit_results: Vec<(u64, i64)>,
-    next_audit: usize,
-    stats: SimStats,
-    /// Observability sink (disabled unless [`Cluster::enable_metrics`] is
-    /// called): transaction begin/commit/abort counts and the
-    /// submit-to-decision latency histogram in simulated time.
-    metrics: MetricsRegistry,
-    /// Simulated submission time per undecided transaction.
-    submit_times: BTreeMap<ActivityId, u64>,
-    /// Deterministic workload sources (`None` transiently while ticking).
-    clients: Vec<Option<Box<dyn DeterministicClient>>>,
+    /// Deterministic workload sources.
+    clients: Vec<Box<dyn DeterministicClient>>,
     /// Checkpoint invariants (`mem::take`n while running, so a checker
     /// sees the cluster without itself).
     checkers: Vec<Box<dyn InvariantChecker>>,
     violations: Vec<Violation>,
     /// The recorded run, when [`SimConfig::record_history`] is set.
     history: Option<History>,
-    /// Formatted processed events, when [`SimConfig::record_trace`] is set.
-    trace: Vec<String>,
-    trace_hash: u64,
     /// Called with the node id before each recovery — the hook through
     /// which a simulated restart re-opens the real on-disk WAL.
     restart_hook: Option<Box<dyn FnMut(NodeId)>>,
-    /// `(txn, node)` pairs the demo bug lied to (told abort on a commit).
-    demo_victims: BTreeSet<(ActivityId, NodeId)>,
     /// Set by [`Cluster::heal`]: failure injection is over, drain cleanly.
     quiescing: bool,
 }
@@ -255,11 +176,18 @@ impl fmt::Debug for Cluster {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cluster")
             .field("cfg", &self.cfg)
-            .field("time", &self.time)
-            .field("stats", &self.stats)
+            .field("time", &self.now())
+            .field("stats", self.stats())
             .field("violations", &self.violations)
             .finish_non_exhaustive()
     }
+}
+
+/// Node `n`'s accounts at their initial balance.
+fn shard_spec(cfg: &SimConfig, n: u32) -> KvMapSpec {
+    KvMapSpec::with_initial(
+        (0..cfg.accounts_per_node).map(|i| ((i * cfg.nodes + n) as i64, cfg.initial_balance)),
+    )
 }
 
 impl Cluster {
@@ -279,16 +207,12 @@ impl Cluster {
     /// flusher) or the simulation loses determinism.
     pub fn with_log_factory(
         cfg: SimConfig,
-        factory: impl Fn(NodeId) -> Arc<dyn atomicity_core::DurableLog>,
+        factory: impl Fn(NodeId) -> Arc<dyn DurableLog>,
     ) -> Self {
-        let nodes: Vec<Node> = (0..cfg.nodes)
+        let nodes = (0..cfg.nodes)
             .map(|n| {
-                let accounts = (0..cfg.accounts_per_node)
-                    .map(|i| ((i * cfg.nodes + n) as i64, cfg.initial_balance));
                 let id = NodeId::new(n);
-                let mut node = Node::with_log(id, accounts, factory(id));
-                node.configure_retransmit(cfg.decision_timeout, cfg.max_resends);
-                node
+                Node::new(id, shard_spec(&cfg, n), factory(id), false)
             })
             .collect();
         let root = SimRng::new(cfg.seed);
@@ -301,77 +225,53 @@ impl Cluster {
             reorder_probability: cfg.reorder_probability,
             reorder_extra: cfg.reorder_extra,
         };
-        let mut schedule = PartitionSchedule::new();
-        for w in &cfg.partitions {
-            schedule.add(w.clone());
-        }
+        let schedule = cfg
+            .partitions
+            .iter()
+            .cloned()
+            .fold(PartitionSchedule::new(), PartitionSchedule::with);
         let network = Network::new(root.split("network", 0), faults, schedule);
-        let mttf_rngs: Vec<SimRng> = (0..cfg.nodes)
-            .map(|n| root.split("mttf", u64::from(n)))
-            .collect();
-        let history = cfg.record_history.then(History::new);
+        // One transaction per message, answered at arrival: the
+        // per-transaction protocol is the batch-of-one configuration.
+        let params = ProtocolParams {
+            max_batch: 1,
+            txn_timeout: cfg.prepare_timeout,
+            resolve_timeout: cfg.decision_timeout,
+            max_resolve_attempts: cfg.max_resends,
+            record_trace: cfg.record_trace,
+            demo_lost_ack: cfg.demo_lost_ack,
+            ..ProtocolParams::default()
+        };
         let mut cluster = Cluster {
+            core: Simulator::new(params, network, nodes),
             audit_rng: root.split("audit", 0),
             mttf_count: vec![0; cfg.nodes as usize],
-            mttf_rngs,
+            mttf_rngs: (0..cfg.nodes)
+                .map(|n| root.split("mttf", u64::from(n)))
+                .collect(),
             root,
-            network,
+            history: cfg.record_history.then(History::new),
             cfg,
-            time: 0,
-            queue: EventQueue::new(),
-            nodes,
-            next_txn: 1,
-            decisions: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            staged: BTreeMap::new(),
+            participants: BTreeMap::new(),
             crash_plan: Vec::new(),
-            coordinator_up: true,
-            commit_ts: BTreeMap::new(),
-            ts_clock: 0,
             audit_results: Vec::new(),
-            next_audit: 0,
-            stats: SimStats::default(),
-            metrics: MetricsRegistry::disabled(),
-            submit_times: BTreeMap::new(),
             clients: Vec::new(),
             checkers: Vec::new(),
             violations: Vec::new(),
-            history,
-            trace: Vec::new(),
-            trace_hash: fnv1a(b"trace"),
             restart_hook: None,
-            demo_victims: BTreeSet::new(),
             quiescing: false,
         };
         if cluster.cfg.mttf.is_some() {
-            for n in 0..cluster.cfg.nodes {
-                cluster.schedule_next_mttf(NodeId::new(n), 0);
+            for node in cluster.node_ids() {
+                cluster.schedule_next_mttf(node, 0);
             }
         }
         cluster
     }
 
-    /// Turns on metrics collection: subsequent transactions are counted
-    /// in a fresh [`MetricsRegistry`], with the commit-path histogram fed
-    /// the submit-to-decision latency in **simulated** nanoseconds (one
-    /// simulated time unit = 1µs).
-    pub fn enable_metrics(&mut self) {
-        self.metrics = MetricsRegistry::new();
-    }
-
-    /// The cluster's metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// The configuration this cluster runs under.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     /// The current logical time (simulated microseconds).
     pub fn now(&self) -> u64 {
-        self.time
+        self.core.now()
     }
 
     /// The node an account lives on.
@@ -391,43 +291,37 @@ impl Cluster {
 
     /// Run statistics so far.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.core.stats()
     }
 
-    /// The network's traffic counters.
+    /// The network's traffic counters (loss, duplication, reordering,
+    /// partition cuts).
     pub fn network_stats(&self) -> NetStats {
-        *self.network.stats()
+        self.core.network_stats()
     }
 
     /// The coordinator's durable decision for `txn`, if made.
     pub fn decision(&self, txn: ActivityId) -> Option<bool> {
-        self.decisions.get(&txn).copied()
+        self.core.coordinator().decision(txn)
     }
 
-    /// Every decided transaction with its outcome, in transaction order.
-    pub fn decided(&self) -> Vec<(ActivityId, bool)> {
-        self.decisions.iter().map(|(&t, &c)| (t, c)).collect()
+    /// The coordinator: decisions and commit timestamps.
+    pub fn coordinator(&self) -> &Coordinator {
+        self.core.coordinator()
     }
 
     /// The participants of `txn` (empty if unknown).
-    pub fn participants_of(&self, txn: ActivityId) -> Vec<NodeId> {
-        self.pending
-            .get(&txn)
-            .map(|p| p.participants.clone())
-            .unwrap_or_default()
+    pub fn participants_of(&self, txn: ActivityId) -> &[NodeId] {
+        self.participants.get(&txn).map_or(&[], Vec::as_slice)
     }
 
     /// The system specification of the cluster's shards (object `n+1` is
     /// node `n`'s account map) — what the certifier checks the recorded
     /// history against.
     pub fn system_spec(&self) -> SystemSpec {
-        let mut spec = SystemSpec::new();
-        for n in 0..self.cfg.nodes {
-            let accounts = (0..self.cfg.accounts_per_node)
-                .map(|i| ((i * self.cfg.nodes + n) as i64, self.cfg.initial_balance));
-            spec = spec.with_object(ObjectId::new(n + 1), KvMapSpec::with_initial(accounts));
-        }
-        spec
+        (0..self.cfg.nodes).fold(SystemSpec::new(), |spec, n| {
+            spec.with_object(ObjectId::new(n + 1), shard_spec(&self.cfg, n))
+        })
     }
 
     /// The recorded history, when [`SimConfig::record_history`] is set.
@@ -452,9 +346,9 @@ impl Cluster {
     /// [`Cluster::client_rng`] so its draws stay isolated.
     pub fn add_client(&mut self, client: Box<dyn DeterministicClient>) -> usize {
         let index = self.clients.len();
-        self.clients.push(Some(client));
-        self.queue
-            .schedule(self.time, SimEvent::ClientTick { client: index });
+        self.clients.push(client);
+        self.core
+            .schedule(self.core.now(), SimEvent::ClientTick(index));
         index
     }
 
@@ -470,55 +364,53 @@ impl Cluster {
         self.restart_hook = Some(Box::new(hook));
     }
 
-    /// The formatted event trace (empty unless
+    /// The protocol's trace lines (empty unless
     /// [`SimConfig::record_trace`] is set).
     pub fn trace(&self) -> &[String] {
-        &self.trace
+        self.core.trace()
     }
 
-    /// Rolling order-sensitive hash of every processed event — equal
-    /// between two runs iff they processed identical event sequences.
+    /// Rolling order-sensitive hash of the protocol's trace lines —
+    /// equal between two runs of the same configuration.
     pub fn trace_hash(&self) -> u64 {
-        self.trace_hash
+        self.core.trace_hash()
     }
 
     /// An order-insensitive digest of the externally observable final
     /// state: decisions, commit timestamps, per-node durable state, audit
     /// results, and counters. Two runs of the same seed must agree.
     pub fn state_digest(&self) -> u64 {
+        let coordinator = self.core.coordinator();
         let mut s = String::new();
-        for (txn, commit) in &self.decisions {
+        for (txn, commit) in coordinator.decisions() {
             let _ = write!(s, "d{txn}={commit};");
         }
-        for (txn, ts) in &self.commit_ts {
+        for (txn, ts) in coordinator.commit_timestamps() {
             let _ = write!(s, "c{txn}={ts};");
         }
-        for node in &self.nodes {
-            let committed = node.committed_total_at(|t| self.decisions.get(&t) == Some(&true));
+        for node in self.core.nodes() {
+            let committed = node.committed_total_at(|t| coordinator.decision(t) == Some(true));
             let _ = write!(
                 s,
                 "n{}:up={},log={},total={};",
                 node.id(),
                 node.is_up(),
-                node.stable_log_len(),
+                node.stable_log().len(),
                 committed
             );
         }
         for (ts, total) in &self.audit_results {
             let _ = write!(s, "a{ts}={total};");
         }
-        let _ = write!(s, "{:?}", self.stats);
+        let _ = write!(s, "{:?}", self.stats());
         fnv1a(s.as_bytes())
     }
 
     /// Schedules a crash of `node` just before the `at_event`-th processed
     /// event; the node recovers after `down_for` simulated microseconds.
     pub fn schedule_crash(&mut self, at_event: u64, node: NodeId, down_for: u64) {
-        self.crash_plan.push(CrashPoint {
-            at_event,
-            target: CrashTarget::Node(node),
-            down_for,
-        });
+        let crash = SimEvent::Crash { node, down_for };
+        self.crash_plan.push((at_event, crash));
     }
 
     /// Schedules a crash of the *coordinator* just before the
@@ -526,34 +418,28 @@ impl Cluster {
     /// participants block (classic two-phase commit) and re-send their
     /// votes until it returns after `down_for`.
     pub fn schedule_coordinator_crash(&mut self, at_event: u64, down_for: u64) {
-        self.crash_plan.push(CrashPoint {
-            at_event,
-            target: CrashTarget::Coordinator,
-            down_for,
-        });
+        let crash = SimEvent::CoordinatorCrash(down_for);
+        self.crash_plan.push((at_event, crash));
     }
 
     /// Whether the coordinator is currently up.
     pub fn coordinator_is_up(&self) -> bool {
-        self.coordinator_up
+        self.core.coordinator().is_up()
     }
 
     /// Submits a timestamped read-only audit (§4.3 in the distributed
     /// setting): it takes the next timestamp and will observe exactly the
     /// transfers committed with smaller timestamps, retrying until those
     /// are applied at every participant. The result appears in
-    /// [`Cluster::audit_results`].
-    pub fn submit_audit(&mut self) -> usize {
-        self.ts_clock += 1;
-        let ts = self.ts_clock;
-        let id = self.next_audit;
-        self.next_audit += 1;
-        let at = self.time
+    /// [`Cluster::audit_results`]; returns the audit's timestamp.
+    pub fn submit_audit(&mut self) -> u64 {
+        let ts = self.core.coordinator.next_timestamp();
+        let at = self.now()
             + self
                 .audit_rng
                 .range(self.cfg.min_latency, self.cfg.max_latency);
-        self.queue.schedule(at, SimEvent::AuditAttempt { id, ts });
-        id
+        self.core.schedule(at, SimEvent::AuditAttempt(ts));
+        ts
     }
 
     /// Completed audits as (timestamp, observed grand total) pairs.
@@ -561,379 +447,100 @@ impl Cluster {
         &self.audit_results
     }
 
-    /// Whether every committed transaction with commit timestamp below
-    /// `ts` has been durably applied at each of its participants.
-    fn audit_ready(&self, ts: u64) -> bool {
-        for (txn, &cts) in &self.commit_ts {
-            if cts >= ts {
-                continue;
-            }
-            let Some(pending) = self.pending.get(txn) else {
-                continue;
-            };
-            for &node in &pending.participants {
-                let n = &self.nodes[node.raw() as usize];
-                if !n.is_up() || n.outcome(*txn) != Some(true) {
-                    return false;
-                }
-            }
-        }
-        true
+    /// Whether every commit in `included` is durably applied at each of
+    /// its participants.
+    fn applied_everywhere(&self, included: &BTreeSet<ActivityId>) -> bool {
+        included.iter().all(|&txn| {
+            self.participants_of(txn).iter().all(|&node| {
+                let n = self.node(node);
+                n.is_up() && n.outcome(txn) == Some(true)
+            })
+        })
     }
 
-    fn perform_audit(&mut self, id: usize, ts: u64) {
-        let include: Vec<ActivityId> = self
-            .commit_ts
-            .iter()
-            .filter(|(_, &cts)| cts < ts)
-            .map(|(&t, _)| t)
+    fn attempt_audit(&mut self, ts: u64) {
+        let included: BTreeSet<ActivityId> = self
+            .core
+            .coordinator()
+            .commit_timestamps()
+            .filter(|&(_, cts)| cts < ts)
+            .map(|(txn, _)| txn)
             .collect();
-        let total: i64 = self
-            .nodes
-            .iter()
-            .map(|n| n.committed_total_at(|t| include.contains(&t)))
-            .sum();
-        self.audit_results.push((ts, total));
-        let _ = id;
-    }
-
-    /// Hands a message to the network; every planned copy becomes a
-    /// delivery event. Network counters are mirrored into [`SimStats`].
-    fn send(&mut self, src: Endpoint, dst: Endpoint, message: Message) {
-        for at in self.network.plan(self.time, src, dst) {
-            self.queue.schedule(
-                at,
-                SimEvent::Deliver {
-                    dst,
-                    message: message.clone(),
-                },
-            );
+        if self.quiescing && !self.applied_everywhere(&included) {
+            // Failure injection is over: the coordinator answers
+            // lingering in-doubt queries directly so audits (and the run)
+            // terminate.
+            self.force_resolve_decided();
         }
-        let net = *self.network.stats();
-        self.stats.lost = net.lost;
-        self.stats.duplicated = net.duplicated;
-        self.stats.reordered = net.reordered;
-        self.stats.cut = net.cut;
+        // Still not applied after everything healed and every in-doubt
+        // query was answered means some participant holds an outcome that
+        // contradicts its decision. Waiting longer cannot fix that — the
+        // audit observes (and the checkers flag) the torn state instead
+        // of retrying forever.
+        if self.quiescing || self.applied_everywhere(&included) {
+            let total = self
+                .core
+                .nodes()
+                .iter()
+                .map(|n| n.committed_total_at(|t| included.contains(&t)))
+                .sum();
+            self.audit_results.push((ts, total));
+        } else {
+            let at = self.now() + self.cfg.retry_interval;
+            self.core.schedule(at, SimEvent::AuditAttempt(ts));
+        }
     }
 
     /// Submits a transfer moving `amount` from `from` to `to` (global
     /// account ids) at the current simulated time. Returns the
     /// transaction's identity.
     pub fn submit_transfer(&mut self, from: i64, to: i64, amount: i64) -> ActivityId {
-        let txn = ActivityId::new(self.next_txn);
-        self.next_txn += 1;
-        self.metrics.txn_begun(txn);
-        self.submit_times.insert(txn, self.time);
         let mut per_node: BTreeMap<NodeId, Vec<OpResult>> = BTreeMap::new();
-        per_node
-            .entry(self.home_of(from))
-            .or_default()
-            .push((op("adjust", [from, -amount]), Value::ok()));
-        per_node
-            .entry(self.home_of(to))
-            .or_default()
-            .push((op("adjust", [to, amount]), Value::ok()));
-        let participants: Vec<NodeId> = per_node.keys().copied().collect();
-        for (node, ops) in &per_node {
-            self.staged.insert((txn, *node), ops.clone());
-            self.send(
-                Endpoint::Coordinator,
-                Endpoint::Node(*node),
-                Message::Prepare {
-                    txn,
-                    ops: ops.clone(),
-                },
-            );
-            let at = self.time + self.cfg.decision_timeout;
-            self.queue.schedule(
-                at,
-                SimEvent::ResendPrepare {
-                    txn,
-                    node: *node,
-                    attempt: 1,
-                },
-            );
+        for (account, delta) in [(from, -amount), (to, amount)] {
+            let adjust = (op("adjust", [account, delta]), Value::ok());
+            let home = self.home_of(account);
+            per_node.entry(home).or_default().push(adjust);
         }
-        self.queue.schedule(
-            self.time + self.cfg.prepare_timeout,
-            SimEvent::Timeout { txn },
-        );
-        self.pending.insert(
-            txn,
-            PendingTxn {
-                participants,
-                acks: BTreeSet::new(),
-            },
-        );
+        let participants = per_node.keys().copied().collect();
+        let txn = self.core.submit(per_node);
+        self.participants.insert(txn, participants);
         txn
     }
 
-    /// Processes events until the queue drains (or `max_events`).
+    /// Processes events until the queue drains.
     pub fn run_to_quiescence(&mut self) -> &SimStats {
         self.run_events(u64::MAX)
     }
 
     /// Processes at most `max_events` events.
     pub fn run_events(&mut self, max_events: u64) -> &SimStats {
-        let mut processed_now = 0;
-        while processed_now < max_events {
+        for _ in 0..max_events {
             // Crash injection is keyed on the global processed-event count.
-            let due: Vec<CrashPoint> = self
-                .crash_plan
-                .iter()
-                .filter(|c| c.at_event <= self.stats.events)
-                .copied()
-                .collect();
-            self.crash_plan.retain(|c| c.at_event > self.stats.events);
-            for c in due {
-                match c.target {
-                    CrashTarget::Node(node) => self.crash(node, c.down_for),
-                    CrashTarget::Coordinator => self.crash_coordinator(c.down_for),
-                }
+            let events = self.stats().events;
+            let (due, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.crash_plan)
+                .into_iter()
+                .partition(|&(at_event, _)| at_event <= events);
+            self.crash_plan = later;
+            for (_, crash) in due {
+                self.core.handle(crash);
             }
-            let Some(scheduled) = self.queue.pop() else {
+            let Some(event) = self.core.next_event() else {
                 break;
             };
-            self.time = self.time.max(scheduled.time);
-            self.stats.events += 1;
-            processed_now += 1;
-            let line = format!("{:>10} {:?}", self.time, scheduled.event);
-            self.trace_hash = self.trace_hash.rotate_left(5) ^ fnv1a(line.as_bytes());
-            if self.cfg.record_trace {
-                self.trace.push(line);
-            }
-            self.handle(scheduled.event);
-            if self.cfg.checkpoint_every > 0
-                && self.stats.events.is_multiple_of(self.cfg.checkpoint_every)
-            {
+            self.handle(event);
+            let every = self.cfg.checkpoint_every;
+            if every > 0 && self.stats().events.is_multiple_of(every) {
                 self.run_checkpoint();
             }
         }
-        &self.stats
-    }
-
-    fn crash(&mut self, node: NodeId, down_for: u64) {
-        let n = &mut self.nodes[node.raw() as usize];
-        if !n.is_up() {
-            return;
-        }
-        n.crash();
-        self.stats.crashes += 1;
-        self.queue
-            .schedule(self.time + down_for, SimEvent::Recover { node });
-    }
-
-    fn crash_coordinator(&mut self, down_for: u64) {
-        if !self.coordinator_up {
-            return;
-        }
-        self.coordinator_up = false;
-        self.stats.coordinator_crashes += 1;
-        self.queue
-            .schedule(self.time + down_for, SimEvent::CoordinatorRecover);
-    }
-
-    /// Schedules the next MTTF crash of `node` at `extra_delay` plus a
-    /// drawn uptime from now.
-    fn schedule_next_mttf(&mut self, node: NodeId, extra_delay: u64) {
-        let Some(mttf) = self.cfg.mttf else {
-            return;
-        };
-        let i = node.raw() as usize;
-        let uptime = self.mttf_rngs[i].around(mttf.mean_uptime);
-        self.queue.schedule(
-            self.time + extra_delay + uptime,
-            SimEvent::MttfCrash { node },
-        );
-    }
-
-    /// Runs recovery on `node` (restart hook first, so on-disk logs
-    /// re-open), accounts for it, and kicks off in-doubt resolution.
-    fn restart_node(&mut self, node: NodeId) {
-        if let Some(hook) = self.restart_hook.as_mut() {
-            hook(node);
-        }
-        let outcome = self.nodes[node.raw() as usize].recover();
-        self.stats.recoveries += 1;
-        self.stats.redo_records += outcome.redone.len() as u64;
-        self.stats.in_doubt += outcome.in_doubt.len() as u64;
-        for txn in outcome.in_doubt {
-            self.resolve_or_retry(node, txn);
-        }
+        self.stats()
     }
 
     fn handle(&mut self, event: SimEvent) {
         match event {
-            SimEvent::Deliver {
-                dst: Endpoint::Node(node),
-                message,
-            } => {
-                self.stats.messages += 1;
-                let i = node.raw() as usize;
-                if !self.nodes[i].online() {
-                    self.stats.dropped += 1;
-                    return;
-                }
-                // History bookkeeping needs the pre-delivery durable
-                // state: was this prepare/decision fresh?
-                let fresh_prepare = match &message {
-                    Message::Prepare { txn, .. } => !self.nodes[i].prepared(*txn),
-                    _ => false,
-                };
-                let fresh_decision = match &message {
-                    Message::Decision { txn, .. } => self.nodes[i].outcome(*txn).is_none(),
-                    _ => false,
-                };
-                if fresh_prepare {
-                    if let Message::Prepare { txn, ops } = &message {
-                        self.record_prepare_events(node, *txn, ops);
-                    }
-                }
-                let actions = self.nodes[i].on_message(self.time, &message);
-                if fresh_decision {
-                    if let Message::Decision { txn, commit } = &message {
-                        self.record_outcome_event(node, *txn, *commit);
-                    }
-                }
-                self.process_actions(node, actions);
-            }
-            SimEvent::Deliver {
-                dst: Endpoint::Coordinator,
-                message,
-            } => {
-                self.stats.messages += 1;
-                if !self.coordinator_up {
-                    self.stats.dropped += 1;
-                    return;
-                }
-                if let Message::PrepareAck { txn, node } = message {
-                    if let Some(&commit) = self.decisions.get(&txn) {
-                        // Already decided: the participant evidently has
-                        // not heard — re-send the decision (the demo bug
-                        // keeps lying to its victims).
-                        let commit = commit && !self.demo_victims.contains(&(txn, node));
-                        self.send(
-                            Endpoint::Coordinator,
-                            Endpoint::Node(node),
-                            Message::Decision { txn, commit },
-                        );
-                        return;
-                    }
-                    let all_acked = match self.pending.get_mut(&txn) {
-                        Some(p) => {
-                            p.acks.insert(node);
-                            p.acks.len() == p.participants.len()
-                        }
-                        None => false,
-                    };
-                    if all_acked {
-                        self.decide(txn, true);
-                    }
-                }
-            }
-            SimEvent::Timeout { txn } => {
-                if !self.coordinator_up {
-                    // The coordinator cannot decide while down; retry the
-                    // timeout after it recovers.
-                    let at = self.time + self.cfg.retry_interval;
-                    self.queue.schedule(at, SimEvent::Timeout { txn });
-                    return;
-                }
-                if !self.decisions.contains_key(&txn) {
-                    self.decide(txn, false);
-                }
-            }
-            SimEvent::Recover { node } => {
-                self.restart_node(node);
-            }
-            SimEvent::RetryResolve { node, txn } => {
-                if self.nodes[node.raw() as usize].is_up() {
-                    self.resolve_or_retry(node, txn);
-                }
-            }
-            SimEvent::ResendAck { node, txn, attempt } => {
-                let actions = self.nodes[node.raw() as usize]
-                    .on_timer(self.time, &NodeTimer::ResendAck { txn, attempt });
-                if actions.iter().any(|a| matches!(a, Action::Send { .. })) {
-                    self.stats.resends += 1;
-                }
-                self.process_actions(node, actions);
-            }
-            SimEvent::ResendPrepare { txn, node, attempt } => {
-                let undecided = !self.decisions.contains_key(&txn);
-                let unacked = self
-                    .pending
-                    .get(&txn)
-                    .map(|p| !p.acks.contains(&node))
-                    .unwrap_or(false);
-                if self.coordinator_up && undecided && unacked && attempt <= self.cfg.max_resends {
-                    if let Some(ops) = self.staged.get(&(txn, node)).cloned() {
-                        self.stats.resends += 1;
-                        self.send(
-                            Endpoint::Coordinator,
-                            Endpoint::Node(node),
-                            Message::Prepare { txn, ops },
-                        );
-                        let at = self.time + self.cfg.decision_timeout;
-                        self.queue.schedule(
-                            at,
-                            SimEvent::ResendPrepare {
-                                txn,
-                                node,
-                                attempt: attempt + 1,
-                            },
-                        );
-                    }
-                }
-            }
-            SimEvent::CoordinatorRecover => {
-                self.coordinator_up = true;
-            }
-            SimEvent::AuditAttempt { id, ts } => {
-                if self.quiescing && !self.audit_ready(ts) {
-                    // Failure injection is over: the coordinator answers
-                    // lingering in-doubt queries directly so audits (and
-                    // the run) terminate.
-                    self.force_resolve_decided();
-                }
-                if self.audit_ready(ts) {
-                    self.perform_audit(id, ts);
-                } else if self.quiescing {
-                    // Still not ready after everything healed and every
-                    // in-doubt query was answered: some participant holds
-                    // an outcome that contradicts its decision. Waiting
-                    // longer cannot fix that — perform the audit anyway
-                    // so it observes (and the checkers flag) the torn
-                    // state instead of retrying forever.
-                    self.perform_audit(id, ts);
-                } else {
-                    let at = self.time + self.cfg.retry_interval;
-                    self.queue.schedule(at, SimEvent::AuditAttempt { id, ts });
-                }
-            }
-            SimEvent::MttfCrash { node } => {
-                let Some(mttf) = self.cfg.mttf else {
-                    return;
-                };
-                if self.quiescing {
-                    return;
-                }
-                let i = node.raw() as usize;
-                if self.mttf_count[i] >= mttf.max_crashes_per_node {
-                    return;
-                }
-                self.mttf_count[i] += 1;
-                let downtime = self.mttf_rngs[i].around(mttf.mean_downtime);
-                self.stats.mttf_crashes += 1;
-                self.crash(node, downtime);
-                self.schedule_next_mttf(node, downtime);
-            }
-            SimEvent::ClientTick { client } => {
-                let Some(mut c) = self.clients.get_mut(client).and_then(Option::take) else {
-                    return;
-                };
-                let turn = c.tick(self.time);
-                self.clients[client] = Some(c);
+            SimEvent::ClientTick(client) => {
+                let now = self.now();
+                let turn = self.clients[client].tick(now);
                 for request in turn.requests {
                     match request {
                         ClientRequest::Transfer { from, to, amount } => {
@@ -945,112 +552,103 @@ impl Cluster {
                     }
                 }
                 if let Some(delay) = turn.next_tick {
-                    self.queue
-                        .schedule(self.time + delay, SimEvent::ClientTick { client });
+                    let at = self.now() + delay;
+                    self.core.schedule(at, SimEvent::ClientTick(client));
                 }
             }
-        }
-    }
-
-    /// Executes a node's requested actions (sends and timers).
-    fn process_actions(&mut self, node: NodeId, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Send { dst, message } => {
-                    self.send(Endpoint::Node(node), dst, message);
-                }
-                Action::Timer {
-                    delay,
-                    timer: NodeTimer::ResendAck { txn, attempt },
-                } => {
-                    self.queue.schedule(
-                        self.time + delay,
-                        SimEvent::ResendAck { node, txn, attempt },
-                    );
-                }
-            }
-        }
-    }
-
-    fn decide(&mut self, txn: ActivityId, commit: bool) {
-        self.decisions.insert(txn, commit);
-        // Simulated-time latency from submission to the decision; the
-        // remove also makes a duplicate decision metrics-silent.
-        let sim_ns = self.submit_times.remove(&txn).map(|t0| {
-            let delta = self.time.saturating_sub(t0);
-            delta.saturating_mul(1_000)
-        });
-        if commit {
-            self.stats.committed += 1;
-            self.ts_clock += 1;
-            self.commit_ts.insert(txn, self.ts_clock);
-            if sim_ns.is_some() {
-                self.metrics.txn_committed(txn, sim_ns);
-            }
-        } else {
-            self.stats.aborted += 1;
-            if sim_ns.is_some() {
-                self.metrics
-                    .txn_aborted(txn, Some(AbortReason::PrepareFailed));
-            }
-        }
-        let participants = self
-            .pending
-            .get(&txn)
-            .map(|p| p.participants.clone())
-            .unwrap_or_default();
-        let last = participants.len().saturating_sub(1);
-        for (idx, node) in participants.into_iter().enumerate() {
-            let mut outcome = commit;
-            if commit && self.cfg.demo_lost_ack && idx == last && last > 0 {
-                // The injected bug: having committed, the coordinator
-                // presumes abort for the last participant (as if its ack
-                // had never arrived) and durably tells it so.
-                outcome = false;
-                self.demo_victims.insert((txn, node));
-            }
-            self.send(
-                Endpoint::Coordinator,
-                Endpoint::Node(node),
-                Message::Decision {
-                    txn,
-                    commit: outcome,
-                },
-            );
-        }
-    }
-
-    fn resolve_or_retry(&mut self, node: NodeId, txn: ActivityId) {
-        match self.decisions.get(&txn) {
-            Some(&commit) => {
+            SimEvent::AuditAttempt(ts) => self.attempt_audit(ts),
+            SimEvent::MttfCrash(node) => {
+                let Some(mttf) = self.cfg.mttf else {
+                    return;
+                };
                 let i = node.raw() as usize;
-                let fresh = self.nodes[i].outcome(txn).is_none();
-                self.nodes[i].resolve(txn, commit);
-                if fresh {
-                    self.record_outcome_event(node, txn, commit);
+                if self.quiescing || self.mttf_count[i] >= mttf.max_crashes_per_node {
+                    return;
+                }
+                self.mttf_count[i] += 1;
+                let downtime = self.mttf_rngs[i].around(mttf.mean_downtime);
+                self.core.stats.mttf_crashes += 1;
+                self.core.crash(node, downtime);
+                self.schedule_next_mttf(node, downtime);
+            }
+            SimEvent::Recover(node) => self.restart_node(node),
+            SimEvent::Deliver {
+                dst: Endpoint::Node(node),
+                message,
+            } if self.history.is_some() => self.deliver_recorded(node, message),
+            event => self.core.handle(event),
+        }
+    }
+
+    /// Delivers `message` to `node`, recording the history events it
+    /// causes: an invoke/respond pair per operation of a freshly staged
+    /// transaction, and the outcome of each freshly learned decision.
+    fn deliver_recorded(&mut self, node: NodeId, message: Message) {
+        let (n, object) = (self.core.node(node), ObjectId::new(node.raw() + 1));
+        let history = self.history.as_mut().expect("called only while recording");
+        let mut learning = Vec::new();
+        match &message {
+            // A down node drops the message: nothing happens to record.
+            _ if !n.is_up() => {}
+            Message::PrepareBatch { txns, .. } => {
+                for (txn, ops) in txns.iter().filter(|(txn, _)| !n.prepared(*txn)) {
+                    for (operation, value) in ops {
+                        history.push(Event::invoke(*txn, object, operation.clone()));
+                        history.push(Event::respond(*txn, object, value.clone()));
+                    }
                 }
             }
-            None => {
-                let at = self.time + self.cfg.retry_interval;
-                self.queue
-                    .schedule(at, SimEvent::RetryResolve { node, txn });
+            Message::DecisionBatch { decisions } => {
+                learning.extend(
+                    decisions
+                        .iter()
+                        .map(|&(txn, _)| txn)
+                        .filter(|&txn| n.outcome(txn).is_none()),
+                );
             }
+            Message::VoteBatch { .. } => {}
         }
+        let dst = Endpoint::Node(node);
+        self.core.handle(SimEvent::Deliver { dst, message });
+        for txn in learning {
+            record_outcome(self.history.as_mut(), &self.core, node, txn);
+        }
+    }
+
+    /// Schedules the next MTTF crash of `node` at `extra_delay` plus a
+    /// drawn uptime from now.
+    fn schedule_next_mttf(&mut self, node: NodeId, extra_delay: u64) {
+        let Some(mttf) = self.cfg.mttf else {
+            return;
+        };
+        let uptime = self.mttf_rngs[node.raw() as usize].around(mttf.mean_uptime);
+        let at = self.now() + extra_delay + uptime;
+        self.core.schedule(at, SimEvent::MttfCrash(node));
+    }
+
+    /// Recovers a down `node` (restart hook first, so on-disk logs
+    /// re-open); the core then re-votes its in-doubt transactions.
+    fn restart_node(&mut self, node: NodeId) {
+        if self.node(node).is_up() {
+            return;
+        }
+        if let Some(hook) = self.restart_hook.as_mut() {
+            hook(node);
+        }
+        self.core.recover(node);
     }
 
     /// Resolves, at every up node, each decided transaction that is
     /// durably prepared but still outcome-less — the coordinator
     /// answering in-doubt queries directly once failure injection is over.
     fn force_resolve_decided(&mut self) {
-        for (txn, commit) in self.decided() {
-            for node in self.participants_of(txn) {
-                let i = node.raw() as usize;
-                if self.nodes[i].is_up()
-                    && self.nodes[i].prepared(txn)
-                    && self.nodes[i].outcome(txn).is_none()
-                {
-                    self.nodes[i].resolve(txn, commit);
-                    self.record_outcome_event(node, txn, commit);
+        let (core, mut history) = (&self.core, self.history.as_mut());
+        for (txn, commit) in core.coordinator().decisions() {
+            for &node in &self.participants[&txn] {
+                let n = core.node(node);
+                if n.is_up() && n.prepared(txn) && n.outcome(txn).is_none() {
+                    n.learn_outcome(txn, commit);
+                    record_outcome(history.as_deref_mut(), core, node, txn);
                 }
             }
         }
@@ -1058,16 +656,13 @@ impl Cluster {
 
     /// Runs every registered invariant checker once, recording failures.
     fn run_checkpoint(&mut self) {
-        if self.checkers.is_empty() {
-            return;
-        }
         let mut checkers = std::mem::take(&mut self.checkers);
         for checker in &mut checkers {
-            self.stats.invariant_checks += 1;
+            self.core.stats.invariant_checks += 1;
             if let Err(detail) = checker.check(self) {
                 self.violations.push(Violation {
-                    time: self.time,
-                    events: self.stats.events,
+                    time: self.now(),
+                    events: self.stats().events,
                     checker: checker.name().to_string(),
                     detail,
                 });
@@ -1076,36 +671,9 @@ impl Cluster {
         self.checkers = checkers;
     }
 
-    fn record_prepare_events(&mut self, node: NodeId, txn: ActivityId, ops: &[OpResult]) {
-        let Some(history) = self.history.as_mut() else {
-            return;
-        };
-        let object = ObjectId::new(node.raw() + 1);
-        for (operation, value) in ops {
-            history.push(Event::invoke(txn, object, operation.clone()));
-            history.push(Event::respond(txn, object, value.clone()));
-        }
-    }
-
-    fn record_outcome_event(&mut self, node: NodeId, txn: ActivityId, commit: bool) {
-        let ts = self.commit_ts.get(&txn).copied();
-        let Some(history) = self.history.as_mut() else {
-            return;
-        };
-        let object = ObjectId::new(node.raw() + 1);
-        if commit {
-            // A commit outcome always has a coordinator timestamp.
-            if let Some(ts) = ts {
-                history.push(Event::commit_ts(txn, object, ts));
-            }
-        } else {
-            history.push(Event::abort(txn, object));
-        }
-    }
-
     /// Access to a node (inspection).
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.raw() as usize]
+    pub fn node(&self, id: NodeId) -> &Node<KvMapSpec> {
+        self.core.node(id)
     }
 
     /// All node identifiers.
@@ -1121,10 +689,8 @@ impl Cluster {
     /// this.
     pub fn heal(&mut self) {
         self.quiescing = true;
-        for n in 0..self.cfg.nodes {
-            if !self.nodes[n as usize].is_up() {
-                self.restart_node(NodeId::new(n));
-            }
+        for node in self.node_ids() {
+            self.restart_node(node);
         }
         self.force_resolve_decided();
         self.run_to_quiescence();
@@ -1140,12 +706,9 @@ impl Cluster {
     ///
     /// Describes the first violated transaction.
     pub fn verify_atomicity(&self) -> Result<(), String> {
-        for (&txn, &commit) in &self.decisions {
-            let participants = match self.pending.get(&txn) {
-                Some(p) => &p.participants,
-                None => continue,
-            };
-            for &node in participants {
+        let coordinator = self.core.coordinator();
+        for (txn, commit) in coordinator.decisions() {
+            for &node in self.participants_of(txn) {
                 let n = self.node(node);
                 match n.outcome(txn) {
                     Some(o) if o == commit => {}
@@ -1154,16 +717,17 @@ impl Cluster {
                             "txn {txn} decided {commit} but {node} recorded {o}"
                         ))
                     }
-                    None => {
-                        // Never prepared (prepare lost to a crash) is fine
-                        // only for aborted transactions.
-                        if commit && n.prepared(txn) {
-                            return Err(format!("txn {txn} committed but {node} left it in doubt"));
-                        }
-                        if commit && !n.prepared(txn) {
-                            return Err(format!("txn {txn} committed but {node} never prepared"));
-                        }
+                    // Never prepared (prepare lost to a crash) is fine
+                    // only for aborted transactions.
+                    None if commit => {
+                        let state = if n.prepared(txn) {
+                            "left it in doubt"
+                        } else {
+                            "never prepared"
+                        };
+                        return Err(format!("txn {txn} committed but {node} {state}"));
                     }
+                    None => {}
                 }
             }
         }
@@ -1178,7 +742,7 @@ impl Cluster {
     /// Reports the delta if violated.
     pub fn verify_conservation(&self) -> Result<(), String> {
         let expected = self.initial_total();
-        let actual: i64 = self.nodes.iter().map(Node::committed_total).sum();
+        let actual: i64 = self.core.nodes().iter().map(Node::committed_total).sum();
         if actual == expected {
             Ok(())
         } else {
@@ -1187,45 +751,34 @@ impl Cluster {
     }
 }
 
+/// Records `node`'s durable outcome of `txn` in `history`, if recording.
+fn record_outcome(
+    history: Option<&mut History>,
+    core: &Simulator<KvMapSpec>,
+    node: NodeId,
+    txn: ActivityId,
+) {
+    let Some(history) = history else {
+        return;
+    };
+    let object = ObjectId::new(node.raw() + 1);
+    match core.node(node).outcome(txn) {
+        // A commit outcome always has a coordinator timestamp.
+        Some(true) => {
+            if let Some(ts) = core.coordinator().commit_timestamp(txn) {
+                history.push(Event::commit_ts(txn, object, ts));
+            }
+        }
+        Some(false) => history.push(Event::abort(txn, object)),
+        None => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::invariant::{OnlineCertifierCheck, StandardChecker};
     use crate::model::TransferClient;
-
-    #[test]
-    fn metrics_track_decisions_in_simulated_time() {
-        let mut cluster = Cluster::new(SimConfig::default());
-        cluster.enable_metrics();
-        for i in 0..5 {
-            cluster.submit_transfer(i, i + 1, 1);
-        }
-        cluster.run_to_quiescence();
-        let snap = cluster.metrics().snapshot();
-        assert!(snap.enabled);
-        assert_eq!(snap.txns_begun, 5);
-        assert_eq!(
-            snap.txns_committed + snap.txns_aborted,
-            5,
-            "every submitted transfer must be decided"
-        );
-        assert_eq!(snap.commit_ns.count, snap.txns_committed);
-        if snap.txns_committed > 0 {
-            // Decisions take at least one message round trip of simulated
-            // time, so the histogram carries nonzero latencies.
-            assert!(snap.commit_ns.percentile(0.5).unwrap_or(0) > 0);
-        }
-    }
-
-    #[test]
-    fn disabled_metrics_cost_nothing_and_count_nothing() {
-        let mut cluster = Cluster::new(SimConfig::default());
-        cluster.submit_transfer(0, 1, 1);
-        cluster.run_to_quiescence();
-        let snap = cluster.metrics().snapshot();
-        assert!(!snap.enabled);
-        assert_eq!(snap.txns_begun, 0);
-    }
 
     #[test]
     fn transfer_commits_and_conserves() {
@@ -1344,9 +897,9 @@ mod tests {
         }
         cluster.run_to_quiescence();
         cluster.heal();
-        let stats = cluster.stats().clone();
-        assert!(stats.lost > 0, "loss injection must fire");
-        assert!(stats.duplicated > 0, "duplication injection must fire");
+        let (stats, net) = (cluster.stats().clone(), cluster.network_stats());
+        assert!(net.lost > 0, "loss injection must fire");
+        assert!(net.duplicated > 0, "duplication injection must fire");
         assert!(stats.committed > 0, "retransmission must recover commits");
         cluster.verify_atomicity().unwrap();
         cluster.verify_conservation().unwrap();
@@ -1419,7 +972,7 @@ mod tests {
         // Idempotent application: the debited/credited amounts are exact.
         cluster.verify_conservation().unwrap();
         cluster.verify_atomicity().unwrap();
-        assert!(cluster.stats().duplicated > 0);
+        assert!(cluster.network_stats().duplicated > 0);
     }
 
     #[test]
@@ -1580,7 +1133,10 @@ mod tests {
         let txn = cluster.submit_transfer(0, 1, 30);
         cluster.run_to_quiescence();
         cluster.heal();
-        assert!(cluster.stats().cut > 0, "partition must cut traffic");
+        assert!(
+            cluster.network_stats().cut > 0,
+            "partition must cut traffic"
+        );
         assert_eq!(
             cluster.decision(txn),
             Some(false),

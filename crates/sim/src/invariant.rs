@@ -28,6 +28,7 @@
 use crate::cluster::Cluster;
 use atomicity_certify::OnlineCertifier;
 use atomicity_lint::{Property, Verdict};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One invariant failure observed at a checkpoint.
@@ -74,8 +75,9 @@ impl InvariantChecker for StandardChecker {
     fn check(&mut self, cluster: &Cluster) -> Result<(), String> {
         // All-or-nothing, mid-run form: participants lag but never
         // contradict the coordinator's durable decision.
-        for (txn, commit) in cluster.decided() {
-            for node in cluster.participants_of(txn) {
+        let coordinator = cluster.coordinator();
+        for (txn, commit) in coordinator.decisions() {
+            for &node in cluster.participants_of(txn) {
                 if let Some(o) = cluster.node(node).outcome(txn) {
                     if o != commit {
                         return Err(format!(
@@ -88,9 +90,8 @@ impl InvariantChecker for StandardChecker {
         // Balance oracle: every transfer whose commit has durably applied
         // at ALL of its participants moves money without creating it, so
         // replaying exactly that set must reproduce the initial total.
-        let applied: Vec<_> = cluster
-            .decided()
-            .into_iter()
+        let applied: BTreeSet<_> = coordinator
+            .decisions()
             .filter(|&(txn, commit)| {
                 commit
                     && cluster

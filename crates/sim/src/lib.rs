@@ -4,14 +4,17 @@
 //!
 //! The paper's atomicity definitions are motivated by *online*,
 //! *distributed* systems with real failures (§1, §5.1, §6). This crate
-//! provides that substrate: a [`Cluster`] of [`Node`]s, each holding a
-//! shard of bank accounts behind an intentions-list recoverable store
-//! ([`atomicity_core::recovery::IntentionsStore`]), connected by a
+//! provides that substrate: one two-phase-commit core ([`Simulator`]) —
+//! a batching [`Coordinator`] that can crash, participant [`Node`]s
+//! behind intentions-list recoverable stores
+//! ([`atomicity_core::recovery::IntentionsStore`]), and a
 //! fault-injecting [`Network`] (latency jitter, loss, bounded
-//! duplication, reordering, and scheduled [`PartitionWindow`]s), driven
-//! by a two-phase-commit coordinator, with **crash injection at any
-//! event boundary** — scheduled or via [`MttfConfig`] failure clocks —
-//! and recovery with in-doubt resolution.
+//! duplication, reordering, and scheduled [`PartitionWindow`]s). The
+//! [`Cluster`] runs it one transaction per message over shards of bank
+//! accounts, with **crash injection at any event boundary** — scheduled
+//! or via [`MttfConfig`] failure clocks — and recovery with in-doubt
+//! resolution; the partitioned service of `atomicity-dist` runs the same
+//! core batched.
 //!
 //! Every run is a pure function of [`SimConfig::seed`]: randomness comes
 //! from split [`SimRng`] streams (one per component, so one component's
@@ -68,6 +71,7 @@
 #![warn(missing_docs)]
 
 mod cluster;
+mod coordinator;
 mod invariant;
 mod message;
 mod model;
@@ -76,16 +80,16 @@ mod node;
 mod partition;
 mod queue;
 mod rng;
+mod simulator;
 
-pub use cluster::{Cluster, MttfConfig, SimConfig, SimStats};
+pub use cluster::{Cluster, MttfConfig, SimConfig};
+pub use coordinator::Coordinator;
 pub use invariant::{InvariantChecker, OnlineCertifierCheck, StandardChecker, Violation};
 pub use message::{Endpoint, Message, NodeId, SimEvent};
-pub use model::{
-    Action, ClientRequest, ClientTurn, DeterministicClient, DeterministicNode, NodeTimer,
-    TransferClient,
-};
+pub use model::{ClientRequest, ClientTurn, DeterministicClient, TransferClient};
 pub use network::{FaultConfig, NetStats, Network};
 pub use node::Node;
 pub use partition::{PartitionSchedule, PartitionWindow};
 pub use queue::{EventQueue, Scheduled};
 pub use rng::{fnv1a, SimRng};
+pub use simulator::{ProtocolParams, SimStats, Simulator};

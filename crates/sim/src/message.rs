@@ -1,4 +1,4 @@
-//! Messages and event payloads of the simulated network.
+//! Identities, protocol messages and events of the simulated network.
 
 use atomicity_spec::{ActivityId, OpResult};
 use std::fmt;
@@ -35,44 +35,49 @@ pub enum Endpoint {
     Node(NodeId),
 }
 
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Coordinator => write!(f, "coord"),
-            Endpoint::Node(n) => write!(f, "{n}"),
-        }
-    }
-}
-
-/// A network message of the two-phase-commit protocol.
+/// A network message of the two-phase-commit protocol. Every
+/// coordinator↔participant message carries a *batch*: the coordinator
+/// queues prepares and decisions per participant and flushes a queue on
+/// a window or when it fills, so a participant absorbs one network round
+/// and one log force for many transactions. A batch of one is the
+/// per-transaction protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Coordinator → participant: durably stage these intentions and vote.
-    Prepare {
-        /// The distributed transaction.
-        txn: ActivityId,
-        /// The (operation, result) pairs to stage at the participant.
-        ops: Vec<OpResult>,
+    /// Coordinator → participant: durably stage each transaction's
+    /// intentions and vote for the whole batch at once.
+    PrepareBatch {
+        /// Batch sequence number.
+        batch: u64,
+        /// Each transaction with its (operation, result) pairs homed at
+        /// the receiving participant, in execution order.
+        txns: Vec<(ActivityId, Vec<OpResult>)>,
     },
-    /// Participant → coordinator: staged, voting yes.
-    PrepareAck {
-        /// The distributed transaction.
-        txn: ActivityId,
+    /// Participant → coordinator: the listed transactions are durably
+    /// prepared here (one yes-vote each).
+    VoteBatch {
         /// The voting participant.
-        node: NodeId,
+        shard: NodeId,
+        /// The transactions voted for.
+        txns: Vec<ActivityId>,
     },
-    /// Coordinator → participant: the durable decision.
-    Decision {
-        /// The distributed transaction.
-        txn: ActivityId,
-        /// `true` = commit, `false` = abort.
-        commit: bool,
+    /// Coordinator → participant: durable outcomes (`true` = commit).
+    DecisionBatch {
+        /// The decided transactions.
+        decisions: Vec<(ActivityId, bool)>,
     },
 }
 
-/// An event in the simulation's queue.
+/// An event in the simulation's queue. The protocol's own events are
+/// handled by [`crate::Simulator::handle`]; `ClientTick`, `AuditAttempt`
+/// and `MttfCrash` belong to the façade that scheduled them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimEvent {
+    /// Workload client `.0` wakes up to submit requests.
+    ClientTick(usize),
+    /// The coordinator flushes participant `.0`'s prepare queue.
+    FlushPrepares(NodeId),
+    /// The coordinator flushes participant `.0`'s decision queue.
+    FlushDecisions(NodeId),
     /// Deliver a message to an endpoint (dropped if the endpoint is down).
     Deliver {
         /// Destination endpoint.
@@ -80,62 +85,38 @@ pub enum SimEvent {
         /// Payload.
         message: Message,
     },
-    /// The coordinator's prepare timeout for a transaction fires.
-    Timeout {
-        /// The transaction whose votes may be incomplete.
-        txn: ActivityId,
-    },
-    /// A crashed node restarts and runs recovery.
-    Recover {
-        /// The restarting node.
+    /// The coordinator's vote-collection timeout for transaction `.0`.
+    TxnTimeout(ActivityId),
+    /// A node crashes (a no-op if it is already down).
+    Crash {
+        /// The crashing node.
         node: NodeId,
+        /// How long it stays down before recovering.
+        down_for: u64,
     },
-    /// A recovered node retries resolving an in-doubt transaction.
-    RetryResolve {
-        /// The querying node.
-        node: NodeId,
-        /// The in-doubt transaction.
-        txn: ActivityId,
-    },
-    /// A prepared participant that has seen no decision re-sends its vote
-    /// (liveness across lost messages and coordinator downtime).
-    ResendAck {
-        /// The prepared participant.
-        node: NodeId,
+    /// Crashed node `.0` restarts and runs log recovery.
+    Recover(NodeId),
+    /// A prepared participant that has seen no decision for a transaction
+    /// re-votes, bounded by an attempt counter — the liveness path across
+    /// lost votes and decisions and crash-recovered in-doubt state.
+    ResolveNudge {
+        /// The asking participant.
+        shard: NodeId,
         /// The undecided transaction.
         txn: ActivityId,
         /// Retransmission attempt number (bounded).
         attempt: u32,
     },
-    /// The coordinator re-sends a prepare whose vote has not arrived
-    /// (covers prepares lost in transit).
-    ResendPrepare {
-        /// The undecided transaction.
-        txn: ActivityId,
-        /// The participant that has not voted.
-        node: NodeId,
-        /// Retransmission attempt number (bounded).
-        attempt: u32,
-    },
-    /// The crashed coordinator restarts (its decision log is durable).
+    /// The coordinator crashes for `.0` simulated microseconds (a no-op
+    /// if it is already down); its decision log is durable.
+    CoordinatorCrash(u64),
+    /// The crashed coordinator restarts.
     CoordinatorRecover,
-    /// A timestamped read-only audit attempts to complete (§4.3: it must
-    /// see exactly the committed updates with commit timestamps below its
-    /// own; it retries until those are applied at every node).
-    AuditAttempt {
-        /// Audit sequence number (index into the results).
-        id: usize,
-        /// The audit's timestamp.
-        ts: u64,
-    },
-    /// A mean-time-to-failure crash clock fires for a node.
-    MttfCrash {
-        /// The node whose failure clock expired.
-        node: NodeId,
-    },
-    /// A deterministic workload client wakes up to submit requests.
-    ClientTick {
-        /// Index of the client in the cluster's client list.
-        client: usize,
-    },
+    /// The timestamped read-only audit with timestamp `.0` attempts to
+    /// complete (§4.3: it must see exactly the committed updates with
+    /// commit timestamps below its own; it retries until those are
+    /// applied at every node).
+    AuditAttempt(u64),
+    /// Node `.0`'s mean-time-to-failure crash clock fires.
+    MttfCrash(NodeId),
 }

@@ -1,74 +1,13 @@
-//! Deterministic actor traits: the contract between the event loop and
-//! the things it drives.
+//! Deterministic workload clients.
 //!
-//! A deterministic simulation is only as deterministic as its least
-//! disciplined component, so every participant is pinned behind a trait
-//! whose methods receive **logical time** and return **descriptions** of
-//! what should happen ([`Action`]s) instead of doing it: nodes never
-//! touch the queue, the network, or a clock themselves. The event loop
-//! ([`crate::Cluster`]) owns all three, which is what makes a run a pure
-//! function of its seed.
-//!
-//! [`DeterministicNode`] is the participant side of two-phase commit;
-//! [`DeterministicClient`] is an open-loop workload source whose requests
-//! and pacing come from its own split [`SimRng`] stream, so client
+//! A [`DeterministicClient`] is an open-loop workload source: the event
+//! loop wakes it at **logical** instants and it returns a *description*
+//! of its requests ([`ClientTurn`]) instead of submitting them, drawing
+//! requests and pacing from its own split [`SimRng`] stream, so client
 //! behavior never perturbs network or failure randomness.
 
-use crate::message::{Endpoint, Message};
 use crate::rng::SimRng;
-use atomicity_spec::ActivityId;
 use std::fmt;
-
-/// A node-local timer, requested via [`Action::Timer`] and delivered back
-/// through [`DeterministicNode::on_timer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeTimer {
-    /// A prepared participant that has seen no decision re-sends its vote.
-    ResendAck {
-        /// The undecided transaction.
-        txn: ActivityId,
-        /// Retransmission attempt number (bounded).
-        attempt: u32,
-    },
-}
-
-/// What a deterministic actor wants done, described — never performed —
-/// by the actor itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Action {
-    /// Send a message over the simulated network.
-    Send {
-        /// Destination endpoint.
-        dst: Endpoint,
-        /// Payload.
-        message: Message,
-    },
-    /// Wake this node up after `delay` simulated microseconds.
-    Timer {
-        /// Delay from now, in simulated microseconds.
-        delay: u64,
-        /// The timer to deliver.
-        timer: NodeTimer,
-    },
-}
-
-/// The participant side of the protocol as a pure event handler: given a
-/// delivery or a timer at a logical instant, return the follow-up
-/// actions. Implementations must not consult wall-clock time or any
-/// randomness other than streams handed to them.
-pub trait DeterministicNode {
-    /// This node's network identity.
-    fn endpoint(&self) -> Endpoint;
-
-    /// Whether the node is up (down nodes receive nothing).
-    fn online(&self) -> bool;
-
-    /// Handles a delivered message at logical time `now`.
-    fn on_message(&mut self, now: u64, message: &Message) -> Vec<Action>;
-
-    /// Handles a timer previously requested via [`Action::Timer`].
-    fn on_timer(&mut self, now: u64, timer: &NodeTimer) -> Vec<Action>;
-}
 
 /// One request a client hands the coordinator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,13 +79,6 @@ impl TransferClient {
             interval_max: 2_000,
             audit_every: 5,
         }
-    }
-
-    /// Overrides the inter-request pacing band (builder style).
-    pub fn with_interval(mut self, min: u64, max: u64) -> Self {
-        self.interval_min = min;
-        self.interval_max = max;
-        self
     }
 
     /// Overrides the audit cadence; `0` disables audits (builder style).

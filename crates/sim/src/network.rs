@@ -121,23 +121,6 @@ impl Network {
         self.overrides.insert((src, dst), faults);
     }
 
-    /// The fault model governing `src → dst`.
-    pub fn faults_for(&self, src: Endpoint, dst: Endpoint) -> &FaultConfig {
-        self.overrides
-            .get(&(src, dst))
-            .unwrap_or(&self.default_faults)
-    }
-
-    /// The partition schedule.
-    pub fn partitions(&self) -> &PartitionSchedule {
-        &self.partitions
-    }
-
-    /// Whether the link `src → dst` is cut at `now`.
-    pub fn is_cut(&self, now: u64, src: Endpoint, dst: Endpoint) -> bool {
-        self.partitions.cuts(now, src, dst)
-    }
-
     /// Traffic counters.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -156,8 +139,7 @@ impl Network {
         let faults = self
             .overrides
             .get(&(src, dst))
-            .unwrap_or(&self.default_faults)
-            .clone();
+            .unwrap_or(&self.default_faults);
         let rng = self
             .links
             .entry((src, dst))

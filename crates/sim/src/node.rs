@@ -1,66 +1,48 @@
-//! A simulated node: a guardian host with recoverable stable storage.
+//! A participant: a guardian host with recoverable stable storage.
 
-use crate::message::{Endpoint, Message, NodeId};
-use crate::model::{Action, DeterministicNode, NodeTimer};
-use atomicity_core::recovery::{DurableLog, IntentionsStore, RecoveryOutcome, StableLog};
-use atomicity_spec::specs::KvMapSpec;
-use atomicity_spec::{ActivityId, ObjectId, OpResult};
+use crate::message::NodeId;
+use atomicity_core::recovery::{DurableLog, IntentionsStore, RecoveryOutcome};
+use atomicity_spec::{ActivityId, ObjectId, OpResult, SequentialSpec};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// One node of the cluster: hosts a shard of accounts behind an
-/// intentions-list recoverable store, and can crash and recover.
+/// One participant of two-phase commit: its partition of the data behind
+/// an intentions-list recoverable store, a liveness flag, and a
+/// service-time model.
 ///
 /// Crashing loses the volatile cache but not the stable log; recovery
-/// redoes committed intentions and reports in-doubt transactions for the
-/// coordinator to resolve (classic presumed-nothing two-phase commit).
+/// redoes committed intentions and reports the in-doubt transactions. A
+/// delivered batch costs `per_batch + per_op · |ops|` simulated
+/// microseconds, worked off one batch at a time (`busy_until`), so a
+/// saturated node queues — "more shards" is a real throughput curve. At
+/// zero cost the node answers the instant a message arrives.
 #[derive(Debug)]
-pub struct Node {
+pub struct Node<S: SequentialSpec> {
     id: NodeId,
     up: bool,
-    store: IntentionsStore<KvMapSpec>,
+    store: IntentionsStore<S>,
+    /// Commit with dependency footprints (`RecordKind::CommitDep`) when
+    /// set; plain value-log commits otherwise.
+    dep_logging: bool,
+    /// Simulated time until which the node is busy with earlier batches.
+    busy_until: u64,
     crash_count: u64,
-    /// Delay before re-sending an unanswered vote (simulated µs).
-    resend_interval: u64,
-    /// Bound on vote retransmissions.
-    max_resends: u32,
 }
 
-impl Node {
-    /// Creates a node holding `accounts` (key → initial balance), backed
-    /// by the in-memory simulated [`StableLog`].
-    pub fn new(id: NodeId, accounts: impl IntoIterator<Item = (i64, i64)>) -> Self {
-        Node::with_log(id, accounts, Arc::new(StableLog::new()))
-    }
-
-    /// Creates a node over an arbitrary durable log — the hook through
-    /// which the experiment harness runs the simulation's crash sweeps on
-    /// the real on-disk WAL (`experiments e6 --disk`) instead of the
-    /// simulated one. The log should sync synchronously on the caller's
-    /// thread (like `SyncPolicy::SyncEach`) to keep the simulation
-    /// deterministic.
-    pub fn with_log(
-        id: NodeId,
-        accounts: impl IntoIterator<Item = (i64, i64)>,
-        log: Arc<dyn DurableLog>,
-    ) -> Self {
-        let spec = KvMapSpec::with_initial(accounts);
-        let object = ObjectId::new(id.raw() + 1);
+impl<S: SequentialSpec> Node<S> {
+    /// Creates a live node whose object (id `id + 1`) starts in `spec`'s
+    /// initial state and persists to `log`. The log should sync on the
+    /// caller's thread (like `SyncPolicy::SyncEach`) to keep the
+    /// simulation deterministic.
+    pub fn new(id: NodeId, spec: S, log: Arc<dyn DurableLog>, dep_logging: bool) -> Self {
         Node {
             id,
             up: true,
-            store: IntentionsStore::shared(spec, object, log),
+            store: IntentionsStore::shared(spec, ObjectId::new(id.raw() + 1), log),
+            dep_logging,
+            busy_until: 0,
             crash_count: 0,
-            resend_interval: 2_000,
-            max_resends: 8,
         }
-    }
-
-    /// Configures the vote-retransmission policy (the cluster sets this
-    /// from [`crate::SimConfig::decision_timeout`] and
-    /// [`crate::SimConfig::max_resends`]).
-    pub fn configure_retransmit(&mut self, resend_interval: u64, max_resends: u32) {
-        self.resend_interval = resend_interval;
-        self.max_resends = max_resends;
     }
 
     /// The node's identity.
@@ -68,7 +50,7 @@ impl Node {
         self.id
     }
 
-    /// Whether the node is currently up.
+    /// Whether the node is currently up (a down node drops deliveries).
     pub fn is_up(&self) -> bool {
         self.up
     }
@@ -78,28 +60,37 @@ impl Node {
         self.crash_count
     }
 
-    /// Durably stages a transaction's intentions (the prepare vote).
-    /// Idempotent: duplicated prepare messages stage once.
-    pub fn prepare(&self, txn: ActivityId, ops: Vec<OpResult>) {
-        debug_assert!(self.up, "prepare delivered to a down node");
-        if !self.store.prepared(txn) {
-            self.store.prepare(txn, ops);
-        }
+    /// Books `ops` operations of batch work arriving at `now` into the
+    /// service-time model and returns the simulated time at which the
+    /// batch finishes processing.
+    pub(crate) fn book_work(&mut self, now: u64, ops: usize, per_batch: u64, per_op: u64) -> u64 {
+        let start = self.busy_until.max(now);
+        self.busy_until = start + per_batch + per_op * ops as u64;
+        self.busy_until
     }
 
-    /// Applies the coordinator's decision. Idempotent: duplicated
-    /// decision messages apply once (the store enforces first-outcome-wins).
-    pub fn decide(&self, txn: ActivityId, commit: bool) {
-        debug_assert!(self.up, "decision delivered to a down node");
-        if commit {
-            self.store.commit(txn);
-        } else {
+    /// Durably stages a transaction's intentions (the prepare vote).
+    pub(crate) fn prepare(&self, txn: ActivityId, mut ops: Vec<OpResult>) {
+        debug_assert!(self.up, "prepare delivered to a down node");
+        // The log keeps the intentions for the run's life.
+        ops.shrink_to_fit();
+        self.store.prepare(txn, ops);
+    }
+
+    /// Applies a durable outcome: commit (dependency-logged or plain, per
+    /// construction) or abort. Idempotent: the first outcome wins.
+    pub fn learn_outcome(&self, txn: ActivityId, commit: bool) {
+        if !commit {
             self.store.abort(txn);
+        } else if self.dep_logging {
+            self.store.commit_dependency_logged(txn);
+        } else {
+            self.store.commit(txn);
         }
     }
 
     /// Crashes the node: volatile state is lost, stable storage survives.
-    pub fn crash(&mut self) {
+    pub(crate) fn crash(&mut self) {
         self.up = false;
         self.crash_count += 1;
         self.store.crash();
@@ -107,14 +98,9 @@ impl Node {
 
     /// Restarts the node and replays the stable log; returns the recovery
     /// outcome (including in-doubt transactions).
-    pub fn recover(&mut self) -> RecoveryOutcome {
+    pub(crate) fn recover(&mut self) -> RecoveryOutcome {
         self.up = true;
         self.store.recover()
-    }
-
-    /// Resolves an in-doubt transaction after the coordinator answered.
-    pub fn resolve(&self, txn: ActivityId, commit: bool) {
-        self.store.resolve_in_doubt(txn, commit);
     }
 
     /// The durable outcome of `txn` at this node, if any.
@@ -127,25 +113,37 @@ impl Node {
         self.store.prepared(txn)
     }
 
-    /// The committed total of this node's accounts.
+    /// The node's durable log (its length is a recovery cost proxy; its
+    /// records are the input of offline recovery experiments).
+    pub fn stable_log(&self) -> &dyn DurableLog {
+        self.store.stable_log()
+    }
+}
+
+impl<S: SequentialSpec<State = BTreeMap<i64, i64>>> Node<S> {
+    /// The committed key/value state of the node's partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is crashed and has not recovered.
+    pub fn state(&self) -> BTreeMap<i64, i64> {
+        self.store
+            .committed_frontier()
+            .into_iter()
+            .next()
+            .unwrap_or_default()
+    }
+
+    /// The committed total of this node's values.
     ///
     /// # Panics
     ///
     /// Panics if the node is crashed and has not recovered.
     pub fn committed_total(&self) -> i64 {
-        self.store
-            .committed_frontier()
-            .first()
-            .map(|m| m.values().sum())
-            .unwrap_or(0)
+        self.state().values().sum()
     }
 
-    /// Number of records in this node's stable log (recovery cost proxy).
-    pub fn stable_log_len(&self) -> usize {
-        self.store.stable_log().len()
-    }
-
-    /// The total of this node's accounts as of a timestamped snapshot:
+    /// The total of this node's values as of a timestamped snapshot:
     /// exactly the committed transactions selected by `include` are
     /// applied (served from the durable log, so the answer is independent
     /// of when it is asked — the essence of hybrid read-only activities).
@@ -158,111 +156,106 @@ impl Node {
     }
 }
 
-impl DeterministicNode for Node {
-    fn endpoint(&self) -> Endpoint {
-        Endpoint::Node(self.id)
-    }
-
-    fn online(&self) -> bool {
-        self.up
-    }
-
-    fn on_message(&mut self, _now: u64, message: &Message) -> Vec<Action> {
-        match message {
-            Message::Prepare { txn, ops } => {
-                // Durably stage and vote yes; arm the resend timer in case
-                // the decision never arrives.
-                self.prepare(*txn, ops.clone());
-                vec![
-                    Action::Send {
-                        dst: Endpoint::Coordinator,
-                        message: Message::PrepareAck {
-                            txn: *txn,
-                            node: self.id,
-                        },
-                    },
-                    Action::Timer {
-                        delay: self.resend_interval,
-                        timer: NodeTimer::ResendAck {
-                            txn: *txn,
-                            attempt: 1,
-                        },
-                    },
-                ]
-            }
-            Message::Decision { txn, commit } => {
-                self.decide(*txn, *commit);
-                Vec::new()
-            }
-            // A stray ack delivered to a node (duplication artifacts).
-            Message::PrepareAck { .. } => Vec::new(),
-        }
-    }
-
-    fn on_timer(&mut self, _now: u64, timer: &NodeTimer) -> Vec<Action> {
-        let NodeTimer::ResendAck { txn, attempt } = *timer;
-        let undecided = self.up && self.prepared(txn) && self.outcome(txn).is_none();
-        if !undecided || attempt > self.max_resends {
-            return Vec::new();
-        }
-        vec![
-            Action::Send {
-                dst: Endpoint::Coordinator,
-                message: Message::PrepareAck { txn, node: self.id },
-            },
-            Action::Timer {
-                delay: self.resend_interval,
-                timer: NodeTimer::ResendAck {
-                    txn,
-                    attempt: attempt + 1,
-                },
-            },
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atomicity_core::recovery::StableLog;
+    use atomicity_spec::specs::KvMapSpec;
     use atomicity_spec::{op, Value};
 
     fn txn(n: u32) -> ActivityId {
         ActivityId::new(n)
     }
 
+    fn node(accounts: &[(i64, i64)], dep_logging: bool) -> Node<KvMapSpec> {
+        let spec = KvMapSpec::with_initial(accounts.iter().copied());
+        Node::new(
+            NodeId::new(0),
+            spec,
+            Arc::new(StableLog::new()),
+            dep_logging,
+        )
+    }
+
+    fn adjust(key: i64, delta: i64) -> Vec<OpResult> {
+        vec![(op("adjust", [key, delta]), Value::ok())]
+    }
+
     #[test]
     fn prepare_commit_updates_total() {
-        let node = Node::new(NodeId::new(0), [(1, 100), (2, 100)]);
-        node.prepare(txn(1), vec![(op("adjust", [1, -30]), Value::ok())]);
-        node.decide(txn(1), true);
+        let node = node(&[(1, 100), (2, 100)], false);
+        node.prepare(txn(1), adjust(1, -30));
+        node.learn_outcome(txn(1), true);
         assert_eq!(node.committed_total(), 170);
         assert_eq!(node.outcome(txn(1)), Some(true));
     }
 
     #[test]
     fn crash_then_recover_preserves_committed() {
-        let mut node = Node::new(NodeId::new(0), [(1, 100)]);
-        node.prepare(txn(1), vec![(op("adjust", [1, 50]), Value::ok())]);
-        node.decide(txn(1), true);
-        node.prepare(txn(2), vec![(op("adjust", [1, 7]), Value::ok())]);
+        let mut node = node(&[(1, 100)], false);
+        node.prepare(txn(1), adjust(1, 50));
+        node.learn_outcome(txn(1), true);
+        node.prepare(txn(2), adjust(1, 7));
         node.crash();
         assert!(!node.is_up());
         let outcome = node.recover();
         assert_eq!(outcome.redone, vec![txn(1)]);
         assert_eq!(outcome.in_doubt, vec![txn(2)]);
         assert_eq!(node.committed_total(), 150);
-        node.resolve(txn(2), false);
+        node.learn_outcome(txn(2), false);
         assert_eq!(node.committed_total(), 150);
         assert_eq!(node.crash_count(), 1);
     }
 
     #[test]
     fn abort_leaves_balance_untouched() {
-        let node = Node::new(NodeId::new(0), [(1, 100)]);
-        node.prepare(txn(1), vec![(op("adjust", [1, -100]), Value::ok())]);
-        node.decide(txn(1), false);
+        let node = node(&[(1, 100)], false);
+        node.prepare(txn(1), adjust(1, -100));
+        node.learn_outcome(txn(1), false);
         assert_eq!(node.committed_total(), 100);
         assert_eq!(node.outcome(txn(1)), Some(false));
         assert!(node.prepared(txn(1)));
+    }
+
+    #[test]
+    fn stage_commit_crash_recover_round_trip() {
+        let mut node = node(&[], true);
+        node.prepare(txn(1), adjust(10, 5));
+        node.prepare(txn(2), adjust(10, 7));
+        node.prepare(txn(3), adjust(11, -2));
+        node.learn_outcome(txn(1), true);
+        node.learn_outcome(txn(2), true);
+        node.learn_outcome(txn(3), false);
+        assert_eq!(node.state().get(&10), Some(&12));
+        assert_eq!(node.state().get(&11), None);
+
+        node.crash();
+        let outcome = node.recover();
+        assert_eq!(outcome.redone.len(), 2);
+        assert_eq!(outcome.discarded.len(), 1);
+        assert_eq!(node.state().get(&10), Some(&12));
+    }
+
+    #[test]
+    fn in_doubt_survives_crash() {
+        let mut node = node(&[], false);
+        node.prepare(txn(9), adjust(1, 1));
+        node.crash();
+        let outcome = node.recover();
+        assert_eq!(outcome.in_doubt, vec![txn(9)]);
+        node.learn_outcome(txn(9), true);
+        assert_eq!(node.state().get(&1), Some(&1));
+    }
+
+    #[test]
+    fn service_time_model_queues() {
+        let mut node = node(&[], false);
+        assert_eq!(node.book_work(100, 10, 50, 2), 170);
+        // Arrives while busy: queues behind the first batch.
+        assert_eq!(node.book_work(120, 10, 50, 2), 240);
+        // Arrives after an idle gap: starts at its arrival time.
+        assert_eq!(node.book_work(1000, 1, 50, 2), 1052);
+        // At zero cost a node answers at arrival.
+        assert_eq!(node.book_work(2000, 9, 0, 0), 2000);
     }
 }

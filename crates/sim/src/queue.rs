@@ -1,10 +1,4 @@
 //! The deterministic discrete-event queue.
-//!
-//! Generic over the event payload so every deterministic event loop in
-//! the workspace shares one scheduler: the single-coordinator cluster
-//! here uses [`crate::SimEvent`] (the default type parameter), and the
-//! partitioned transaction service in `atomicity-dist` plugs in its own
-//! event enum without duplicating the tie-breaking discipline.
 
 use crate::message::SimEvent;
 use std::cmp::Ordering;
@@ -13,30 +7,30 @@ use std::collections::BinaryHeap;
 /// A scheduled event: fires at `time`; ties break by insertion sequence,
 /// so runs are fully deterministic for a given seed.
 #[derive(Debug, Clone)]
-pub struct Scheduled<E = SimEvent> {
+pub struct Scheduled {
     /// Simulated time (microseconds) at which the event fires.
     pub time: u64,
     /// Insertion sequence number (tie-breaker).
     pub seq: u64,
     /// The payload.
-    pub event: E,
+    pub event: SimEvent,
 }
 
-impl<E> PartialEq for Scheduled<E> {
+impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
 
-impl<E> Eq for Scheduled<E> {}
+impl Eq for Scheduled {}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap, we want earliest first.
         (other.time, other.seq).cmp(&(self.time, self.seq))
@@ -44,36 +38,27 @@ impl<E> Ord for Scheduled<E> {
 }
 
 /// A time-ordered event queue with deterministic tie-breaking.
-#[derive(Debug)]
-pub struct EventQueue<E = SimEvent> {
-    heap: BinaryHeap<Scheduled<E>>,
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: BinaryHeap<Scheduled>,
     next_seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl<E> EventQueue<E> {
+impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
+        EventQueue::default()
     }
 
     /// Schedules `event` at absolute `time`.
-    pub fn schedule(&mut self, time: u64, event: E) {
+    pub fn schedule(&mut self, time: u64, event: SimEvent) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { time, seq, event });
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
+    pub fn pop(&mut self) -> Option<Scheduled> {
         self.heap.pop()
     }
 
@@ -94,9 +79,7 @@ mod tests {
     use atomicity_spec::ActivityId;
 
     fn ev(txn: u32) -> SimEvent {
-        SimEvent::Timeout {
-            txn: ActivityId::new(txn),
-        }
+        SimEvent::TxnTimeout(ActivityId::new(txn))
     }
 
     #[test]
@@ -117,7 +100,7 @@ mod tests {
         q.schedule(5, ev(3));
         let ids: Vec<u32> = std::iter::from_fn(|| {
             q.pop().map(|s| match s.event {
-                SimEvent::Timeout { txn } => txn.raw(),
+                SimEvent::TxnTimeout(txn) => txn.raw(),
                 _ => unreachable!(),
             })
         })

@@ -8,8 +8,8 @@
 //! would just be constancy.
 
 use atomicity_sim::{
-    Cluster, Endpoint, MttfConfig, NodeId, PartitionWindow, SimConfig, SimStats, StandardChecker,
-    TransferClient,
+    Cluster, Endpoint, MttfConfig, NetStats, NodeId, PartitionWindow, SimConfig, SimStats,
+    StandardChecker, TransferClient,
 };
 
 /// Every fault class at once, plus tracing and checkpointed invariants.
@@ -42,6 +42,7 @@ struct RunResult {
     trace_hash: u64,
     state_digest: u64,
     stats: SimStats,
+    network: NetStats,
     audits: Vec<(u64, i64)>,
 }
 
@@ -65,6 +66,7 @@ fn run(seed: u64) -> RunResult {
         trace_hash: cluster.trace_hash(),
         state_digest: cluster.state_digest(),
         stats: cluster.stats().clone(),
+        network: cluster.network_stats(),
         audits: cluster.audit_results().to_vec(),
     }
 }
@@ -81,9 +83,10 @@ fn same_seed_replays_byte_identical_under_full_fault_matrix() {
         assert_eq!(a.trace_hash, b.trace_hash, "seed {seed}: trace hash");
         assert_eq!(a.state_digest, b.state_digest, "seed {seed}: state digest");
         assert_eq!(a.stats, b.stats, "seed {seed}: stats");
+        assert_eq!(a.network, b.network, "seed {seed}: network stats");
         assert_eq!(a.audits, b.audits, "seed {seed}: audit results");
         // The fault matrix actually fired — this is not a quiet run.
-        assert!(a.stats.lost > 0, "seed {seed}: loss never fired");
+        assert!(a.network.lost > 0, "seed {seed}: loss never fired");
         assert!(a.stats.crashes > 0, "seed {seed}: no crash injected");
     }
 }
