@@ -27,14 +27,16 @@
 //!    (see [`synth`]'s module doc). [`synth`] also holds the operation
 //!    universe of every ADT it synthesizes.
 //!
-//! 2. [`certify()`] — **linear-time history certification**. The exhaustive
-//!    dynamic-atomicity checker enumerates every total order consistent
-//!    with `precedes(h)` and is exponential in the number of activities.
-//!    The certifier exploits the *watermark* structure of `precedes`
-//!    (`⟨a,b⟩ ∈ precedes(h)` iff `a`'s first commit comes before `b`'s
-//!    last response) to certify well-formed histories in `O(n)` per
-//!    object, falling back to bounded enumeration only where the order is
-//!    genuinely partial.
+//! 2. [`certify()`] — **linear-time history certification**. The
+//!    exhaustive dynamic-atomicity checker enumerates every total order
+//!    consistent with `precedes(h)` and is exponential in the number of
+//!    activities. The [`OnlineCertifier`] exploits the *watermark*
+//!    structure of `precedes` (`⟨a,b⟩ ∈ precedes(h)` iff `a`'s first
+//!    commit comes before `b`'s last response) to certify well-formed
+//!    histories in `O(n)` per object, falling back to bounded enumeration
+//!    only where the order is genuinely partial. It is the one certifier:
+//!    live runs stream the recorder's stamps into it, and [`certify()`]
+//!    runs it, retaining everything, over a merged history.
 //!
 //! 3. [`nondet`] — the **nondeterminism lint**, generalizing the
 //!    simulator's wall-clock scan: a configurable source scan for
@@ -52,12 +54,15 @@
 
 pub mod certify;
 mod derive;
+mod idset;
+mod monitor;
 pub mod nondet;
 pub mod synth;
 
 pub use certify::{
     certify, certify_with_relation, Certificate, Method, Property, Verdict, Violation,
 };
+pub use monitor::OnlineCertifier;
 pub use nondet::{scan_nondeterminism, NondetConfig, NondetFinding, NondetRule, SourceFile};
 pub use synth::{
     forward_commute_in_state, gap_against, right_mover_in_state, standard_syntheses,

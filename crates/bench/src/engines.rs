@@ -74,9 +74,10 @@ pub enum CertifyMode {
     /// [`EngineHandle::start_online`] consumes the recorder's shard
     /// buffers as it certifies, keeping the log's memory bounded too.
     Online,
-    /// The retain-all monitor: keeps a full event mirror, giving exact
-    /// post-hoc equivalence even on malformed streams. The recorder's
-    /// log is left intact for post-run snapshots.
+    /// The retain-all monitor — what `atomicity_lint::certify` runs over
+    /// a merged history: keeps a full event mirror and decides even
+    /// malformed streams. The recorder's log is left intact for post-run
+    /// snapshots.
     OnlineRetaining,
 }
 

@@ -203,9 +203,9 @@ fn verdict_kind(v: &Verdict) -> String {
 /// `begin()` but records no event until its first operation, so an old
 /// timestamp can surface *after* the retiring monitor's drain watermark
 /// has passed it — a race the monitor soundly reports as `Unknown`. The
-/// *retain-all* monitor decides exactly those streams by delegating the
-/// pathological tail to its full event mirror, so the equality gate stays
-/// deterministic across schedules.
+/// *retain-all* monitor decides exactly those streams with the oracle
+/// over its full event mirror, so the equality gate stays deterministic
+/// across schedules.
 fn equality_mode(engine: Engine) -> CertifyMode {
     match engine {
         Engine::Dynamic => CertifyMode::Online,

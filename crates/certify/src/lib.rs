@@ -1,46 +1,21 @@
 //! # atomicity-certify
 //!
-//! Online streaming atomicity certifier: a vector-clock monitor over the
-//! live stamp stream.
+//! Online atomicity certification while the workload runs: [`spawn`]
+//! starts a pump thread that drains the sharded recorder's
+//! [`LogTap`](atomicity_core::LogTap) into an [`OnlineCertifier`] and
+//! publishes progress to the engine metrics; [`OnlineHandle::finish`]
+//! drains the tap to quiescence and returns the certificate and every
+//! violation flagged mid-run.
 //!
-//! The post-hoc certifiers in `atomicity-lint` decide Weihl's local
-//! atomicity properties from a *complete* merged history. This crate
-//! decides them *while the workload runs*: the [`OnlineCertifier`]
-//! consumes the sharded recorder's stamp stream event by event,
-//! maintaining per-activity first-commit/last-response clocks — the
-//! vector against which each new commit's `precedes` edges are read off —
-//! and per-object incremental replay frontiers. Memory stays bounded by
-//! watermark retirement: committed activities provably ordered before all
-//! future joiners fold into the frontier and are dropped, so retained
-//! state is proportional to the open-transaction footprint rather than
-//! the history length.
-//!
-//! Three pieces:
-//!
-//! - [`OnlineCertifier`] — the monitor itself:
-//!   [`observe`](OnlineCertifier::observe) returns a [`Violation`] the
-//!   moment atomicity becomes unsatisfiable, and
-//!   [`finish`](OnlineCertifier::finish) issues a [`Certificate`] that
-//!   agrees with the post-hoc certifier (see the `monitor` module docs for
-//!   the exact contract).
-//! - [`spawn`] / [`OnlineHandle`] — the pump thread that connects a
-//!   recorder [`LogTap`](atomicity_core::LogTap) to the monitor and
-//!   publishes progress to the engine metrics.
-//! - [`IdSet`] — interval-coalesced activity sets, the reason remembering
-//!   every committed activity forever costs `O(id runs)` rather than
-//!   `O(activities)`.
+//! The monitor itself lives in `atomicity-lint`, beside the certificate
+//! vocabulary, because it is the one certifier: `atomicity_lint::certify`
+//! runs it over a merged history. It is re-exported here for callers of
+//! the pump.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod idset;
-pub mod monitor;
 pub mod runner;
 
-pub use idset::IdSet;
-pub use monitor::OnlineCertifier;
+pub use atomicity_lint::OnlineCertifier;
 pub use runner::{spawn, OnlineHandle, OnlineOutcome};
-
-// Re-export the certificate vocabulary so downstream users of the online
-// monitor need not depend on the analysis crate directly.
-pub use atomicity_lint::{Certificate, Method, Property, Verdict, Violation};

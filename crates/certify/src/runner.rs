@@ -10,9 +10,8 @@
 //! throughput. On [`OnlineHandle::finish`] the runner drains the tap to
 //! quiescence before concluding, so no recorded event is missed.
 
-use crate::monitor::OnlineCertifier;
 use atomicity_core::{LogTap, MetricsRegistry};
-use atomicity_lint::{Certificate, Violation};
+use atomicity_lint::{Certificate, OnlineCertifier, Violation};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,9 +20,8 @@ use std::time::Duration;
 /// What the certifier thread produced once the stream was drained.
 #[derive(Debug, Clone)]
 pub struct OnlineOutcome {
-    /// The final certificate (method is always [`Method::Online`]).
-    ///
-    /// [`Method::Online`]: atomicity_lint::Method::Online
+    /// The final certificate; its method names the branch that decided
+    /// it.
     pub certificate: Certificate,
     /// Every violation flagged, in stream order, including any found only
     /// at conclusion time.

@@ -1,25 +1,28 @@
-//! Agreement proptests: the online monitor against the post-hoc
-//! certifier and the exhaustive checker.
+//! Agreement proptests: the monitor against the exhaustive checkers of
+//! `atomicity_spec::atomicity`, and its two modes against each other.
 //!
-//! Three layers of evidence, per the crate's agreement contract:
+//! Three layers of evidence:
 //!
-//! 1. **Arbitrary event soups, retain-all mode.** The monitor with
-//!    retirement off must agree with [`certify`] in verdict kind and in
-//!    the certificate's committed/object counts on *any* event sequence —
-//!    including malformed ones (responses after commit, commits after
-//!    abort, duplicate commits, timestamp chaos).
+//! 1. **Arbitrary event soups, retain-all mode** — what `certify` runs.
+//!    On *any* event sequence, malformed ones included (responses after
+//!    commit, commits after abort, duplicate commits, timestamp chaos),
+//!    the static and hybrid verdicts must equal [`is_static_atomic`] and
+//!    [`is_hybrid_atomic`], and a decisive dynamic verdict on a soup the
+//!    basic discipline accepts must equal [`is_dynamic_atomic`].
 //! 2. **Disciplined streams, both modes.** On streams obeying the
 //!    engine's discipline (paired invoke/response, terminal commit/abort,
-//!    monotone timestamps) the *retiring* monitor must also agree — this
-//!    is the configuration e16 runs, where bounded memory matters.
-//! 3. **Small universes.** Where the history is small enough for the
-//!    exhaustive checker, decisive online verdicts must match
-//!    [`is_dynamic_atomic`] exactly.
+//!    monotone timestamps) the *retiring* monitor — the configuration
+//!    e16 runs, where bounded memory matters — must agree with the
+//!    retaining one in verdict kind and counts, and on small universes a
+//!    decisive dynamic verdict must match [`is_dynamic_atomic`].
+//! 3. **Mid-stream injection.** A violation buried in a long stream is
+//!    flagged at the offending commit with retirement on.
 
 use atomicity_certify::OnlineCertifier;
-use atomicity_lint::{certify, Property, Verdict};
-use atomicity_spec::atomicity::is_dynamic_atomic;
+use atomicity_lint::{certify, Certificate, Property, Verdict};
+use atomicity_spec::atomicity::{is_dynamic_atomic, is_hybrid_atomic, is_static_atomic};
 use atomicity_spec::specs::{BankAccountSpec, IntSetSpec};
+use atomicity_spec::well_formed::WellFormedness;
 use atomicity_spec::{op, ActivityId, Event, EventKind, History, ObjectId, SystemSpec, Value};
 use proptest::prelude::*;
 
@@ -62,25 +65,36 @@ fn decode((a, o, k, val, ts): Raw) -> Event {
     }
 }
 
-fn run_online(mut mon: OnlineCertifier, events: &[Event]) -> atomicity_lint::Certificate {
+fn run_online(mut mon: OnlineCertifier, events: &[Event]) -> Certificate {
     for (i, e) in events.iter().enumerate() {
         mon.observe(i as u64, e);
     }
     mon.finish().0
 }
 
-fn retaining_matches_post_hoc(prop_kind: Property, events: &[Event]) -> Result<(), TestCaseError> {
-    let online = run_online(
-        OnlineCertifier::new_retaining(prop_kind, system(), None),
-        events,
-    );
-    let post = certify(prop_kind, &History::from_events(events.to_vec()), &system());
-    prop_assert!(
-        online.verdict.agrees_with(&post.verdict),
-        "online {online} disagrees with post-hoc {post}"
-    );
-    prop_assert_eq!(online.committed, post.committed);
-    prop_assert_eq!(online.objects, post.objects);
+fn retaining_matches_the_oracle(events: &[Event]) -> Result<(), TestCaseError> {
+    let h = History::from_events(events.to_vec());
+    let spec = system();
+    let retaining = |p| run_online(OnlineCertifier::new_retaining(p, system(), None), events);
+    for (p, atomic) in [
+        (Property::Static, is_static_atomic(&h, &spec)),
+        (Property::Hybrid, is_hybrid_atomic(&h, &spec)),
+    ] {
+        let cert = retaining(p);
+        prop_assert!(cert.is_decisive(), "unexpected {cert}");
+        prop_assert!(
+            cert.is_certified() == atomic,
+            "{cert} vs the oracle's {atomic}"
+        );
+    }
+    let dynamic = retaining(Property::Dynamic);
+    if WellFormedness::Basic.is_well_formed(&h) && dynamic.is_decisive() {
+        let atomic = is_dynamic_atomic(&h, &spec);
+        prop_assert!(
+            dynamic.is_certified() == atomic,
+            "{dynamic} vs the oracle's {atomic}"
+        );
+    }
     Ok(())
 }
 
@@ -157,23 +171,22 @@ fn disciplined(scripts: &[Script], picks: &[u8]) -> Vec<Event> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Layer 1: retain-all mode agrees with the post-hoc certifier on
-    /// arbitrary soups, for all three properties.
+    /// Layer 1: retain-all mode agrees with the exhaustive checkers on
+    /// arbitrary soups.
     #[test]
     fn retaining_monitor_agrees_on_arbitrary_soups(
         raw in prop::collection::vec(
             (any::<u32>(), any::<u32>(), any::<usize>(), any::<u8>(), any::<u64>()),
             0..48,
         ),
-        p in any::<usize>(),
     ) {
         let events: Vec<Event> = raw.into_iter().map(decode).collect();
-        retaining_matches_post_hoc(property(p), &events)?;
+        retaining_matches_the_oracle(&events)?;
     }
 
     /// Layer 2: on disciplined streams the retiring monitor agrees with
-    /// the retain-all monitor, the post-hoc certifier, and — on small
-    /// universes with decisive verdicts — the exhaustive checker.
+    /// the retain-all monitor and — on small universes with decisive
+    /// verdicts — the exhaustive checker.
     #[test]
     fn retiring_monitor_agrees_on_disciplined_streams(
         scripts in prop::collection::vec(
@@ -198,18 +211,13 @@ proptest! {
             &events,
         );
         let h = History::from_events(events.clone());
-        let post = certify(prop_kind, &h, &system());
         prop_assert!(
             retiring.verdict.agrees_with(&retaining.verdict),
             "retiring {retiring} disagrees with retaining {retaining}"
         );
-        prop_assert!(
-            retiring.verdict.agrees_with(&post.verdict),
-            "retiring {retiring} disagrees with post-hoc {post}"
-        );
-        prop_assert_eq!(retiring.committed, post.committed);
-        prop_assert_eq!(retiring.objects, post.objects);
-        if prop_kind == Property::Dynamic && post.committed <= 5 {
+        prop_assert_eq!(retiring.committed, retaining.committed);
+        prop_assert_eq!(retiring.objects, retaining.objects);
+        if prop_kind == Property::Dynamic && retaining.committed <= 5 {
             let exhaustive = is_dynamic_atomic(&h, &system());
             match &retiring.verdict {
                 Verdict::Certified => prop_assert!(
@@ -278,7 +286,7 @@ fn injected_violation_is_flagged_mid_stream_with_retirement_on() {
         peak < 32,
         "retirement must keep the window flat around the injection (peak {peak})"
     );
-    // And the post-hoc certifier agrees.
+    // And `certify`, the retain-all run over the merged history, agrees.
     let post = certify(Property::Dynamic, &History::from_events(events), &system());
     assert!(cert.verdict.agrees_with(&post.verdict));
 }

@@ -29,7 +29,7 @@
 
 use atomicity_core::recovery::{DurableLog, IntentionsStore};
 use atomicity_durable::{SyncPolicy, Wal, WalOptions};
-use atomicity_lint::certify::certify_dynamic;
+use atomicity_lint::{certify, Property};
 use atomicity_spec::specs::BankAccountSpec;
 use atomicity_spec::{op, Event, History, ObjectId, SystemSpec, Value};
 use std::collections::BTreeSet;
@@ -179,7 +179,7 @@ fn kill_once(point: u64) -> KillOutcome {
         h.push(Event::commit(*t, x));
     }
     let spec = SystemSpec::new().with_object(x, BankAccountSpec::new());
-    let cert = certify_dynamic(&h, &spec);
+    let cert = certify(Property::Dynamic, &h, &spec);
     assert!(
         cert.is_certified(),
         "point {point}: recovered history refused certification: {cert:?}"

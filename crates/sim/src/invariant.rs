@@ -21,9 +21,10 @@
 //!   from `atomicity-certify` over the history the cluster records
 //!   (requires [`crate::SimConfig::record_history`]), fed incrementally:
 //!   each checkpoint observes only the events recorded since the previous
-//!   one, where re-running `atomicity-lint`'s post-hoc certifier would be
-//!   linear per checkpoint and quadratic over the run. The post-hoc
-//!   certifier stays the reference the tests compare it with.
+//!   one, where re-running `atomicity_lint::certify` over the whole
+//!   history would be linear per checkpoint and quadratic over the run.
+//!   That post-hoc run of the same monitor stays the reference the tests
+//!   compare it with.
 
 use crate::cluster::Cluster;
 use atomicity_certify::OnlineCertifier;

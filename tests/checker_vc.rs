@@ -1,8 +1,9 @@
 //! Property-based agreement between the linear-time certifier
-//! (`analysis::certify`) and the exhaustive `spec::atomicity` decision
-//! procedures: on randomly generated small histories — committed,
-//! aborted, and still-active activities alike — both must accept or both
-//! must reject, for all three local atomicity properties.
+//! (`analysis::certify`, a retain-all run of the streaming monitor that
+//! also certifies live runs) and the exhaustive `spec::atomicity`
+//! decision procedures: on randomly generated small histories —
+//! committed, aborted, and still-active activities alike — both must
+//! accept or both must reject, for all three local atomicity properties.
 
 use atomicity::analysis::{certify, Property};
 use atomicity::spec::atomicity::{is_dynamic_atomic, is_hybrid_atomic, is_static_atomic};
