@@ -124,14 +124,20 @@ impl Pathology {
 }
 
 /// Live state of an activity that has neither committed nor aborted.
+///
+/// An activity touches a handful of objects, so its per-object state is
+/// kept in small vectors sorted by object, not in maps: an invocation
+/// allocates no tree node, and a finished activity's buffers serve the
+/// next one (`OnlineCertifier::recycle`).
 #[derive(Default, Clone)]
 struct ActState {
-    /// Invocations awaiting a response, per object.
-    pending: BTreeMap<ObjectId, Operation>,
+    /// Invocations awaiting a response, sorted by object.
+    pending: Vec<(ObjectId, Operation)>,
     /// Completed operations, per object, in response order.
-    ops: BTreeMap<ObjectId, Vec<OpResult>>,
-    /// Objects participating in any of the activity's events so far.
-    touched: BTreeSet<ObjectId>,
+    ops: OpsByObject,
+    /// Objects participating in any of the activity's events so far,
+    /// sorted.
+    touched: Vec<ObjectId>,
     /// Stamp of the latest response event, across all objects.
     last_resp: Option<u64>,
     /// First timestamp event (initiation or timestamped commit).
@@ -140,7 +146,102 @@ struct ActState {
 
 impl ActState {
     fn retained(&self) -> usize {
-        self.pending.len() + self.ops.values().map(Vec::len).sum::<usize>()
+        self.pending.len() + self.ops.len()
+    }
+
+    fn touch(&mut self, x: ObjectId) {
+        if let Err(at) = self.touched.binary_search(&x) {
+            self.touched.insert(at, x);
+        }
+    }
+
+    /// Records an invocation on `x`; returns whether none was pending
+    /// there.
+    fn invoke(&mut self, x: ObjectId, op: &Operation) -> bool {
+        match self.pending.binary_search_by_key(&x, |(y, _)| *y) {
+            Ok(at) => {
+                self.pending[at].1 = op.clone();
+                false
+            }
+            Err(at) => {
+                self.pending.insert(at, (x, op.clone()));
+                true
+            }
+        }
+    }
+
+    /// Takes the invocation pending on `x`, if any.
+    fn take_pending(&mut self, x: ObjectId) -> Option<Operation> {
+        let at = self.pending.binary_search_by_key(&x, |(y, _)| *y).ok()?;
+        Some(self.pending.remove(at).1)
+    }
+
+    /// Forgets the activity, keeping the buffers.
+    fn clear(&mut self) {
+        self.pending.clear();
+        self.ops.clear();
+        self.touched.clear();
+        self.last_resp = None;
+        self.ts = None;
+    }
+}
+
+/// An activity's completed operations grouped by object: objects in
+/// order, each object's operations in response order, held in two flat
+/// vectors so that one object's operations are a slice.
+#[derive(Default, Clone)]
+struct OpsByObject {
+    /// The object of each operation, sorted.
+    objects: Vec<ObjectId>,
+    ops: Vec<OpResult>,
+}
+
+impl OpsByObject {
+    /// Appends `op` after the earlier operations on `x`.
+    fn push(&mut self, x: ObjectId, op: OpResult) {
+        let at = self.objects.partition_point(|&y| y <= x);
+        self.objects.insert(at, x);
+        self.ops.insert(at, op);
+    }
+
+    fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    fn holds(&self, x: ObjectId) -> bool {
+        self.objects.binary_search(&x).is_ok()
+    }
+
+    fn clear(&mut self) {
+        self.objects.clear();
+        self.ops.clear();
+    }
+
+    /// Each object with its operations, in object order.
+    fn groups(&self) -> impl Iterator<Item = (ObjectId, &[OpResult])> + '_ {
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let &x = self.objects.get(start)?;
+            let end = start + self.objects[start..].partition_point(|&y| y == x);
+            let group = (x, &self.ops[start..end]);
+            start = end;
+            Some(group)
+        })
+    }
+
+    /// [`groups`](Self::groups), moving the operations out and leaving
+    /// the buffers empty.
+    fn drain_groups(&mut self) -> impl Iterator<Item = (ObjectId, Vec<OpResult>)> + '_ {
+        let mut objects = self.objects.drain(..).peekable();
+        let mut ops = self.ops.drain(..);
+        std::iter::from_fn(move || {
+            let x = objects.next()?;
+            let mut n = 1;
+            while objects.next_if_eq(&x).is_some() {
+                n += 1;
+            }
+            Some((x, ops.by_ref().take(n).collect()))
+        })
     }
 }
 
@@ -622,7 +723,7 @@ impl TsObjectReplay {
 
 /// A committed activity awaiting its timestamp-ordered drain: its first
 /// commit stamp plus its completed operations per object.
-type PendingAct = (u64, BTreeMap<ObjectId, Vec<OpResult>>);
+type PendingAct = (u64, OpsByObject);
 
 /// The streaming machine for static/hybrid atomicity: committed
 /// activities drain into per-object replayers in `(timestamp, activity)`
@@ -640,6 +741,9 @@ struct TsMachine {
     replayers: BTreeMap<ObjectId, TsObjectReplay>,
     /// Witness of the first rejection across objects.
     rejected: Option<String>,
+    /// Drained activities' operation buffers, emptied for committing
+    /// activities to take.
+    spare: Vec<OpsByObject>,
 }
 
 impl TsMachine {
@@ -651,6 +755,7 @@ impl TsMachine {
             last_drained: None,
             replayers: BTreeMap::new(),
             rejected: None,
+            spare: Vec::new(),
         }
     }
 
@@ -662,11 +767,8 @@ impl TsMachine {
             last_drained: self.last_drained,
             replayers: self.replayers.iter().map(|(x, r)| (*x, r.fork())).collect(),
             rejected: self.rejected.clone(),
+            spare: Vec::new(),
         }
-    }
-
-    fn retained_ops(map: &BTreeMap<ObjectId, Vec<OpResult>>) -> usize {
-        map.values().map(Vec::len).sum()
     }
 
     /// Enqueues a committed activity; returns `false` on timestamp
@@ -677,7 +779,7 @@ impl TsMachine {
         act: ActivityId,
         ts: Option<Timestamp>,
         commit_stamp: u64,
-        ops: BTreeMap<ObjectId, Vec<OpResult>>,
+        ops: OpsByObject,
     ) -> bool {
         match ts {
             None => {
@@ -725,10 +827,12 @@ impl TsMachine {
                     break;
                 }
             }
-            let (key, (stamp, ops)) = self.queue.pop_first().expect("peeked");
-            *retained -= Self::retained_ops(&ops);
+            let (key, (stamp, mut ops)) = self.queue.pop_first().expect("peeked");
+            *retained -= ops.len();
             self.last_drained = Some(key);
-            self.apply(key.1, stamp, ops, spec, violations);
+            self.apply(key.1, stamp, &ops, spec, violations);
+            ops.clear();
+            self.spare.push(ops);
         }
     }
 
@@ -736,14 +840,11 @@ impl TsMachine {
         &mut self,
         act: ActivityId,
         stamp: u64,
-        ops: BTreeMap<ObjectId, Vec<OpResult>>,
+        ops: &OpsByObject,
         spec: &SystemSpec,
         violations: &mut Vec<Violation>,
     ) {
-        for (x, ops) in ops {
-            if ops.is_empty() {
-                continue;
-            }
+        for (x, ops) in ops.groups() {
             let replay = self.replayers.entry(x).or_insert_with(|| TsObjectReplay {
                 spec: spec.get(x).cloned(),
                 frontier: None,
@@ -757,7 +858,7 @@ impl TsMachine {
                 Some(s) => replay
                     .frontier
                     .get_or_insert_with(|| Arc::clone(s).begin_replay())
-                    .apply(&ops),
+                    .apply(ops),
             };
             if !ok {
                 replay.rejected = true;
@@ -823,6 +924,9 @@ pub struct OnlineCertifier {
     /// activity's next event: `perm(h)` counts an activity with a commit
     /// event as committed whatever precedes it.
     shelved: BTreeMap<ActivityId, ActState>,
+    /// Finished activities' states, cleared, whose buffers the next new
+    /// activities take.
+    spare: Vec<ActState>,
     /// Objects participating in any event of a committed activity.
     committed_objects: BTreeSet<ObjectId>,
     /// Objects participating in any event at all.
@@ -879,6 +983,7 @@ impl OnlineCertifier {
             committed: IdSet::new(),
             aborted: IdSet::new(),
             shelved: BTreeMap::new(),
+            spare: Vec::new(),
             committed_objects: BTreeSet::new(),
             all_objects: BTreeSet::new(),
             pathology: None,
@@ -926,10 +1031,10 @@ impl OnlineCertifier {
                 self.retained = retained;
                 if let Some(tsm) = &mut self.tsm {
                     for (_, (_, ops)) in std::mem::take(&mut tsm.queue) {
-                        self.retained -= TsMachine::retained_ops(&ops);
+                        self.retained -= ops.len();
                     }
                     for (_, (_, ops)) in std::mem::take(&mut tsm.parked) {
-                        self.retained -= TsMachine::retained_ops(&ops);
+                        self.retained -= ops.len();
                     }
                     tsm.replayers.clear();
                 }
@@ -947,7 +1052,7 @@ impl OnlineCertifier {
     fn danger_min_lr(&self, x: ObjectId) -> Option<u64> {
         self.open
             .values()
-            .filter(|st| st.ops.get(&x).is_some_and(|ops| !ops.is_empty()))
+            .filter(|st| st.ops.holds(x))
             .filter_map(|st| st.last_resp)
             .min()
     }
@@ -1009,26 +1114,26 @@ impl OnlineCertifier {
         }
         match &event.kind {
             EventKind::Invoke(op) => {
-                if !already_committed && self.pathology.is_none() {
-                    let st = self.open.entry(act).or_default();
-                    st.touched.insert(x);
-                    if st.pending.insert(x, op.clone()).is_none() {
+                if !already_committed {
+                    let live = self.pathology.is_none();
+                    let st = self.open_state(act);
+                    st.touch(x);
+                    if live && st.invoke(x, op) {
                         self.retained += 1;
                     }
-                } else if !already_committed {
-                    self.open.entry(act).or_default().touched.insert(x);
                 }
             }
             EventKind::Respond(v) => {
                 if already_committed {
                     self.flag_pathology(Pathology::RespondAfterCommit);
                 } else {
-                    let st = self.open.entry(act).or_default();
-                    st.touched.insert(x);
+                    let live = self.pathology.is_none();
+                    let st = self.open_state(act);
+                    st.touch(x);
                     st.last_resp = Some(stamp);
-                    if self.pathology.is_none() {
-                        if let Some(op) = st.pending.remove(&x) {
-                            st.ops.entry(x).or_default().push((op, v.clone()));
+                    if live {
+                        if let Some(op) = st.take_pending(x) {
+                            st.ops.push(x, (op, v.clone()));
                         }
                     }
                 }
@@ -1039,16 +1144,17 @@ impl OnlineCertifier {
                     if self.retire {
                         self.retained -= st.retained();
                         self.aborted.insert(act.raw());
+                        self.recycle(st);
                     } else {
-                        st.touched.insert(x);
+                        st.touch(x);
                         self.shelved.insert(act, st);
                     }
                 }
             }
             EventKind::Initiate(t) => {
                 if !already_committed {
-                    let st = self.open.entry(act).or_default();
-                    st.touched.insert(x);
+                    let st = self.open_state(act);
+                    st.touch(x);
                     st.ts.get_or_insert(*t);
                 } else if self.pathology.is_none() {
                     // Late timestamp for a committed activity: resolves a
@@ -1080,9 +1186,11 @@ impl OnlineCertifier {
                 }
             }
         }
-        // Timestamp-order drains are attempted on every event: new
-        // timestamps and resolved opens both move the watermark.
-        if self.pathology.is_none() {
+        // Only a timestamp, a commit or an abort can make a queued
+        // activity drainable: an invocation or a response at most opens
+        // an activity, which can only lower the minimum open timestamp.
+        let moves_watermark = !matches!(event.kind, EventKind::Invoke(_) | EventKind::Respond(_));
+        if moves_watermark && self.pathology.is_none() {
             if let Some(mut tsm) = self.tsm.take() {
                 let open_min = self.open_min_ts();
                 tsm.drain(
@@ -1109,23 +1217,20 @@ impl OnlineCertifier {
         rel: Option<&dyn CommutesRel>,
     ) {
         self.committed.insert(act.raw());
-        let st = self.open.remove(&act).unwrap_or_default();
+        let mut st = self.open.remove(&act).unwrap_or_default();
         self.retained -= st.pending.len();
         self.committed_objects.insert(x);
         self.committed_objects.extend(st.touched.iter().copied());
         if self.pathology.is_some() {
-            self.retained -= st.ops.values().map(Vec::len).sum::<usize>();
+            self.retained -= st.ops.len();
+            self.recycle(st);
             return;
         }
         match self.property {
             Property::Dynamic => {
                 let lr = st.last_resp;
-                let ops_total: usize = st.ops.values().map(Vec::len).sum();
-                self.retained -= ops_total;
-                for (obj, ops) in st.ops {
-                    if ops.is_empty() {
-                        continue;
-                    }
+                self.retained -= st.ops.len();
+                for (obj, ops) in st.ops.drain_groups() {
                     let danger = self.danger_min_lr(obj);
                     let mon = self
                         .dynamic
@@ -1147,11 +1252,33 @@ impl OnlineCertifier {
             Property::Static | Property::Hybrid => {
                 let ts = st.ts.or(event_ts);
                 let tsm = self.tsm.as_mut().expect("timestamp machine exists");
-                // Ops stay retained until drained.
-                if !tsm.enqueue(act, ts, stamp, st.ops) {
+                // Ops stay retained until drained; the activity's state
+                // takes a drained activity's buffers instead.
+                let ops = std::mem::replace(&mut st.ops, tsm.spare.pop().unwrap_or_default());
+                if !tsm.enqueue(act, ts, stamp, ops) {
                     self.flag_pathology(Pathology::TimestampRegression);
                 }
             }
+        }
+        self.recycle(st);
+    }
+
+    /// The state of open activity `act`; a new one starts on a finished
+    /// activity's buffers when there is one.
+    fn open_state(&mut self, act: ActivityId) -> &mut ActState {
+        let spare = &mut self.spare;
+        self.open
+            .entry(act)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+    }
+
+    /// Keeps a finished activity's buffers for the next new activity. A
+    /// state that was never opened has none and is dropped, so the spares
+    /// never outnumber the activities that were open at once.
+    fn recycle(&mut self, mut st: ActState) {
+        st.clear();
+        if st.touched.capacity() > 0 {
+            self.spare.push(st);
         }
     }
 
@@ -1180,6 +1307,7 @@ impl OnlineCertifier {
             committed: self.committed.clone(),
             aborted: self.aborted.clone(),
             shelved: self.shelved.clone(),
+            spare: Vec::new(),
             committed_objects: self.committed_objects.clone(),
             all_objects: self.all_objects.clone(),
             pathology: self.pathology,

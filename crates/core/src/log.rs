@@ -207,20 +207,20 @@ impl HistoryLog {
         LogTap {
             inner: self.inner.clone(),
             cursors: vec![0; self.inner.shards.len()],
-            pending: BinaryHeap::new(),
+            pending: Vec::new(),
             next: 0,
             retire: false,
         }
     }
 
-    /// Like [`HistoryLog::tap`], but the tap **retires** consumed shard
-    /// prefixes: once every event below the tap's frontier has been
-    /// copied out, the shard buffers drop them, so the log's resident
-    /// memory stays proportional to the unconsumed suffix instead of the
-    /// whole history. A retired log's [`HistoryLog::snapshot`] only sees
-    /// the suffix — retirement trades post-hoc replay for bounded memory.
-    /// At most one retiring tap may consume a log, and the log must not
-    /// be [`HistoryLog::clear`]ed while tapped.
+    /// Like [`HistoryLog::tap`], but the tap **retires** what it consumes:
+    /// each poll moves the new events out of the shard buffers instead of
+    /// copying them, so the log's resident memory stays proportional to
+    /// the unconsumed suffix instead of the whole history. A retired
+    /// log's [`HistoryLog::snapshot`] only sees the suffix — retirement
+    /// trades post-hoc replay for bounded memory. At most one retiring
+    /// tap may consume a log, and the log must not be
+    /// [`HistoryLog::clear`]ed while tapped.
     pub fn tap_retiring(&self) -> LogTap {
         let mut tap = self.tap();
         tap.retire = true;
@@ -317,25 +317,29 @@ impl ExactSizeIterator for MergedEvents {}
 /// A tap repeatedly [`LogTap::poll`]s the shards for newly recorded
 /// events and emits them in **exact stamp order**: out-of-order arrivals
 /// (a thread that drew a stamp but has not pushed yet) are held back in a
-/// small pending heap until every smaller stamp has been published —
-/// stamps are dense, so emission resumes as soon as the gap fills. The
-/// pending heap is bounded by the number of in-flight recorders, not by
+/// small pending vector until every smaller stamp has been published —
+/// stamps are dense, so emission resumes as soon as the gap fills. What
+/// is held back is bounded by the number of in-flight recorders, not by
 /// history length.
 ///
-/// Each `poll` takes each shard lock only long enough to copy the new
-/// suffix, so recorders are never blocked behind an O(n) merge — this is
-/// what lets an online certifier run against the live stream instead of
-/// cloning the history (see `atomicity-certify`).
+/// Each `poll` takes each shard lock only long enough to take the new
+/// suffix — a retiring tap moves the events out, a non-retiring one
+/// copies them, because its log keeps them — so recorders are never
+/// blocked behind an O(n) merge. This is what lets an online certifier
+/// run against the live stream instead of cloning the history (see
+/// `atomicity-certify`).
 #[derive(Debug)]
 pub struct LogTap {
     inner: Arc<LogInner>,
-    /// Per-shard count of entries already copied out.
+    /// Per-shard count of entries already copied out (a retiring tap
+    /// empties every shard it polls instead).
     cursors: Vec<usize>,
-    /// Copied events above the contiguous frontier, keyed by stamp.
-    pending: BinaryHeap<MergeHead>,
+    /// Events taken out of the shards but not yet emitted, all above the
+    /// frontier; in stamp order between polls.
+    pending: Vec<(u64, Event)>,
     /// The next stamp to emit: everything below has been emitted.
     next: u64,
-    /// Whether consumed shard prefixes are dropped from the log.
+    /// Whether consumed events are moved out of the log.
     retire: bool,
 }
 
@@ -343,32 +347,37 @@ impl LogTap {
     /// Drains every newly published event whose stamp is ready, in stamp
     /// order, into `sink`; returns how many events were emitted.
     ///
+    /// The shards' new suffixes join the pending events, a run-adaptive
+    /// stable sort puts them in stamp order (each suffix is one nearly
+    /// sorted run, and a single recorder's events need no sort at all),
+    /// and the prefix contiguous from the frontier is emitted.
     /// Non-blocking: events recorded but still unreachable (a smaller
     /// stamp is drawn but unpublished) stay pending until a later poll.
     pub fn poll(&mut self, mut sink: impl FnMut(u64, Event)) -> usize {
-        for (idx, shard) in self.inner.shards.iter().enumerate() {
+        for (shard, cursor) in self.inner.shards.iter().zip(&mut self.cursors) {
             let mut buf = shard.lock();
-            let cursor = self.cursors[idx].min(buf.len());
-            if cursor < buf.len() {
-                for (stamp, event) in buf[cursor..].iter().cloned() {
-                    self.pending.push(MergeHead { stamp, event, idx });
-                }
-            }
             if self.retire {
-                buf.clear();
-                self.cursors[idx] = 0;
+                self.pending.extend(buf.drain(..));
             } else {
-                self.cursors[idx] = buf.len();
+                self.pending
+                    .extend_from_slice(&buf[(*cursor).min(buf.len())..]);
+                *cursor = buf.len();
             }
         }
-        let mut emitted = 0;
-        while self.pending.peek().is_some_and(|h| h.stamp == self.next) {
-            let head = self.pending.pop().expect("peeked");
-            sink(head.stamp, head.event);
-            self.next += 1;
-            emitted += 1;
+        if !self.pending.is_sorted_by_key(|(stamp, _)| *stamp) {
+            self.pending.sort_by_key(|(stamp, _)| *stamp);
         }
-        emitted
+        let ready = self
+            .pending
+            .iter()
+            .zip(self.next..)
+            .take_while(|((stamp, _), next)| stamp == next)
+            .count();
+        for (stamp, event) in self.pending.drain(..ready) {
+            sink(stamp, event);
+        }
+        self.next += ready as u64;
+        ready
     }
 
     /// The emission frontier: every event with stamp `< frontier()` has
@@ -379,7 +388,7 @@ impl LogTap {
         self.next
     }
 
-    /// Events copied out of the shards but held back because a smaller
+    /// Events taken out of the shards but held back because a smaller
     /// stamp is still unpublished. Bounded by in-flight recorders.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -546,6 +555,48 @@ mod tests {
         assert_eq!(tap.pending_len(), 0);
         // Non-retiring tap leaves the log intact.
         assert_eq!(log.len(), 800);
+    }
+
+    /// Polls `tap` once and returns the stamps it emitted, checking that
+    /// each event came with its own stamp (the test below records stamp
+    /// `s` as activity `s`).
+    fn poll_stamps(tap: &mut LogTap) -> Vec<u64> {
+        let mut stamps = Vec::new();
+        let emitted = tap.poll(|stamp, event| {
+            assert_eq!(u64::from(event.activity.raw()), stamp);
+            stamps.push(stamp);
+        });
+        assert_eq!(emitted, stamps.len());
+        stamps
+    }
+
+    #[test]
+    fn tap_holds_a_stamp_back_until_the_gap_below_it_fills() {
+        for retiring in [false, true] {
+            let log = HistoryLog::with_shards(2);
+            let mut tap = if retiring {
+                log.tap_retiring()
+            } else {
+                log.tap()
+            };
+            // What a recorder that drew `stamp` publishes into `shard`.
+            let publish = |shard: usize, stamp: u64| {
+                let event = Event::commit((stamp as u32).into(), 1.into());
+                log.inner.shards[shard].lock().push((stamp, event));
+            };
+            for stamp in [0, 1, 3] {
+                publish(0, stamp);
+            }
+            assert_eq!(poll_stamps(&mut tap), [0, 1]);
+            assert_eq!((tap.frontier(), tap.pending_len()), (2, 1));
+            // A retiring tap has moved stamp 3 out of its shard although
+            // it holds it back; a non-retiring one leaves all three.
+            assert_eq!(log.len(), if retiring { 0 } else { 3 });
+            publish(1, 2);
+            assert_eq!(poll_stamps(&mut tap), [2, 3]);
+            assert_eq!((tap.frontier(), tap.pending_len()), (4, 0));
+            assert_eq!(log.len(), if retiring { 0 } else { 4 });
+        }
     }
 
     #[test]
