@@ -42,7 +42,7 @@ pub use reed_rw::ReedRegister;
 pub use rw_2pl::TwoPhaseLockedObject;
 pub use scheduler_model::SchedulerModel;
 
-use atomicity_core::engine::{candidates, replay_frontier, replay_into};
+use atomicity_core::engine::{candidates, replay_frontier_to, replay_into};
 use atomicity_core::TxnError;
 use atomicity_spec::{ActivityId, ObjectId, OpResult, Operation, SequentialSpec, Value};
 use std::collections::BTreeMap;
@@ -61,6 +61,9 @@ pub(crate) fn invalid_operation(object: ObjectId, operation: &Operation) -> TxnE
 pub(crate) struct Deferred<S: SequentialSpec> {
     committed: Vec<S::State>,
     intentions: BTreeMap<ActivityId, Vec<OpResult>>,
+    /// The buffer a caller's own frontier is replayed into, as the
+    /// dynamic engine does; empty between calls.
+    own_frontier: Vec<S::State>,
 }
 
 impl<S: SequentialSpec> Deferred<S> {
@@ -68,23 +71,27 @@ impl<S: SequentialSpec> Deferred<S> {
         Deferred {
             committed: vec![spec.initial()],
             intentions: BTreeMap::new(),
+            own_frontier: Vec::new(),
         }
     }
 
     /// The results `operation` may return for `me` now, its own pending
     /// intentions applied. Empty: the specification never permits it.
     pub(crate) fn results_for(
-        &self,
+        &mut self,
         spec: &S,
         me: ActivityId,
         operation: &Operation,
     ) -> Vec<Value> {
-        let own: &[OpResult] = self.intentions.get(&me).map_or(&[], Vec::as_slice);
-        candidates(
-            spec,
-            &replay_frontier(spec, &self.committed, own),
-            operation,
-        )
+        match self.intentions.get(&me) {
+            Some(own) if !own.is_empty() => {
+                replay_frontier_to(spec, &self.committed, own, &mut self.own_frontier);
+                let results = candidates(spec, &self.own_frontier, operation);
+                self.own_frontier.clear();
+                results
+            }
+            _ => candidates(spec, &self.committed, operation),
+        }
     }
 
     /// Executes `operation` for `me` (whose lock is already held): picks

@@ -20,9 +20,9 @@
 //! lock-guarded `Intentions` is the whole of §4.1:
 //! [`dynamic::DynamicObject`] is nothing more, and
 //! [`hybrid::HybridObject`] contains one and adds only what §4.3 adds.
-//! [`replay_frontier`] and [`replay_into`] (the specification crate's one
-//! frontier fold) and [`candidates`] are public because the lock baselines
-//! defer and pick results the same way.
+//! [`replay_frontier`], [`replay_frontier_to`] and [`replay_into`] (the
+//! specification crate's one frontier fold) and [`candidates`] are public
+//! because the lock baselines defer and pick results the same way.
 
 pub mod dynamic;
 pub mod hybrid;
@@ -57,7 +57,7 @@ const MAX_CHECK_CEILING: usize = 16;
 /// safety net on top of commit/abort notifications).
 const WAIT_SLICE: Duration = Duration::from_millis(5);
 
-pub use atomicity_spec::{replay_frontier, replay_into};
+pub use atomicity_spec::{replay_frontier, replay_frontier_to, replay_into};
 
 /// The results `op` may return somewhere in `frontier`, without
 /// duplicates and in the fixed order every engine and baseline grants
@@ -68,7 +68,18 @@ pub fn candidates<S: SequentialSpec>(
     frontier: &[S::State],
     op: &Operation,
 ) -> Vec<Value> {
-    let mut found: Vec<Value> = Vec::new();
+    let mut found = Vec::new();
+    candidates_to(spec, frontier, op, &mut found);
+    found
+}
+
+/// [`candidates`] into `found`, which must come in empty.
+fn candidates_to<S: SequentialSpec>(
+    spec: &S,
+    frontier: &[S::State],
+    op: &Operation,
+    found: &mut Vec<Value>,
+) {
     for s in frontier {
         for (v, _) in spec.step(s, op) {
             if !found.contains(&v) {
@@ -77,60 +88,134 @@ pub fn candidates<S: SequentialSpec>(
         }
     }
     found.sort();
-    found
 }
 
-/// Whether **every** permutation of `lists` replays successfully from
-/// `frontier` — the admission invariant of the dynamic engine: all
-/// serialization orders of the active transactions must remain acceptable.
-///
-/// A dynamic programme over subsets, filled in depth first: `reach[mask]`
-/// holds the distinct frontiers that replaying exactly the lists in
-/// `mask`, in some order, has been seen to leave, and a frontier already
-/// there is not expanded again. Every (frontier, list) step some
-/// permutation takes is still taken, once, so the verdict is that of
-/// walking all the permutations, for any specification — and a refusal
-/// is met no later than that walk would meet it. Where effects commute on
-/// states each `reach[mask]` is a singleton and an acceptance costs
-/// K·2^(K−1) list replays, not about e·K!; where they do not, a frontier
-/// reached again with its states in another order is merely expanded
-/// again. Callers keep `lists.len()` at or below [`MAX_CHECK_CEILING`].
-fn all_orders_replay<S: SequentialSpec>(
-    spec: &S,
-    frontier: &[S::State],
-    lists: &[&[OpResult]],
-) -> bool {
-    /// Whether every order of the lists outside `mask` replays from `from`.
-    fn expand<S: SequentialSpec>(
+/// The buffers the dynamic admission check works in, kept with the
+/// [`Intentions`] under the object mutex so that a contended admission
+/// allocates no lattice, no frontier and no candidate list once they have
+/// grown. Every buffer is empty between calls — a call clears what it
+/// used before it returns — so no state outlives the call, and install
+/// and abort need not invalidate anything.
+struct Scratch<S: SequentialSpec> {
+    /// The subset programme's lattice: one slot per subset of the lists.
+    reach: Vec<Vec<Vec<S::State>>>,
+    /// Frontier buffers not in use.
+    pool: Vec<Vec<S::State>>,
+    /// The results the operation being admitted may return.
+    results: Vec<Value>,
+    /// The intentions list a caller without one tests its candidates on;
+    /// it joins the pending lists on a grant.
+    list: Vec<OpResult>,
+}
+
+impl<S: SequentialSpec> Default for Scratch<S> {
+    fn default() -> Self {
+        Scratch {
+            reach: Vec::new(),
+            pool: Vec::new(),
+            results: Vec::new(),
+            list: Vec::new(),
+        }
+    }
+}
+
+impl<S: SequentialSpec> Scratch<S> {
+    /// An empty frontier buffer, from the pool when it has one.
+    fn take(&mut self) -> Vec<S::State> {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    /// Empties `buffer` and puts it back in the pool.
+    fn give(&mut self, mut buffer: Vec<S::State>) {
+        buffer.clear();
+        self.pool.push(buffer);
+    }
+
+    /// Whether **every** permutation of `lists` replays successfully from
+    /// `frontier` — the admission invariant of the dynamic engine: all
+    /// serialization orders of the active transactions must remain
+    /// acceptable.
+    ///
+    /// A dynamic programme over subsets, filled in depth first: `reach[mask]`
+    /// holds the distinct frontiers that replaying exactly the lists in
+    /// `mask`, in some order, has been seen to leave, and a frontier already
+    /// there is not expanded again. Every (frontier, list) step some
+    /// permutation takes is still taken, once, so the verdict is that of
+    /// walking all the permutations, for any specification — and a refusal
+    /// is met no later than that walk would meet it. Where effects commute on
+    /// states each `reach[mask]` is a singleton and an acceptance costs
+    /// K·2^(K−1) list replays, not about e·K!; where they do not, a frontier
+    /// reached again with its states in another order is merely expanded
+    /// again.
+    ///
+    /// Each list replays into a buffer from the pool; a refused frontier,
+    /// or one `reach[mask]` already holds, goes straight back. The call
+    /// uses the first 2^K slots of the lattice, and empties them into the
+    /// pool before it returns. Callers keep `lists.len()` at or below
+    /// [`MAX_CHECK_CEILING`].
+    fn all_orders_replay(
+        &mut self,
         spec: &S,
+        frontier: &[S::State],
         lists: &[&[OpResult]],
-        reach: &mut [Vec<Vec<S::State>>],
-        mask: usize,
-        from: &[S::State],
     ) -> bool {
-        for (i, list) in lists.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                continue;
-            }
-            let next = replay_frontier(spec, from, list);
-            if next.is_empty() {
-                // Some permutation with this prefix fails.
-                return false;
-            }
-            let with = mask | 1 << i;
-            if !reach[with].contains(&next) {
-                // Recorded after its expansion: masks only grow, so the
-                // expansion cannot come back to `next`.
-                if !expand(spec, lists, reach, with, &next) {
+        /// Whether every order of the lists outside `mask` replays from
+        /// `from`.
+        fn expand<S: SequentialSpec>(
+            spec: &S,
+            lists: &[&[OpResult]],
+            scratch: &mut Scratch<S>,
+            mask: usize,
+            from: &[S::State],
+        ) -> bool {
+            for (i, list) in lists.iter().enumerate() {
+                if mask & (1 << i) != 0 {
+                    continue;
+                }
+                let mut next = scratch.take();
+                replay_frontier_to(spec, from, list, &mut next);
+                let with = mask | 1 << i;
+                if next.is_empty() {
+                    // Some permutation with this prefix fails.
+                    scratch.give(next);
                     return false;
                 }
-                reach[with].push(next);
+                if scratch.reach[with].contains(&next) {
+                    scratch.give(next);
+                    continue;
+                }
+                // Recorded after its expansion: masks only grow, so the
+                // expansion cannot come back to `next`.
+                if !expand(spec, lists, scratch, with, &next) {
+                    scratch.give(next);
+                    return false;
+                }
+                scratch.reach[with].push(next);
+            }
+            true
+        }
+        let slots = 1 << lists.len();
+        if self.reach.len() < slots {
+            self.reach.resize_with(slots, Vec::new);
+        }
+        let verdict = expand(spec, lists, self, 0, frontier);
+        for mask in 0..slots {
+            while let Some(reached) = self.reach[mask].pop() {
+                self.give(reached);
             }
         }
-        true
+        verdict
     }
-    let mut reach = vec![Vec::new(); 1 << lists.len()];
-    expand(spec, lists, &mut reach, 0, frontier)
+}
+
+/// The transactions other than `me` that hold intentions, with them.
+fn holding(
+    pending: &BTreeMap<ActivityId, Vec<OpResult>>,
+    me: ActivityId,
+) -> impl Iterator<Item = (&ActivityId, &Vec<OpResult>)> {
+    pending
+        .iter()
+        .filter(move |(id, list)| **id != me && !list.is_empty())
 }
 
 /// The rejection for an operation the specification never permits.
@@ -271,6 +356,8 @@ pub(crate) struct Intentions<S: SequentialSpec> {
     pub(crate) committed: Vec<S::State>,
     /// Intentions list per active transaction, in execution order.
     pub(crate) pending: BTreeMap<ActivityId, Vec<OpResult>>,
+    /// The admission check's buffers, empty between calls.
+    scratch: Scratch<S>,
 }
 
 impl<S: SequentialSpec> DynamicCore<S> {
@@ -286,6 +373,7 @@ impl<S: SequentialSpec> DynamicCore<S> {
         let initial = Intentions {
             committed: vec![spec.initial()],
             pending: BTreeMap::new(),
+            scratch: Scratch::default(),
         };
         let core = DynamicCore {
             id,
@@ -301,30 +389,59 @@ impl<S: SequentialSpec> DynamicCore<S> {
     /// The §4.1 admission test: `op` is admissible for `me` with result
     /// `v` only if every permutation of the active transactions'
     /// intentions lists (with `me`'s extended by `(op, v)`) replays from
-    /// the committed frontier. `Admitted` here means *admissible* —
-    /// nothing has been recorded or installed yet.
+    /// the committed frontier. On `Admitted(v)`, `(op, v)` has joined
+    /// `me`'s intentions list; nothing has been recorded yet. Any other
+    /// outcome leaves the lists as they were.
     fn decide_admit(
         &self,
-        state: &Intentions<S>,
+        state: &mut Intentions<S>,
         me: ActivityId,
         op: &Operation,
     ) -> AdmissionOutcome {
-        let own: &[OpResult] = state.pending.get(&me).map_or(&[], Vec::as_slice);
-        let own_frontier = replay_frontier(&self.spec, &state.committed, own);
-        debug_assert!(!own_frontier.is_empty(), "own intentions must replay");
-        let mut results = candidates(&self.spec, &own_frontier, op);
+        let Intentions {
+            committed,
+            pending,
+            scratch,
+        } = state;
+        let mut results = std::mem::take(&mut scratch.results);
+        match pending.get(&me) {
+            Some(own) if !own.is_empty() => {
+                let mut own_frontier = scratch.take();
+                replay_frontier_to(&self.spec, committed, own, &mut own_frontier);
+                debug_assert!(!own_frontier.is_empty(), "own intentions must replay");
+                candidates_to(&self.spec, &own_frontier, op, &mut results);
+                scratch.give(own_frontier);
+            }
+            _ => candidates_to(&self.spec, committed, op, &mut results),
+        }
+        let outcome = self.admit_first(state, me, op, &mut results);
+        results.clear();
+        state.scratch.results = results;
+        outcome
+    }
+
+    /// The rest of [`DynamicCore::decide_admit`]: grants the first of
+    /// `results` (the candidates, in order, all taken) that keeps every
+    /// order of the intentions lists replaying.
+    ///
+    /// Each candidate is tested in place: `(op, v)` is pushed onto `me`'s
+    /// own list, which the check reads beside the others', its result is
+    /// swapped for the next candidate's on a refusal, and it is popped
+    /// again if none is admissible. The entry tested is the entry kept.
+    fn admit_first(
+        &self,
+        state: &mut Intentions<S>,
+        me: ActivityId,
+        op: &Operation,
+        results: &mut [Value],
+    ) -> AdmissionOutcome {
+        let Intentions {
+            committed,
+            pending,
+            scratch,
+        } = state;
         if results.is_empty() {
             return invalid_operation(self.id, op);
-        }
-
-        let others: Vec<(ActivityId, &[OpResult])> = state
-            .pending
-            .iter()
-            .filter(|(id, list)| **id != me && !list.is_empty())
-            .map(|(id, list)| (*id, list.as_slice()))
-            .collect();
-        if others.is_empty() {
-            return AdmissionOutcome::Admitted(results.remove(0));
         }
         // Table hit: a deterministic operation that commutes (per the
         // installed state-independent relation) with every pending
@@ -335,40 +452,73 @@ impl<S: SequentialSpec> DynamicCore<S> {
         // which is strictly more permissive than any table (two
         // withdrawals the balance covers), so the engine stays at least
         // as permissive as with no relation installed.
-        if results.len() == 1 {
-            if let Some(table) = &self.table {
-                if others
-                    .iter()
+        let uncontended = holding(pending, me).next().is_none();
+        let table_hit = !uncontended
+            && results.len() == 1
+            && self.table.as_ref().is_some_and(|table| {
+                holding(pending, me)
                     .all(|(_, list)| list.iter().all(|(q, _)| table.commutes(op, q)))
-                {
-                    self.metrics.record_fast_admission();
-                    return AdmissionOutcome::Admitted(results.remove(0));
-                }
+            });
+        if uncontended || table_hit {
+            if table_hit {
+                self.metrics.record_fast_admission();
             }
+            let v = std::mem::take(&mut results[0]);
+            pending.entry(me).or_default().push((op.clone(), v.clone()));
+            return AdmissionOutcome::Admitted(v);
         }
-        let blocked = || AdmissionOutcome::Blocked {
-            holders: others.iter().map(|(id, _)| *id).collect(),
+        let blocked = |pending: &BTreeMap<ActivityId, Vec<OpResult>>| AdmissionOutcome::Blocked {
+            holders: holding(pending, me).map(|(id, _)| *id).collect(),
         };
-        if others.len() + 1 > self.max_check {
-            return blocked();
-        }
-        let mut mine = own.to_vec();
-        for v in results {
-            mine.push((op.clone(), v));
-            let mut lists: Vec<&[OpResult]> = others.iter().map(|(_, list)| *list).collect();
-            lists.push(&mine);
-            let admissible = all_orders_replay(&self.spec, &state.committed, &lists);
-            let (_, v) = mine.pop().expect("the candidate just pushed");
-            if admissible {
-                return AdmissionOutcome::Admitted(v);
+
+        // The other lists, then the caller's own: its pending list, or
+        // the spare one if it has none yet.
+        let mut spare = std::mem::take(&mut scratch.list);
+        let mut mine = &mut spare;
+        let mut lists: [&[OpResult]; MAX_CHECK_CEILING] = [&[]; MAX_CHECK_CEILING];
+        let mut k = 0;
+        for (id, list) in pending.iter_mut() {
+            if *id == me {
+                mine = list;
+            } else if !list.is_empty() {
+                if k + 1 >= self.max_check {
+                    scratch.list = spare;
+                    return blocked(pending);
+                }
+                lists[k] = list;
+                k += 1;
             }
         }
-        blocked()
+        let mut results = results.iter_mut().map(std::mem::take);
+        mine.push((op.clone(), results.next().expect("checked non-empty")));
+        let admitted = loop {
+            let mut with_mine = lists;
+            with_mine[k] = mine;
+            if scratch.all_orders_replay(&self.spec, committed, &with_mine[..=k]) {
+                break true;
+            }
+            match results.next() {
+                Some(v) => mine.last_mut().expect("the candidate just pushed").1 = v,
+                None => break false,
+            }
+        };
+        if !admitted {
+            mine.pop();
+            scratch.list = spare;
+            return blocked(pending);
+        }
+        let v = mine.last().expect("the candidate admitted").1.clone();
+        if spare.is_empty() {
+            scratch.list = spare;
+        } else {
+            pending.insert(me, spare);
+        }
+        AdmissionOutcome::Admitted(v)
     }
 
     /// The one admission step (see [`Engine::admission_step`]): on a
     /// grant, the invoke (unless already logged) and respond events go on
-    /// the log and `(op, v)` joins the caller's intentions list.
+    /// the log, `(op, v)` having joined the caller's intentions list.
     pub(crate) fn admission_step(
         &self,
         state: &mut Intentions<S>,
@@ -384,11 +534,6 @@ impl<S: SequentialSpec> DynamicCore<S> {
                     .into_iter()
                     .chain([Event::respond(me, self.id, v.clone())]),
             );
-            state
-                .pending
-                .entry(me)
-                .or_default()
-                .push((request.operation.clone(), v.clone()));
         }
         outcome
     }
@@ -423,6 +568,15 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
+
+    /// The subset programme on a scratch of its own.
+    fn all_orders_replay<S: SequentialSpec>(
+        spec: &S,
+        frontier: &[S::State],
+        lists: &[&[OpResult]],
+    ) -> bool {
+        Scratch::default().all_orders_replay(spec, frontier, lists)
+    }
 
     /// The permutation walk `all_orders_replay` was before it became a
     /// subset programme: depth-first through every order of the lists.
@@ -626,12 +780,15 @@ mod tests {
     /// How many generated cases each specification accepted and refused.
     static VERDICTS: Mutex<BTreeMap<&str, [usize; 2]>> = Mutex::new(BTreeMap::new());
 
-    /// Builds a committed frontier from `prefix` and, from it, pending
-    /// lists that each replay on their own (as admitted intentions do),
-    /// and holds the subset programme to the permutation walk's verdict.
+    /// For each case, builds a committed frontier from its prefix and,
+    /// from that, pending lists that each replay on their own (as admitted
+    /// intentions do), and holds the subset programme to the permutation
+    /// walk's verdict. One scratch serves every case, forwards and then
+    /// backwards, so the number of lists rises and falls across the calls
+    /// that share it: a lattice slot one call left behind would show as a
+    /// wrong verdict in a later one.
     struct VerdictsAgree<'a> {
-        prefix: &'a Picks,
-        pending: &'a [Picks],
+        cases: &'a [(Picks, Vec<Picks>)],
     }
 
     impl SpecProperty for VerdictsAgree<'_> {
@@ -641,34 +798,44 @@ mod tests {
             spec: S,
             universe: &[Operation],
         ) -> Result<(), TestCaseError> {
-            let mut committed = vec![spec.initial()];
-            draw_list(&spec, universe, &mut committed, self.prefix);
-            let lists: Vec<Vec<OpResult>> = self
-                .pending
-                .iter()
-                .map(|picks| draw_list(&spec, universe, &mut committed.clone(), picks))
-                .collect();
-            let lists: Vec<&[OpResult]> = lists.iter().map(Vec::as_slice).collect();
-            let expected = every_permutation_replays(&spec, &committed, &lists);
-            prop_assert_eq!(all_orders_replay(&spec, &committed, &lists), expected);
-            VERDICTS
-                .lock()
-                .expect("no case panics holding it")
-                .entry(name)
-                .or_default()[usize::from(expected)] += 1;
+            let mut scratch = Scratch::default();
+            for (prefix, pending) in self.cases.iter().chain(self.cases.iter().rev()) {
+                let mut committed = vec![spec.initial()];
+                draw_list(&spec, universe, &mut committed, prefix);
+                let lists: Vec<Vec<OpResult>> = pending
+                    .iter()
+                    .map(|picks| draw_list(&spec, universe, &mut committed.clone(), picks))
+                    .collect();
+                let lists: Vec<&[OpResult]> = lists.iter().map(Vec::as_slice).collect();
+                let expected = every_permutation_replays(&spec, &committed, &lists);
+                prop_assert_eq!(
+                    scratch.all_orders_replay(&spec, &committed, &lists),
+                    expected
+                );
+                VERDICTS
+                    .lock()
+                    .expect("no case panics holding it")
+                    .entry(name)
+                    .or_default()[usize::from(expected)] += 1;
+            }
             Ok(())
         }
     }
 
     proptest! {
         fn subset_programme_matches_the_permutation_walk(
-            prefix in prop::collection::vec((0..64usize, 0..8usize), 0..4),
-            pending in prop::collection::vec(
-                prop::collection::vec((0..64usize, 0..8usize), 0..=3),
-                0..=5,
+            cases in prop::collection::vec(
+                (
+                    prop::collection::vec((0..64usize, 0..8usize), 0..4),
+                    prop::collection::vec(
+                        prop::collection::vec((0..64usize, 0..8usize), 0..=3),
+                        0..=5,
+                    ),
+                ),
+                1..=4,
             ),
         ) {
-            every_spec(&VerdictsAgree { prefix: &prefix, pending: &pending })?;
+            every_spec(&VerdictsAgree { cases: &cases })?;
         }
     }
 
@@ -869,5 +1036,86 @@ mod tests {
     fn all_orders_replay_empty_is_true() {
         let spec = BankAccountSpec::new();
         assert!(all_orders_replay(&spec, &[0i64], &[]));
+    }
+
+    /// `Balance` values alive anywhere; only `scratch_keeps_no_state_past_the_call`
+    /// makes them.
+    static LIVE_BALANCES: AtomicUsize = AtomicUsize::new(0);
+
+    /// A balance that counts its live copies.
+    #[derive(Debug, PartialEq)]
+    struct Balance(i64);
+
+    impl Balance {
+        fn new(amount: i64) -> Self {
+            LIVE_BALANCES.fetch_add(1, Ordering::SeqCst);
+            Balance(amount)
+        }
+    }
+
+    impl Clone for Balance {
+        fn clone(&self) -> Self {
+            Balance::new(self.0)
+        }
+    }
+
+    impl Drop for Balance {
+        fn drop(&mut self) {
+            LIVE_BALANCES.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// [`BankAccountSpec`] over counted balances.
+    struct CountedBank;
+
+    impl SequentialSpec for CountedBank {
+        type State = Balance;
+
+        fn initial(&self) -> Balance {
+            Balance::new(2)
+        }
+
+        fn step(&self, state: &Balance, op: &Operation) -> Vec<(Value, Balance)> {
+            BankAccountSpec::new()
+                .step(&state.0, op)
+                .into_iter()
+                .map(|(v, next)| (v, Balance::new(next)))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn scratch_keeps_no_state_past_the_call() {
+        use crate::{AtomicObject, DynamicObject, Protocol, TxnError, TxnManager};
+        let mgr = TxnManager::new(Protocol::Dynamic);
+        let account = DynamicObject::new(ObjectId::new(1), CountedBank, &mgr);
+        let withdraw = || op("withdraw", [1]);
+        let (a, b, c) = (mgr.begin(), mgr.begin(), mgr.begin());
+        assert_eq!(LIVE_BALANCES.load(Ordering::SeqCst), 1);
+        // Each grant after the first runs the subset programme; the third
+        // withdrawal is one the balance of 2 cannot cover in every order.
+        assert_eq!(account.try_invoke(&a, withdraw()), Ok(Value::ok()));
+        assert_eq!(account.try_invoke(&b, withdraw()), Ok(Value::ok()));
+        assert_eq!(
+            LIVE_BALANCES.load(Ordering::SeqCst),
+            1,
+            "after a contended grant only the committed frontier is alive"
+        );
+        assert!(matches!(
+            account.try_invoke(&c, withdraw()),
+            Err(TxnError::WouldBlock { .. })
+        ));
+        assert_eq!(
+            LIVE_BALANCES.load(Ordering::SeqCst),
+            1,
+            "after a contended block only the committed frontier is alive"
+        );
+        // A transaction with intentions of its own replays them first.
+        assert_eq!(account.try_invoke(&a, op("deposit", [1])), Ok(Value::ok()));
+        assert_eq!(LIVE_BALANCES.load(Ordering::SeqCst), 1);
+        mgr.commit(a).expect("a commits");
+        mgr.commit(b).expect("b commits");
+        mgr.abort(c);
+        assert_eq!(account.committed_states(), vec![Balance(1)]);
     }
 }

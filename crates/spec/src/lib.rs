@@ -69,8 +69,8 @@ pub mod well_formed;
 pub use event::{ActivityId, Event, EventKind, ObjectId, Timestamp};
 pub use history::History;
 pub use spec::{
-    op, replay_frontier, replay_into, ObjectSpec, OpResult, Operation, SequentialSpec,
-    StateReplayer, SystemSpec,
+    op, replay_frontier, replay_frontier_to, replay_into, ObjectSpec, OpResult, Operation,
+    SequentialSpec, StateReplayer, SystemSpec,
 };
 pub use value::Value;
 pub use well_formed::{WellFormedError, WellFormedness};

@@ -205,19 +205,46 @@ pub fn replay_frontier<S: SequentialSpec + ?Sized>(
     frontier: &[S::State],
     ops: &[OpResult],
 ) -> Vec<S::State> {
+    let mut states = Vec::new();
+    replay_frontier_to(spec, frontier, ops, &mut states);
+    states
+}
+
+/// [`replay_frontier`] into a buffer the caller owns: `into` is cleared,
+/// then left holding every state reachable from `frontier` by `ops` —
+/// none if the list does not replay. A caller that keeps `into` between
+/// replays keeps its capacity, so a deterministic specification replays
+/// without allocating.
+///
+/// ```
+/// use atomicity_spec::specs::BankAccountSpec;
+/// use atomicity_spec::{op, replay_frontier_to, Value};
+/// let acct = BankAccountSpec::new();
+/// let mut into = vec![99];
+/// replay_frontier_to(&acct, &[3], &[(op("withdraw", [1]), Value::ok())], &mut into);
+/// assert_eq!(into, vec![2]);
+/// ```
+pub fn replay_frontier_to<S: SequentialSpec + ?Sized>(
+    spec: &S,
+    frontier: &[S::State],
+    ops: &[OpResult],
+    into: &mut Vec<S::State>,
+) {
     // A one-state frontier is copied once and stepped in place; a wider one
     // is read where it lies by the first operation. An empty list (the
     // uncontended path) is that one copy and nothing else.
-    let (mut states, rest) = match ops {
+    into.clear();
+    let rest = match ops {
         [(op, expected), rest @ ..] if frontier.len() != 1 => {
-            let mut states = Vec::new();
-            successors(spec, frontier, op, expected, &mut states);
-            (states, rest)
+            successors(spec, frontier, op, expected, into);
+            rest
         }
-        _ => (frontier.to_vec(), ops),
+        _ => {
+            into.extend_from_slice(frontier);
+            ops
+        }
     };
-    advance(spec, &mut states, rest);
-    states
+    advance(spec, into, rest);
 }
 
 /// Replays `ops` into `frontier` in place and returns whether the list
