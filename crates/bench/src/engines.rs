@@ -159,9 +159,9 @@ impl Engine {
         TxnManager::new(self.protocol())
     }
 
-    /// A manager recording into an explicit [`HistoryLog`] — the E8 hook
-    /// for comparing the sharded recorder against the single-mutex
-    /// baseline ([`HistoryLog::coarse`]).
+    /// A manager recording into an explicit [`HistoryLog`] — the hook for
+    /// comparing the sharded recorder against the single-mutex one
+    /// (`HistoryLog::with_shards(1)`).
     pub fn manager_with_log(self, log: HistoryLog) -> TxnManager {
         TxnManager::with_log(self.protocol(), DeadlockPolicy::default(), log)
     }
@@ -287,8 +287,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Records into an explicit history log (e.g. [`HistoryLog::coarse`]
-    /// for the E8 recorder comparison).
+    /// Records into an explicit history log (e.g.
+    /// `HistoryLog::with_shards(1)` for a recorder comparison).
     pub fn log(mut self, log: HistoryLog) -> Self {
         self.log = Some(log);
         self

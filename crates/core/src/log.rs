@@ -16,9 +16,8 @@
 //! still holding the affected object's lock, so the stamp order *is* the
 //! linearization order the engines enforced, and [`HistoryLog::snapshot`]
 //! reconstructs exactly that linearization by merging the shards in stamp
-//! order. A single-shard log ([`HistoryLog::coarse`]) degenerates to the
-//! old one-big-mutex recorder — benchmarks use it as the contention
-//! baseline (experiment E8).
+//! order. A single-shard log (`HistoryLog::with_shards(1)`) degenerates to
+//! the old one-big-mutex recorder, and records the same history.
 
 use crate::sync::{Mutex, Rank};
 use atomicity_spec::{Event, History};
@@ -107,13 +106,6 @@ impl HistoryLog {
                     .collect(),
             }),
         }
-    }
-
-    /// Creates a single-shard log: every append goes through one mutex,
-    /// reproducing the pre-sharding recorder's contention profile. Used as
-    /// the baseline in the E8 stress experiment.
-    pub fn coarse() -> Self {
-        Self::with_shards(1)
     }
 
     /// The number of append shards.
@@ -623,7 +615,7 @@ mod tests {
 
     #[test]
     fn coarse_log_behaves_identically() {
-        let log = HistoryLog::coarse();
+        let log = HistoryLog::with_shards(1);
         assert_eq!(log.shard_count(), 1);
         let mut handles = Vec::new();
         for i in 0..4u32 {

@@ -165,8 +165,8 @@ impl TxnManager {
     ///
     /// Objects built against this manager obtain the log through
     /// [`TxnManager::log`], so this is the hook benchmarks use to compare
-    /// recorder configurations (e.g. [`HistoryLog::coarse`] vs. the default
-    /// sharded log in experiment E8).
+    /// recorder configurations (e.g. `HistoryLog::with_shards(1)` vs. the
+    /// default sharded log).
     pub fn with_log(protocol: Protocol, policy: DeadlockPolicy, log: HistoryLog) -> Self {
         Self::builder(protocol).policy(policy).log(log).build()
     }

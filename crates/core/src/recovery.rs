@@ -394,6 +394,12 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// Idempotent: a repeated commit (e.g. a duplicated decision message)
     /// is a no-op, as is a commit after an abort — the first durable
     /// outcome wins.
+    ///
+    /// The store does not judge the intentions: the concurrency control
+    /// above it staged a list that replays. A list that does not replay
+    /// from the committed state is still committed durably, but changes
+    /// neither the cache nor, since [`IntentionsStore::recover`] skips it
+    /// the same way, the recovered state.
     pub fn commit(&self, txn: ActivityId) {
         self.commit_kind(txn, |_| RecordKind::Commit);
     }
@@ -949,6 +955,31 @@ mod tests {
         assert_eq!(frontier[0].get(&1), Some(&20));
         assert_eq!(frontier[0].get(&2), Some(&80));
         assert_eq!(store.outcome(t(1)), Some(true));
+    }
+
+    #[test]
+    fn a_commit_that_does_not_replay_changes_neither_cache_nor_recovery() {
+        use atomicity_spec::specs::KvMapSpec;
+        let store = IntentionsStore::new(KvMapSpec::new(), x(), StableLog::new());
+        store.prepare(t(1), vec![(op("put", [1, 10]), Value::Nil)]);
+        store.commit(t(1));
+        let before = store.committed_frontier();
+        // The second `put` claims the wrong old value: the list is refused
+        // after its first operation has moved the cache.
+        store.prepare(
+            t(2),
+            vec![
+                (op("put", [2, 20]), Value::Nil),
+                (op("put", [1, 11]), Value::from(99)),
+            ],
+        );
+        store.commit(t(2));
+        assert_eq!(store.outcome(t(2)), Some(true));
+        assert_eq!(store.committed_frontier(), before);
+        store.crash();
+        assert_eq!(store.recover().redone, vec![t(1), t(2)]);
+        assert_eq!(store.committed_frontier(), before);
+        assert_eq!(before, vec![[(1, 10)].into()]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use atomicity_lint::synth::map_universe;
 use atomicity_spec::specs::KvMapSpec;
-use atomicity_spec::{op, Operation, SequentialSpec, Value};
+use atomicity_spec::{op, OpResult, Operation, SequentialSpec, Value};
 use std::collections::BTreeMap;
 
 /// [`KvMapSpec`] extended with the blind overwrite
@@ -76,6 +76,31 @@ impl SequentialSpec for ShardKvSpec {
                 Some(replayed)
             }
             _ => self.inner.apply(state, op, expected),
+        }
+    }
+
+    /// A `set` is undone by the `set` of the old value, or by `remove` if
+    /// the key had none; the map's operations by the map's inverses.
+    fn apply_undoable(
+        &self,
+        state: &mut Self::State,
+        op: &Operation,
+        expected: &Value,
+        undo: &mut Vec<OpResult>,
+    ) -> Option<bool> {
+        match (op.name(), op.args().len(), op.int_arg(0), op.int_arg(1)) {
+            ("set", 2, Some(k), Some(v)) if expected.is_ok_unit() => {
+                match state.insert(k, v) {
+                    Some(old) if old == v => {}
+                    Some(old) => undo.push((
+                        Operation::new("set", [k, old].map(Value::from)),
+                        Value::ok(),
+                    )),
+                    None => undo.push((Operation::new("remove", [Value::from(k)]), Value::from(v))),
+                }
+                Some(true)
+            }
+            _ => self.inner.apply_undoable(state, op, expected, undo),
         }
     }
 

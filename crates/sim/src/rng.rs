@@ -33,12 +33,35 @@ fn mix(mut z: u64) -> u64 {
 /// (`Cluster::trace_hash`, and the partitioned service's digests in
 /// `atomicity-dist`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.feed(bytes);
+    h.0
+}
+
+/// FNV-1a fed piece by piece: text written into it with `write!` hashes
+/// as [`fnv1a`] hashes the whole text, and is never built.
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.feed(s.as_bytes());
+        Ok(())
+    }
 }
 
 impl SimRng {

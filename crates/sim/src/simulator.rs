@@ -16,9 +16,10 @@ use crate::message::{Endpoint, Message, NodeId, SimEvent};
 use crate::network::{NetStats, Network};
 use crate::node::Node;
 use crate::queue::EventQueue;
-use crate::rng::fnv1a;
+use crate::rng::Fnv1a;
 use atomicity_spec::{ActivityId, OpResult, SequentialSpec};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// The protocol's knobs, set by each façade from its own configuration
 /// (`Default` zeroes them all; a façade sets every one it relies on).
@@ -171,10 +172,14 @@ impl<S: SequentialSpec> Simulator<S> {
         self.queue.schedule(at, event);
     }
 
-    fn note(&mut self, line: String) {
-        self.trace_hash = self.trace_hash.rotate_left(5) ^ fnv1a(line.as_bytes());
+    /// Folds one trace line into the hash; the line is built only when
+    /// the trace is recorded.
+    fn note(&mut self, line: fmt::Arguments<'_>) {
+        let mut h = Fnv1a::default();
+        fmt::write(&mut h, line).expect("hashing cannot fail");
+        self.trace_hash = self.trace_hash.rotate_left(5) ^ h.0;
         if self.params.record_trace {
-            self.trace.push(line);
+            self.trace.push(line.to_string());
         }
     }
 
@@ -185,7 +190,8 @@ impl<S: SequentialSpec> Simulator<S> {
         let txn = ActivityId::new(self.next_txn);
         self.next_txn += 1;
         let shards = slices.len();
-        self.note(format!("t={} submit {txn} shards={shards}", self.now));
+        let now = self.now;
+        self.note(format_args!("t={now} submit {txn} shards={shards}"));
         let reqs = self.coordinator.admit(txn, slices);
         self.schedule_flushes(reqs, SimEvent::FlushPrepares);
         let at = self.now + self.params.txn_timeout;
@@ -243,7 +249,7 @@ impl<S: SequentialSpec> Simulator<S> {
             SimEvent::TxnTimeout(txn) => {
                 let reqs = self.coordinator.on_timeout(txn, &mut self.stats);
                 if !reqs.is_empty() {
-                    self.note(format!("t={now} timeout-abort {txn}"));
+                    self.note(format_args!("t={now} timeout-abort {txn}"));
                 }
                 self.schedule_flushes(reqs, SimEvent::FlushDecisions);
             }
@@ -257,13 +263,13 @@ impl<S: SequentialSpec> Simulator<S> {
             SimEvent::CoordinatorCrash(down_for) if self.coordinator.is_up() => {
                 self.coordinator.set_up(false);
                 self.stats.coordinator_crashes += 1;
-                self.note(format!("t={now} crash coordinator"));
+                self.note(format_args!("t={now} crash coordinator"));
                 self.schedule(now + down_for, SimEvent::CoordinatorRecover);
             }
             SimEvent::CoordinatorCrash(_) => {}
             SimEvent::CoordinatorRecover => {
                 self.coordinator.set_up(true);
-                self.note(format!("t={now} recover coordinator"));
+                self.note(format_args!("t={now} recover coordinator"));
                 for event in std::mem::take(&mut self.parked) {
                     self.schedule(now, event);
                 }
@@ -342,7 +348,9 @@ impl<S: SequentialSpec> Simulator<S> {
                     node.prepare(txn, ops);
                 }
                 let staged = ids.len();
-                self.note(format!("t={now} {n} staged batch={batch} txns={staged}"));
+                self.note(format_args!(
+                    "t={now} {n} staged batch={batch} txns={staged}"
+                ));
                 self.revote(done, n, ids, 0);
             }
             (Endpoint::Node(n), Message::DecisionBatch { decisions }) => {
@@ -369,7 +377,8 @@ impl<S: SequentialSpec> Simulator<S> {
             return;
         }
         if attempt >= self.params.max_resolve_attempts {
-            self.note(format!("t={} {shard} gave up resolving {txn}", self.now));
+            let now = self.now;
+            self.note(format_args!("t={now} {shard} gave up resolving {txn}"));
             return;
         }
         self.stats.resends += 1;
@@ -385,7 +394,8 @@ impl<S: SequentialSpec> Simulator<S> {
         }
         n.crash();
         self.stats.crashes += 1;
-        self.note(format!("t={} crash {node}", self.now));
+        let now = self.now;
+        self.note(format_args!("t={now} crash {node}"));
         self.schedule(self.now + down_for, SimEvent::Recover(node));
     }
 
@@ -404,7 +414,7 @@ impl<S: SequentialSpec> Simulator<S> {
         self.stats.redo_records += redone as u64;
         self.stats.in_doubt += in_doubt as u64;
         let now = self.now;
-        self.note(format!(
+        self.note(format_args!(
             "t={now} recover {node} redone={redone} in_doubt={in_doubt}"
         ));
         if in_doubt > 0 {

@@ -161,6 +161,44 @@ pub trait SequentialSpec: Send + Sync + 'static {
         Some(true)
     }
 
+    /// [`apply`](Self::apply) that can be taken back. It answers as `apply`
+    /// does and, on `Some(true)`, pushes onto `undo` the inverse of the
+    /// move: (operation, result) pairs that `apply`, run from the moved
+    /// state in reverse push order, replays and so returns the state to
+    /// where it was — one pair restoring the old binding of the key the
+    /// operation touched, say, or none if the state did not change. On any
+    /// other answer `state` and `undo` are untouched.
+    ///
+    /// This is how [`replay_into`] moves a one-state frontier through a
+    /// list without copying it (§1's undo log, at the granularity of one
+    /// list): each operation is applied in place and, if a later one is
+    /// refused, the collected inverses roll it back. The default answers
+    /// `None` — no inverse — and `replay_into` copies the state once
+    /// instead. A specification whose state is expensive to copy (a keyed
+    /// map, a set) overrides it.
+    ///
+    /// ```
+    /// use atomicity_spec::specs::IntSetSpec;
+    /// use atomicity_spec::{SequentialSpec, op, Value};
+    /// let set = IntSetSpec::new();
+    /// let mut members = [1].into();
+    /// let mut undo = Vec::new();
+    /// assert_eq!(set.apply_undoable(&mut members, &op("insert", [2]), &Value::ok(), &mut undo), Some(true));
+    /// assert_eq!(undo, vec![(op("delete", [2]), Value::ok())]);
+    /// let (inverse, result) = undo.pop().unwrap();
+    /// assert_eq!(set.apply(&mut members, &inverse, &result), Some(true));
+    /// assert_eq!(members, [1].into());
+    /// ```
+    fn apply_undoable(
+        &self,
+        _state: &mut Self::State,
+        _op: &Operation,
+        _expected: &Value,
+        _undo: &mut Vec<OpResult>,
+    ) -> Option<bool> {
+        None
+    }
+
     /// Whether `op` can never change the state, regardless of the state it
     /// runs in. Used to classify read-only activities for hybrid atomicity
     /// (§4.3). Conservative default: `false`.
@@ -251,24 +289,29 @@ pub fn replay_frontier_to<S: SequentialSpec + ?Sized>(
 /// replayed; on refusal `frontier` is left as it was.
 ///
 /// For an owner of a frontier (a committed state, a recovered cache) this
-/// is [`replay_frontier`] without the copy: a one-operation list on a
-/// one-state frontier copies no state, and a longer list copies it at most
-/// once and swaps the copy in on success.
+/// is [`replay_frontier`] without the copy. A one-state frontier is moved
+/// through the list in place, each operation but the last leaving its
+/// inverse ([`SequentialSpec::apply_undoable`]), and a refusal rolls those
+/// back: no state is copied. A specification without inverses, a result
+/// that leaves the state open, or a wider frontier takes the set-valued
+/// path, which copies the frontier once and swaps the copy in on success.
 pub fn replay_into<S: SequentialSpec + ?Sized>(
     spec: &S,
     frontier: &mut Vec<S::State>,
     ops: &[OpResult],
 ) -> bool {
-    let next = match (frontier.as_mut_slice(), ops) {
-        (states, []) => return !states.is_empty(),
-        ([only], [(op, expected)]) => match spec.apply(only, op, expected) {
-            Some(replayed) => return replayed,
-            None => {
-                let mut next = Vec::new();
-                successors(spec, frontier, op, expected, &mut next);
-                next
-            }
-        },
+    if let [only] = frontier.as_mut_slice() {
+        if let Some(replayed) = replay_in_place(spec, only, ops) {
+            return replayed;
+        }
+    }
+    let next = match ops {
+        [] => return !frontier.is_empty(),
+        [(op, expected)] => {
+            let mut next = Vec::new();
+            successors(spec, frontier, op, expected, &mut next);
+            next
+        }
         _ => replay_frontier(spec, frontier, ops),
     };
     if next.is_empty() {
@@ -276,6 +319,43 @@ pub fn replay_into<S: SequentialSpec + ?Sized>(
     }
     *frontier = next;
     true
+}
+
+/// Moves `state` through `ops` in place, answering as
+/// [`SequentialSpec::apply`] does for the whole list: `Some(false)` and
+/// `None` leave `state` as it was, the operations already applied rolled
+/// back by their inverses. The last operation needs no inverse, so a
+/// one-operation list is one `apply`.
+fn replay_in_place<S: SequentialSpec + ?Sized>(
+    spec: &S,
+    state: &mut S::State,
+    ops: &[OpResult],
+) -> Option<bool> {
+    let Some(((last, last_expected), init)) = ops.split_last() else {
+        return Some(true);
+    };
+    let mut undo = Vec::new();
+    let mut answer = Some(true);
+    for (op, expected) in init {
+        answer = spec.apply_undoable(state, op, expected, &mut undo);
+        if answer != Some(true) {
+            break;
+        }
+    }
+    if answer == Some(true) {
+        answer = spec.apply(state, last, last_expected);
+    }
+    if answer != Some(true) {
+        for (inverse, result) in undo.iter().rev() {
+            let restored = spec.apply(state, inverse, result);
+            assert_eq!(
+                restored,
+                Some(true),
+                "the inverse {inverse} -> {result} does not replay"
+            );
+        }
+    }
+    answer
 }
 
 /// The frontier fold: advances `states` by each recorded (operation,
@@ -567,6 +647,67 @@ mod tests {
             &[(peek(), Value::from(false))]
         ));
         assert_eq!(coin, vec![Some(false)]);
+    }
+
+    /// A dial with inverses: `turn(n)` moves it by `n` and is undone by
+    /// `turn(-n)`; `spin` moves it one step either way, naming no inverse.
+    struct DialSpec;
+
+    impl SequentialSpec for DialSpec {
+        type State = i64;
+
+        fn initial(&self) -> i64 {
+            0
+        }
+
+        fn step(&self, state: &i64, op: &Operation) -> Vec<(Value, i64)> {
+            match (op.name(), op.int_arg(0)) {
+                ("turn", Some(n)) => vec![(Value::ok(), state + n)],
+                ("spin", None) => vec![(Value::ok(), state + 1), (Value::ok(), state - 1)],
+                _ => Vec::new(),
+            }
+        }
+
+        fn apply_undoable(
+            &self,
+            state: &mut i64,
+            op: &Operation,
+            expected: &Value,
+            undo: &mut Vec<OpResult>,
+        ) -> Option<bool> {
+            let n = op.int_arg(0).filter(|_| op.name() == "turn")?;
+            let replayed = self.apply(state, op, expected)?;
+            if replayed {
+                undo.push((crate::spec::op("turn", [-n]), Value::ok()));
+            }
+            Some(replayed)
+        }
+    }
+
+    #[test]
+    fn replay_into_rolls_back_in_place_or_falls_back_to_the_frontier() {
+        let turn = |n: i64| (op("turn", [n]), Value::ok());
+        let spin = (op("spin", [] as [i64; 0]), Value::ok());
+        let wrong = (op("turn", [1]), Value::Nil);
+        let mut dial = vec![5];
+        assert!(!replay_into(
+            &DialSpec,
+            &mut dial,
+            &[turn(1), turn(2), wrong.clone()]
+        ));
+        assert_eq!(dial, vec![5], "refused in place, rolled back");
+        assert!(replay_into(&DialSpec, &mut dial, &[turn(1), turn(2)]));
+        assert_eq!(dial, vec![8]);
+        // An open result after an applied `turn` rolls it back and takes
+        // the set-valued path from where the list began.
+        assert!(!replay_into(
+            &DialSpec,
+            &mut dial,
+            &[turn(2), spin.clone(), wrong]
+        ));
+        assert_eq!(dial, vec![8]);
+        assert!(replay_into(&DialSpec, &mut dial, &[turn(2), spin, turn(1)]));
+        assert_eq!(dial, vec![12, 10]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The integer-set object of §2–§3.
 
 use super::update_if;
-use crate::spec::{Operation, SequentialSpec};
+use crate::spec::{OpResult, Operation, SequentialSpec};
 use crate::value::Value;
 use std::collections::BTreeSet;
 
@@ -89,6 +89,28 @@ impl SequentialSpec for IntSetSpec {
             ("size", None) if op.args().is_empty() => expected.as_int() == Some(state.len() as i64),
             _ => false,
         };
+        Some(replayed)
+    }
+
+    /// The inverse of an `insert` that added the element is its `delete`,
+    /// and the other way round; one that found the set as it left it has
+    /// none.
+    fn apply_undoable(
+        &self,
+        state: &mut Self::State,
+        op: &Operation,
+        expected: &Value,
+        undo: &mut Vec<OpResult>,
+    ) -> Option<bool> {
+        let inverse = match (op.name(), op.int_arg(0)) {
+            ("insert", Some(i)) if !state.contains(&i) => Some(("delete", i)),
+            ("delete", Some(i)) if state.contains(&i) => Some(("insert", i)),
+            _ => None,
+        };
+        let replayed = self.apply(state, op, expected)?;
+        if let (true, Some((name, i))) = (replayed, inverse) {
+            undo.push((crate::spec::op(name, [i]), Value::ok()));
+        }
         Some(replayed)
     }
 

@@ -1,7 +1,7 @@
 //! An integer key/value map: the substrate for multi-account workloads.
 
 use super::update_if;
-use crate::spec::{Operation, SequentialSpec};
+use crate::spec::{op, OpResult, Operation, SequentialSpec};
 use crate::value::Value;
 use std::collections::BTreeMap;
 
@@ -141,8 +141,41 @@ impl SequentialSpec for KvMapSpec {
         Some(replayed)
     }
 
+    /// The inverse restores the old binding of the key a mutator touched:
+    /// `put(k,old)` if it had one, `remove(k)` if it had none.
+    fn apply_undoable(
+        &self,
+        state: &mut Self::State,
+        op: &Operation,
+        expected: &Value,
+        undo: &mut Vec<OpResult>,
+    ) -> Option<bool> {
+        let touched = match (op.name(), op.int_arg(0)) {
+            ("put" | "remove" | "add" | "adjust", Some(k)) => Some((k, state.get(&k).copied())),
+            _ => None,
+        };
+        let replayed = self.apply(state, op, expected)?;
+        if let (true, Some((k, old))) = (replayed, touched) {
+            if let Some(inverse) = rebind(k, old, state.get(&k).copied()) {
+                undo.push(inverse);
+            }
+        }
+        Some(replayed)
+    }
+
     fn is_read_only(&self, op: &Operation) -> bool {
         matches!(op.name(), "get" | "size" | "sum")
+    }
+}
+
+/// The (operation, result) that takes key `k` from binding `now` back to
+/// `old`, or `None` if they are the same binding.
+fn rebind(k: i64, old: Option<i64>, now: Option<i64>) -> Option<OpResult> {
+    let returned = now.map_or(Value::Nil, Value::from);
+    match old {
+        _ if old == now => None,
+        Some(v) => Some((op("put", [k, v]), returned)),
+        None => Some((op("remove", [k]), returned)),
     }
 }
 

@@ -99,7 +99,7 @@ proptest! {
         shards in 1..24usize,
     ) {
         let sharded = HistoryLog::with_shards(shards);
-        let coarse = HistoryLog::coarse();
+        let coarse = HistoryLog::with_shards(1);
         for &id in &ids {
             let e = Event::commit(ActivityId::new(id), ObjectId::new(1));
             sharded.record(e.clone());
