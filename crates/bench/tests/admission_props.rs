@@ -1,6 +1,6 @@
 //! Cross-cutting properties of the unified [`Admission`] API.
 //!
-//! Three guarantees the design leans on:
+//! Four guarantees the design leans on:
 //!
 //! 1. **Batch ≡ sequential** — [`Admission::admit_batch`] (one lock
 //!    acquisition draining many requests) must admit exactly what the
@@ -16,14 +16,23 @@
 //!    outcomes and record identical invoke/respond events — the guard
 //!    against the two re-forking.
 //!
-//! 3. **Seqlock reads are invisible** — under threaded contention the
+//! 3. **Guarded ≡ replayed** — the bank account decides "every order of
+//!    the intentions lists replays" by a guard, in one pass over them,
+//!    where the dynamic engine would otherwise replay them in every
+//!    order. A bank account and the same account with the guard hidden
+//!    must return identical outcomes and record identical events, with
+//!    the conflict table installed and without.
+//!
+//! 4. **Seqlock reads are invisible** — under threaded contention the
 //!    hybrid mutex-free read path may only serve committed,
 //!    timestamp-consistent snapshots: per-reader balances are monotone
 //!    (deposit-only workload), the final history is certified by the
 //!    linear certifier, and the committed balance matches the oracle.
 
 use atomicity_bench::{synthesized_suite, Engine};
-use atomicity_core::{AdmissionOutcome, AdmissionRequest, CommutesRel};
+use atomicity_core::{
+    Admission, AdmissionOutcome, AdmissionRequest, CommutesRel, DynamicObject, Protocol, TxnManager,
+};
 use atomicity_lint::synth::{
     bank_universe, escrow_universe, map_universe, queue_universe, semiqueue_universe, set_universe,
 };
@@ -32,7 +41,7 @@ use atomicity_spec::specs::{
     BankAccountSpec, EscrowCounterSpec, FifoQueueSpec, IntSetSpec, KvMapSpec, SemiqueueSpec,
 };
 use atomicity_spec::{
-    op, Event, EventKind, ObjectId, Operation, SequentialSpec, SystemSpec, Value,
+    op, Event, EventKind, ObjectId, OpResult, Operation, SequentialSpec, SystemSpec, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -102,7 +111,17 @@ fn mirror_run<S: SequentialSpec>(
     );
     let handle = engine.builder().build();
     let obj = handle.make(ObjectId::new(1), spec, table);
-    let mgr = handle.manager();
+    drive(handle.manager(), obj.as_ref(), universe, script)
+}
+
+/// Runs `script` against `obj`, whose transactions `mgr` manages, and
+/// returns the outcomes and the invoke/respond events recorded.
+fn drive(
+    mgr: &TxnManager,
+    obj: &dyn Admission,
+    universe: &[Operation],
+    script: &[MirrorStep],
+) -> (Vec<AdmissionOutcome>, Vec<Event>) {
     let mut txns: Vec<_> = (0..TXN_SLOTS).map(|_| mgr.begin()).collect();
     let mut outcomes = Vec::new();
     for &(slot, action, index) in script {
@@ -155,6 +174,64 @@ fn assert_hybrid_mirrors_dynamic<S: SequentialSpec + Clone>(
     Ok(())
 }
 
+/// A specification that is `S` in every respect but one: it has no guard,
+/// so the dynamic engine decides every contended admission by replaying
+/// the intentions lists.
+struct Unguarded<S>(S);
+
+impl<S: SequentialSpec> SequentialSpec for Unguarded<S> {
+    type State = S::State;
+
+    fn initial(&self) -> S::State {
+        self.0.initial()
+    }
+
+    fn step(&self, state: &S::State, op: &Operation) -> Vec<(Value, S::State)> {
+        self.0.step(state, op)
+    }
+
+    fn apply(&self, state: &mut S::State, op: &Operation, expected: &Value) -> Option<bool> {
+        self.0.apply(state, op, expected)
+    }
+
+    fn apply_undoable(
+        &self,
+        state: &mut S::State,
+        op: &Operation,
+        expected: &Value,
+        undo: &mut Vec<OpResult>,
+    ) -> Option<bool> {
+        self.0.apply_undoable(state, op, expected, undo)
+    }
+
+    fn is_read_only(&self, op: &Operation) -> bool {
+        self.0.is_read_only(op)
+    }
+}
+
+/// Drives `script` through a dynamic bank account over `spec`, with the
+/// synthesized bank table installed or with none.
+fn bank_run<S: SequentialSpec<State = i64>>(
+    spec: S,
+    table: bool,
+    script: &[MirrorStep],
+) -> (Vec<AdmissionOutcome>, Vec<Event>) {
+    let mgr = TxnManager::new(Protocol::Dynamic);
+    let id = ObjectId::new(1);
+    let obj = if table {
+        let table: Arc<dyn CommutesRel> = Arc::new(
+            synthesized_suite()
+                .table("bank")
+                .expect("the bank has a synthesized table")
+                .clone(),
+        );
+        DynamicObject::with_relation(id, spec, &mgr, table)
+    } else {
+        DynamicObject::new(id, spec, &mgr)
+    };
+    drive(&mgr, obj.as_ref(), &bank_universe(), script)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -195,6 +272,27 @@ proptest! {
             "map", KvMapSpec::with_initial([(1, 5)]), &map_universe(), &script)?;
         assert_hybrid_mirrors_dynamic(
             "escrow", EscrowCounterSpec::with_initial(6), &escrow_universe(), &script)?;
+    }
+
+    /// The bank account's guard admits what the subset programme admits:
+    /// a dynamic account and the same account without its guard return
+    /// identical outcomes and record identical invoke/respond events, with
+    /// the synthesized table installed and without.
+    #[test]
+    fn bank_guard_admission_equals_replay(
+        script in prop::collection::vec((0..TXN_SLOTS, 0u8..8, 0usize..16), 1..32)
+    ) {
+        for table in [true, false] {
+            let guarded = bank_run(BankAccountSpec::with_initial(10), table, &script);
+            let replayed = bank_run(Unguarded(BankAccountSpec::with_initial(10)), table, &script);
+            prop_assert!(
+                guarded == replayed,
+                "table {}: guarded {:?} vs replayed {:?}",
+                table,
+                guarded,
+                replayed
+            );
+        }
     }
 }
 

@@ -43,8 +43,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Upper bound on concurrently checked intention lists; above it the
-/// dynamic admission test conservatively blocks instead of enumerating
-/// permutations.
+/// dynamic admission test conservatively blocks instead of deciding
+/// whether every order of the lists replays.
 pub(crate) const DEFAULT_MAX_CHECK: usize = 6;
 
 /// The most a caller may raise that bound to: the state-dependent check
@@ -136,6 +136,29 @@ impl<S: SequentialSpec> Scratch<S> {
     /// serialization orders of the active transactions must remain
     /// acceptable.
     ///
+    /// A one-state frontier is first put to the specification's guard,
+    /// [`SequentialSpec::every_order_replays`], whose answer is by contract
+    /// the subset programme's verdict ([`Scratch::replay_all_orders`]);
+    /// the bank account's costs one pass over the lists. The programme
+    /// runs only where there is no answer: the default `None`, a wider
+    /// frontier, an amount at the edge of `i64`.
+    fn all_orders_replay(
+        &mut self,
+        spec: &S,
+        frontier: &[S::State],
+        lists: &[&[OpResult]],
+    ) -> bool {
+        if let [state] = frontier {
+            if let Some(verdict) = spec.every_order_replays(state, lists) {
+                return verdict;
+            }
+        }
+        self.replay_all_orders(spec, frontier, lists)
+    }
+
+    /// [`Scratch::all_orders_replay`] by replaying the lists — the
+    /// fallback, and the reference every guard is tested against.
+    ///
     /// A dynamic programme over subsets, filled in depth first: `reach[mask]`
     /// holds the distinct frontiers that replaying exactly the lists in
     /// `mask`, in some order, has been seen to leave, and a frontier already
@@ -153,7 +176,7 @@ impl<S: SequentialSpec> Scratch<S> {
     /// uses the first 2^K slots of the lattice, and empties them into the
     /// pool before it returns. Callers keep `lists.len()` at or below
     /// [`MAX_CHECK_CEILING`].
-    fn all_orders_replay(
+    fn replay_all_orders(
         &mut self,
         spec: &S,
         frontier: &[S::State],
@@ -569,7 +592,8 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    /// The subset programme on a scratch of its own.
+    /// The admission check — guard, then subset programme — on a scratch
+    /// of its own.
     fn all_orders_replay<S: SequentialSpec>(
         spec: &S,
         frontier: &[S::State],
@@ -578,7 +602,7 @@ mod tests {
         Scratch::default().all_orders_replay(spec, frontier, lists)
     }
 
-    /// The permutation walk `all_orders_replay` was before it became a
+    /// The permutation walk `replay_all_orders` was before it became a
     /// subset programme: depth-first through every order of the lists.
     /// Kept as the reference the programme's verdicts are checked against.
     fn every_permutation_replays<S: SequentialSpec>(
@@ -782,8 +806,9 @@ mod tests {
 
     /// For each case, builds a committed frontier from its prefix and,
     /// from that, pending lists that each replay on their own (as admitted
-    /// intentions do), and holds the subset programme to the permutation
-    /// walk's verdict. One scratch serves every case, forwards and then
+    /// intentions do), and holds the subset programme, and the check that
+    /// asks the specification's guard first, to the permutation walk's
+    /// verdict. One scratch serves every case, forwards and then
     /// backwards, so the number of lists rises and falls across the calls
     /// that share it: a lattice slot one call left behind would show as a
     /// wrong verdict in a later one.
@@ -808,6 +833,10 @@ mod tests {
                     .collect();
                 let lists: Vec<&[OpResult]> = lists.iter().map(Vec::as_slice).collect();
                 let expected = every_permutation_replays(&spec, &committed, &lists);
+                prop_assert_eq!(
+                    scratch.replay_all_orders(&spec, &committed, &lists),
+                    expected
+                );
                 prop_assert_eq!(
                     scratch.all_orders_replay(&spec, &committed, &lists),
                     expected
@@ -949,10 +978,12 @@ mod tests {
     }
 
     /// Counts `step` calls. Over one-operation lists and one-state
-    /// frontiers that is the number of list replays.
+    /// frontiers that is the number of list replays. It passes the inner
+    /// specification's guard on only if `guarded`.
     struct CountingSpec<S> {
         inner: S,
         steps: AtomicUsize,
+        guarded: bool,
     }
 
     impl<S: SequentialSpec> SequentialSpec for CountingSpec<S> {
@@ -966,6 +997,14 @@ mod tests {
             self.steps.fetch_add(1, Ordering::Relaxed);
             self.inner.step(state, op)
         }
+
+        fn every_order_replays(&self, state: &S::State, lists: &[&[OpResult]]) -> Option<bool> {
+            if self.guarded {
+                self.inner.every_order_replays(state, lists)
+            } else {
+                None
+            }
+        }
     }
 
     #[test]
@@ -973,22 +1012,26 @@ mod tests {
         // K withdrawals of 1: covered by a balance of K, and one short of
         // it at K − 1, which only the last list of an order finds out. The
         // permutation walk took 64 and 1 956 replays to accept and, like
-        // this, K to refuse.
+        // the programme, K to refuse. The bank account's guard replays
+        // none, and gives the same verdicts.
         for (k, to_accept) in [(4, 32), (6, 192)] {
             for (balance, replays) in [(k, to_accept), (k - 1, k)] {
-                let spec = CountingSpec {
-                    inner: BankAccountSpec::new(),
-                    steps: AtomicUsize::new(0),
-                };
-                let withdrawal = [(op("withdraw", [1]), Value::ok())];
-                let lists = vec![&withdrawal[..]; k];
-                let accepted = all_orders_replay(&spec, &[balance as i64], &lists);
-                assert_eq!(accepted, balance == k);
-                assert_eq!(
-                    spec.steps.load(Ordering::Relaxed),
-                    replays,
-                    "K = {k}, balance {balance}"
-                );
+                for guarded in [false, true] {
+                    let spec = CountingSpec {
+                        inner: BankAccountSpec::new(),
+                        steps: AtomicUsize::new(0),
+                        guarded,
+                    };
+                    let withdrawal = [(op("withdraw", [1]), Value::ok())];
+                    let lists = vec![&withdrawal[..]; k];
+                    let accepted = all_orders_replay(&spec, &[balance as i64], &lists);
+                    assert_eq!(accepted, balance == k);
+                    assert_eq!(
+                        spec.steps.load(Ordering::Relaxed),
+                        if guarded { 0 } else { replays },
+                        "K = {k}, balance {balance}, guarded: {guarded}"
+                    );
+                }
             }
         }
     }

@@ -318,7 +318,7 @@ pub struct IntentionsStore<S: SequentialSpec> {
     /// log, caught up incrementally via [`DurableLog::records_from`].
     /// Purely an accelerator: every answer it gives is the answer a full
     /// log scan would give, and it is discarded on crash. Without it,
-    /// every `commit`/`outcome`/`staged_ops` call re-reads the whole
+    /// every `commit`/`outcome`/`prepared` call re-reads the whole
     /// shared log — quadratic over a long-lived store, which is what the
     /// partitioned service's hot path cannot afford.
     index: Mutex<TxnIndex>,
@@ -335,10 +335,11 @@ struct TxnIndex {
 }
 
 impl TxnIndex {
-    fn absorb(&mut self, record: &LogRecord) {
-        match &record.kind {
+    /// Takes in one record of the object, keeping a prepare's operations.
+    fn absorb(&mut self, record: LogRecord) {
+        match record.kind {
             RecordKind::Prepare { ops } => {
-                self.staged.insert(record.txn, ops.clone());
+                self.staged.insert(record.txn, ops);
             }
             RecordKind::Commit | RecordKind::CommitDep { .. } => {
                 self.outcome.insert(record.txn, true);
@@ -347,6 +348,11 @@ impl TxnIndex {
                 self.outcome.insert(record.txn, false);
             }
         }
+    }
+
+    /// The operations `txn` last staged, none if it staged nothing.
+    fn staged(&self, txn: ActivityId) -> &[OpResult] {
+        self.staged.get(&txn).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -426,10 +432,8 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// replays those same operations into the cache. The index is read
     /// once, for both the outcome and the operations.
     fn commit_kind(&self, txn: ActivityId, kind: impl FnOnce(&[OpResult]) -> RecordKind) {
-        let undecided = self.with_index(|idx| {
-            (!idx.outcome.contains_key(&txn))
-                .then(|| idx.staged.get(&txn).cloned().unwrap_or_default())
-        });
+        let undecided = self
+            .with_index(|idx| (!idx.outcome.contains_key(&txn)).then(|| idx.staged(txn).to_vec()));
         let Some(ops) = undecided else {
             return;
         };
@@ -505,13 +509,14 @@ impl<S: SequentialSpec> IntentionsStore<S> {
         // concurrent catch-up — absorb only the remainder) or back to
         // zero (a concurrent crash reset — absorb nothing; the next call
         // rescans from the log).
-        if idx.seen >= start && idx.seen < start + fetched.len() {
-            for r in &fetched[idx.seen - start..] {
+        let end = start + fetched.len();
+        if idx.seen >= start && idx.seen < end {
+            for r in fetched.into_iter().skip(idx.seen - start) {
                 if r.object == self.object {
                     idx.absorb(r);
                 }
             }
-            idx.seen = start + fetched.len();
+            idx.seen = end;
         }
         f(&idx)
     }
@@ -524,9 +529,16 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// Rebuilds the committed state from stable storage by redoing
     /// committed intentions in commit order; reports in-doubt transactions
     /// (prepared, no outcome record).
+    ///
+    /// The log is read once: the records it hands over become the
+    /// per-transaction index (a prepare's operations are moved into it,
+    /// not copied), and each commit is redone from the index in place.
     pub fn recover(&self) -> RecoveryOutcome {
         let records = self.log.records();
-        let mut states = vec![self.spec.initial()];
+        let mut index = TxnIndex {
+            seen: records.len(),
+            ..TxnIndex::default()
+        };
         // One pass: membership is probed in ordered sets, the `Vec`s only
         // keep the reported order.
         let mut redone: Vec<ActivityId> = Vec::new();
@@ -535,28 +547,40 @@ impl<S: SequentialSpec> IntentionsStore<S> {
         // Undecided transactions, with the log position of the prepare
         // that (re-)opened each — their reported order.
         let mut open: BTreeMap<ActivityId, usize> = BTreeMap::new();
-        for (at, r) in records.iter().enumerate() {
+        for (at, r) in records.into_iter().enumerate() {
             if r.object != self.object {
                 continue;
             }
-            if matches!(r.kind, RecordKind::Prepare { .. }) {
-                open.entry(r.txn).or_insert(at);
+            let (txn, prepare, commit) = (
+                r.txn,
+                matches!(r.kind, RecordKind::Prepare { .. }),
+                r.kind.is_commit(),
+            );
+            index.absorb(r);
+            if prepare {
+                open.entry(txn).or_insert(at);
                 continue;
             }
             // Duplicate outcome records (a crash can lose the in-memory
             // idempotency state) are applied once: the first one wins.
-            if !decided.insert(r.txn) {
+            if !decided.insert(txn) {
                 continue;
             }
-            open.remove(&r.txn);
-            if r.kind.is_commit() {
-                replay_into(&self.spec, &mut states, &self.staged_ops(r.txn));
-                redone.push(r.txn);
+            open.remove(&txn);
+            if commit {
+                redone.push(txn);
             } else {
-                discarded.push(r.txn);
+                discarded.push(txn);
             }
         }
+        // Redone in commit order, each from the operations its
+        // transaction staged last anywhere in the log.
+        let mut states = vec![self.spec.initial()];
+        for txn in &redone {
+            replay_into(&self.spec, &mut states, index.staged(*txn));
+        }
         *self.volatile.lock() = Some(states);
+        *self.index.lock() = index;
         let mut in_doubt: Vec<(usize, ActivityId)> =
             open.into_iter().map(|(txn, at)| (at, txn)).collect();
         in_doubt.sort_unstable();
@@ -604,22 +628,21 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// filter "commit timestamp < t" yields the state a reader with
     /// timestamp `t` must see.
     pub fn replay_committed_subset(&self, filter: impl Fn(ActivityId) -> bool) -> Vec<S::State> {
-        let mut states = vec![self.spec.initial()];
-        let mut done: BTreeSet<ActivityId> = BTreeSet::new();
-        for r in self.log.records() {
-            if r.object != self.object || !r.kind.is_commit() {
-                continue;
+        let records = self.log.records();
+        self.with_index(|idx| {
+            let mut states = vec![self.spec.initial()];
+            let mut done: BTreeSet<ActivityId> = BTreeSet::new();
+            for r in &records {
+                if r.object != self.object || !r.kind.is_commit() {
+                    continue;
+                }
+                if !filter(r.txn) || !done.insert(r.txn) {
+                    continue;
+                }
+                replay_into(&self.spec, &mut states, idx.staged(r.txn));
             }
-            if !filter(r.txn) || !done.insert(r.txn) {
-                continue;
-            }
-            replay_into(&self.spec, &mut states, &self.staged_ops(r.txn));
-        }
-        states
-    }
-
-    fn staged_ops(&self, txn: ActivityId) -> Vec<OpResult> {
-        self.with_index(|idx| idx.staged.get(&txn).cloned().unwrap_or_default())
+            states
+        })
     }
 }
 

@@ -8,8 +8,10 @@
 //! A replay that copied the key/value map once per multi-operation slice
 //! allocated in proportion to the map, which grows over the run: 149.4
 //! allocations per commit over 1 000 commits, 464.6 over 5 000. Applying
-//! each slice in place, with inverses to roll back a refused one, makes
-//! 41.0 and 40.8.
+//! each slice in place, with inverses to roll back a refused one, made
+//! 41.0 and 40.8; reading the log once, moving each prepare's operations
+//! into the transaction index and redoing each commit from the index by
+//! reference makes 20.0 and 19.8.
 
 use atomicity_core::{LogRecord, RecordKind};
 use atomicity_dist::deplog::serial_replay;
@@ -64,11 +66,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per redone commit serial recovery may make: 41.0 are made.
-/// Most are the records' copies (the replayed log, the transaction index,
-/// the staged operations handed to each replay); two inverses and their
-/// list are the undo log's share.
-const MAX_ALLOCS_PER_COMMIT: f64 = 45.0;
+/// Allocations per redone commit serial recovery may make: 20.0 are made.
+/// Most are the records' two copies (the one `serial_replay` appends to a
+/// log, the one recovery reads back from it), 7 each: the operation list
+/// and a name and an argument vector per operation. Two inverses and
+/// their list are the undo log's share.
+const MAX_ALLOCS_PER_COMMIT: f64 = 22.0;
 
 /// E15's recovery log as one shard writes it without dependency logging:
 /// a prepare and a commit record per marketplace transaction.

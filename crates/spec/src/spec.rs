@@ -199,6 +199,34 @@ pub trait SequentialSpec: Send + Sync + 'static {
         None
     }
 
+    /// Whether every order of `lists` replays from `state`, decided
+    /// without replaying them:
+    ///
+    /// - `Some(v)`: `v` is exactly the verdict of replaying the lists in
+    ///   every order from the one-state frontier `[state]` — the dynamic
+    ///   engine's admission test (§4.1);
+    /// - `None`: the specification cannot tell here, and the caller
+    ///   replays.
+    ///
+    /// The default answers `None`. A specification whose lists have a
+    /// closed form — a net effect, and a range of states each replays
+    /// from — overrides it with a guard that costs one pass over the
+    /// lists instead of K·2^(K−1) list replays. The bank account's is
+    /// "the balance covers the withdrawals in every order", exactly.
+    ///
+    /// ```
+    /// use atomicity_spec::specs::BankAccountSpec;
+    /// use atomicity_spec::{SequentialSpec, op, Value};
+    /// let acct = BankAccountSpec::new();
+    /// let four = [(op("withdraw", [4]), Value::ok())];
+    /// let three = [(op("withdraw", [3]), Value::ok())];
+    /// assert_eq!(acct.every_order_replays(&10, &[&four, &three]), Some(true));
+    /// assert_eq!(acct.every_order_replays(&5, &[&four, &three]), Some(false));
+    /// ```
+    fn every_order_replays(&self, _state: &Self::State, _lists: &[&[OpResult]]) -> Option<bool> {
+        None
+    }
+
     /// Whether `op` can never change the state, regardless of the state it
     /// runs in. Used to classify read-only activities for hybrid atomicity
     /// (§4.3). Conservative default: `false`.
