@@ -1,6 +1,8 @@
 //! Golden certificates: `certify` and `certify_with_relation` must issue
 //! exactly the verdict kind, method, committed count and object count
-//! recorded in `certify_golden.txt` for
+//! recorded in `certify_golden.txt`, and the retaining monitor they run
+//! must flag exactly the recorded violations — each one's stamp, object
+//! and activity, in order — for
 //!
 //! - every worked history of `atomicity_spec::paper`, under all three
 //!   properties;
@@ -11,21 +13,26 @@
 //!
 //! The file was captured while `analysis::certify` still held its own
 //! post-hoc watermark procedure beside the streaming monitor, before the
-//! two were folded into one. Certifier refactors may move code; they may
-//! not move a certificate.
+//! two were folded into one; the violation columns were added later, so
+//! that a change to the order in which the monitor walks its objects
+//! shows here too. Certifier refactors may move code; they may not move a
+//! certificate or a violation.
 
-use atomicity_lint::{certify, certify_with_relation, Certificate, Property};
+use atomicity_lint::{
+    certify, certify_with_relation, Certificate, OnlineCertifier, Property, Violation,
+};
 use atomicity_spec::paper;
 use atomicity_spec::specs::{BankAccountSpec, IntSetSpec};
 use atomicity_spec::{op, ActivityId, Event, History, ObjectId, Operation, SystemSpec, Value};
 use std::fmt::Write;
+use std::sync::Arc;
 
 const PROPERTIES: [Property; 3] = [Property::Dynamic, Property::Static, Property::Hybrid];
 
-fn row(out: &mut String, name: &str, c: &Certificate) {
-    writeln!(
+fn row(out: &mut String, name: &str, c: &Certificate, violations: &[Violation]) {
+    write!(
         out,
-        "{name} {} {} {} committed={} objects={}",
+        "{name} {} {} {} committed={} objects={} violations=[",
         c.property,
         c.verdict.kind(),
         c.method,
@@ -33,6 +40,42 @@ fn row(out: &mut String, name: &str, c: &Certificate) {
         c.objects
     )
     .unwrap();
+    for (i, v) in violations.iter().enumerate() {
+        let object = v.object.map_or("-".to_string(), |x| x.to_string());
+        let activity = v.activity.map_or("-".to_string(), |a| a.to_string());
+        let sep = if i == 0 { "" } else { " " };
+        write!(out, "{sep}{}:{object}:{activity}", v.stamp).unwrap();
+    }
+    writeln!(out, "]").unwrap();
+}
+
+/// The violations the retaining monitor flags over `h`'s events at their
+/// positions — the run `certify` makes — after checking that it issues
+/// the certificate `certify` returned.
+fn violations(
+    p: Property,
+    h: &History,
+    spec: &SystemSpec,
+    rel: Option<Arc<dyn atomicity_core::CommutesRel>>,
+    issued: &Certificate,
+) -> Vec<Violation> {
+    let mut monitor = OnlineCertifier::new_retaining(p, spec.clone(), rel);
+    for (pos, e) in h.events().iter().enumerate() {
+        monitor.observe(pos as u64, e);
+    }
+    let (c, violations) = monitor.finish();
+    assert_eq!(
+        format!("{c:?}"),
+        format!("{issued:?}"),
+        "the monitor and `certify` disagree"
+    );
+    violations
+}
+
+/// One row: `certify`'s certificate and the monitor's violations.
+fn certify_row(out: &mut String, name: &str, p: Property, h: &History, spec: &SystemSpec) {
+    let c = certify(p, h, spec);
+    row(out, name, &c, &violations(p, h, spec, None, &c));
 }
 
 fn paper_cases() -> Vec<(&'static str, History)> {
@@ -161,13 +204,13 @@ fn transcript() -> String {
     for (name, h) in paper_cases() {
         let spec = paper_system(name);
         for p in PROPERTIES {
-            row(&mut out, &format!("paper/{name}"), &certify(p, &h, &spec));
+            certify_row(&mut out, &format!("paper/{name}"), p, &h, &spec);
         }
     }
     let spec = soup_system();
     for (i, h) in soups().iter().enumerate() {
         for p in PROPERTIES {
-            row(&mut out, &format!("soup/{i:03}"), &certify(p, h, &spec));
+            certify_row(&mut out, &format!("soup/{i:03}"), p, h, &spec);
         }
     }
     let spec = paper::bank_system();
@@ -175,12 +218,10 @@ fn transcript() -> String {
     for (name, withdraw) in [("deposits", false), ("deposits+withdraw", true)] {
         let h = contended_deposits(withdraw);
         for p in PROPERTIES {
-            row(&mut out, &format!("{name}/certify"), &certify(p, &h, &spec));
-            row(
-                &mut out,
-                &format!("{name}/with_relation"),
-                &certify_with_relation(p, &h, &spec, &deposits),
-            );
+            certify_row(&mut out, &format!("{name}/certify"), p, &h, &spec);
+            let c = certify_with_relation(p, &h, &spec, &deposits);
+            let flagged = violations(p, &h, &spec, Some(Arc::new(deposits)), &c);
+            row(&mut out, &format!("{name}/with_relation"), &c, &flagged);
         }
     }
     out
