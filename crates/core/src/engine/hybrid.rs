@@ -76,8 +76,9 @@ pub(crate) struct Inner<S: SequentialSpec> {
     /// The update transactions' intentions over the newest committed
     /// state frontier.
     updates: Intentions<S>,
-    /// Committed versions, ascending by commit timestamp.
-    versions: Vec<(Timestamp, Vec<S::State>)>,
+    /// Committed versions, ascending by commit timestamp: each is the
+    /// same allocation its commit published to `latest`.
+    versions: Vec<Arc<(Timestamp, Vec<S::State>)>>,
 }
 
 impl<S: SequentialSpec> HybridObject<S> {
@@ -145,7 +146,7 @@ impl<S: SequentialSpec> HybridObject<S> {
         let mut inner = self.mu.lock();
         let keep_from = inner
             .versions
-            .partition_point(|(ts, _)| *ts < horizon)
+            .partition_point(|v| v.0 < horizon)
             .saturating_sub(1);
         inner.versions.drain(..keep_from);
     }
@@ -171,7 +172,7 @@ impl<S: SequentialSpec> HybridObject<S> {
             return (latest.1.clone(), true);
         }
         let inner = self.mu.lock();
-        let idx = inner.versions.partition_point(|(vts, _)| *vts < ts);
+        let idx = inner.versions.partition_point(|v| v.0 < ts);
         let states = match idx.checked_sub(1) {
             Some(newest_before) => inner.versions[newest_before].1.clone(),
             None => vec![self.core.spec.initial()],
@@ -330,12 +331,14 @@ impl<S: SequentialSpec> Participant for HybridObject<S> {
         self.core.install(&mut inner.updates, txn);
         match ts {
             Some(t) => {
-                let snapshot = inner.updates.committed.clone();
-                inner.versions.push((t, snapshot.clone()));
+                // One copy of the frontier, kept as a version and
+                // published as the newest one.
+                let version = Arc::new((t, inner.updates.committed.clone()));
+                inner.versions.push(Arc::clone(&version));
                 // Publish under `mu` so published versions stay monotone
                 // in timestamp; the manager's commit gate orders this
                 // before any reader with a larger timestamp begins.
-                self.latest.publish(Arc::new((t, snapshot)));
+                self.latest.publish(version);
                 self.core.log.record(Event::commit_ts(txn, id, t));
             }
             None => {
