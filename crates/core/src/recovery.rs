@@ -430,24 +430,29 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// Commits `txn` unless it already has a durable outcome: appends and
     /// forces the record `kind` builds from the staged operations, then
     /// replays those same operations into the cache. The index is read
-    /// once, for both the outcome and the operations.
+    /// once, for both the outcome and the operations, and the operations
+    /// are borrowed from it, not copied: the index lock is held across
+    /// the append, the force and the replay, all of which rank above it.
+    /// So commits at one store take turns, force included; stores
+    /// sharing one log still force together.
     fn commit_kind(&self, txn: ActivityId, kind: impl FnOnce(&[OpResult]) -> RecordKind) {
-        let undecided = self
-            .with_index(|idx| (!idx.outcome.contains_key(&txn)).then(|| idx.staged(txn).to_vec()));
-        let Some(ops) = undecided else {
-            return;
-        };
-        let kind = kind(&ops);
-        debug_assert!(kind.is_commit());
-        self.log.append(LogRecord {
-            txn,
-            object: self.object,
-            kind,
+        self.with_index(|idx| {
+            if idx.outcome.contains_key(&txn) {
+                return;
+            }
+            let ops = idx.staged(txn);
+            let kind = kind(ops);
+            debug_assert!(kind.is_commit());
+            self.log.append(LogRecord {
+                txn,
+                object: self.object,
+                kind,
+            });
+            self.log.sync();
+            if let Some(states) = self.volatile.lock().as_mut() {
+                replay_into(&self.spec, states, ops);
+            }
         });
-        self.log.sync();
-        if let Some(states) = self.volatile.lock().as_mut() {
-            replay_into(&self.spec, states, &ops);
-        }
     }
 
     /// Durably aborts, discarding staged intentions. Idempotent, like
@@ -534,61 +539,10 @@ impl<S: SequentialSpec> IntentionsStore<S> {
     /// per-transaction index (a prepare's operations are moved into it,
     /// not copied), and each commit is redone from the index in place.
     pub fn recover(&self) -> RecoveryOutcome {
-        let records = self.log.records();
-        let mut index = TxnIndex {
-            seen: records.len(),
-            ..TxnIndex::default()
-        };
-        // One pass: membership is probed in ordered sets, the `Vec`s only
-        // keep the reported order.
-        let mut redone: Vec<ActivityId> = Vec::new();
-        let mut discarded: Vec<ActivityId> = Vec::new();
-        let mut decided: BTreeSet<ActivityId> = BTreeSet::new();
-        // Undecided transactions, with the log position of the prepare
-        // that (re-)opened each — their reported order.
-        let mut open: BTreeMap<ActivityId, usize> = BTreeMap::new();
-        for (at, r) in records.into_iter().enumerate() {
-            if r.object != self.object {
-                continue;
-            }
-            let (txn, prepare, commit) = (
-                r.txn,
-                matches!(r.kind, RecordKind::Prepare { .. }),
-                r.kind.is_commit(),
-            );
-            index.absorb(r);
-            if prepare {
-                open.entry(txn).or_insert(at);
-                continue;
-            }
-            // Duplicate outcome records (a crash can lose the in-memory
-            // idempotency state) are applied once: the first one wins.
-            if !decided.insert(txn) {
-                continue;
-            }
-            open.remove(&txn);
-            if commit {
-                redone.push(txn);
-            } else {
-                discarded.push(txn);
-            }
-        }
-        // Redone in commit order, each from the operations its
-        // transaction staged last anywhere in the log.
-        let mut states = vec![self.spec.initial()];
-        for txn in &redone {
-            replay_into(&self.spec, &mut states, index.staged(*txn));
-        }
+        let (states, index, outcome) = redo(&self.spec, self.object, self.log.records());
         *self.volatile.lock() = Some(states);
         *self.index.lock() = index;
-        let mut in_doubt: Vec<(usize, ActivityId)> =
-            open.into_iter().map(|(txn, at)| (at, txn)).collect();
-        in_doubt.sort_unstable();
-        RecoveryOutcome {
-            redone,
-            in_doubt: in_doubt.into_iter().map(|(_, txn)| txn).collect(),
-            discarded,
-        }
+        outcome
     }
 
     /// Resolves an in-doubt transaction after consulting the coordinator.
@@ -644,6 +598,81 @@ impl<S: SequentialSpec> IntentionsStore<S> {
             states
         })
     }
+}
+
+/// Redo recovery of `object` from `records`, taken by value: the
+/// committed state frontier and what became of each transaction, exactly
+/// as [`IntentionsStore::recover`] installs and reports them, for a
+/// caller that holds the records itself and needs no store. The prepares'
+/// operations are moved into the recovery's index, never copied.
+pub fn redo_log<S: SequentialSpec>(
+    spec: &S,
+    object: ObjectId,
+    records: Vec<LogRecord>,
+) -> (Vec<S::State>, RecoveryOutcome) {
+    let (states, _, outcome) = redo(spec, object, records);
+    (states, outcome)
+}
+
+/// [`redo_log`], also handing back the transaction index it built.
+fn redo<S: SequentialSpec>(
+    spec: &S,
+    object: ObjectId,
+    records: Vec<LogRecord>,
+) -> (Vec<S::State>, TxnIndex, RecoveryOutcome) {
+    let mut index = TxnIndex {
+        seen: records.len(),
+        ..TxnIndex::default()
+    };
+    // One pass: membership is probed in ordered sets, the `Vec`s only
+    // keep the reported order.
+    let mut redone: Vec<ActivityId> = Vec::new();
+    let mut discarded: Vec<ActivityId> = Vec::new();
+    let mut decided: BTreeSet<ActivityId> = BTreeSet::new();
+    // Undecided transactions, with the log position of the prepare
+    // that (re-)opened each — their reported order.
+    let mut open: BTreeMap<ActivityId, usize> = BTreeMap::new();
+    for (at, r) in records.into_iter().enumerate() {
+        if r.object != object {
+            continue;
+        }
+        let (txn, prepare, commit) = (
+            r.txn,
+            matches!(r.kind, RecordKind::Prepare { .. }),
+            r.kind.is_commit(),
+        );
+        index.absorb(r);
+        if prepare {
+            open.entry(txn).or_insert(at);
+            continue;
+        }
+        // Duplicate outcome records (a crash can lose the in-memory
+        // idempotency state) are applied once: the first one wins.
+        if !decided.insert(txn) {
+            continue;
+        }
+        open.remove(&txn);
+        if commit {
+            redone.push(txn);
+        } else {
+            discarded.push(txn);
+        }
+    }
+    // Redone in commit order, each from the operations its
+    // transaction staged last anywhere in the log.
+    let mut states = vec![spec.initial()];
+    for txn in &redone {
+        replay_into(spec, &mut states, index.staged(*txn));
+    }
+    let mut in_doubt: Vec<(usize, ActivityId)> =
+        open.into_iter().map(|(txn, at)| (at, txn)).collect();
+    in_doubt.sort_unstable();
+    let outcome = RecoveryOutcome {
+        redone,
+        in_doubt: in_doubt.into_iter().map(|(_, txn)| txn).collect(),
+        discarded,
+    };
+    (states, index, outcome)
 }
 
 /// Undo-log recovery: eager in-place update with durable operation
