@@ -28,7 +28,7 @@
 //! [`IntentionsStore::recover`]: atomicity_core::recovery::IntentionsStore::recover
 
 use crate::kv::ShardKvSpec;
-use atomicity_core::recovery::{IntentionsStore, StableLog};
+use atomicity_core::recovery::redo_log;
 use atomicity_core::sync::{Mutex, Rank};
 use atomicity_core::{CommutesRel, ConflictTable, KeyFootprint, LogRecord, RecordKind};
 use atomicity_lint::{synthesize_table, SynthConfig};
@@ -358,26 +358,17 @@ pub fn parallel_replay(graph: &DepGraph, threads: usize) -> BTreeMap<i64, i64> {
 }
 
 /// The serial value-log baseline: recovery exactly as production runs it
-/// — [`IntentionsStore::recover`] over a copy of the records, one commit
-/// at a time — returning the recovered key/value state.
+/// — [`redo_log`], the procedure behind [`IntentionsStore::recover`], over
+/// one copy of the records, one commit at a time — returning the
+/// recovered key/value state.
 ///
 /// [`IntentionsStore::recover`]: atomicity_core::recovery::IntentionsStore::recover
 pub fn serial_replay(records: &[LogRecord]) -> BTreeMap<i64, i64> {
     let Some(object) = records.first().map(|r| r.object) else {
         return BTreeMap::new();
     };
-    let log = StableLog::new();
-    for r in records {
-        atomicity_core::DurableLog::append(&log, r.clone());
-    }
-    let store = IntentionsStore::new(ShardKvSpec::new(), object, log);
-    store.crash();
-    store.recover();
-    store
-        .committed_frontier()
-        .into_iter()
-        .next()
-        .unwrap_or_default()
+    let (states, _) = redo_log(&ShardKvSpec::new(), object, records.to_vec());
+    states.into_iter().next().unwrap_or_default()
 }
 
 /// A certified parallel recovery: the recovered state plus the evidence

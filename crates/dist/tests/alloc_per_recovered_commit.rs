@@ -11,7 +11,9 @@
 //! each slice in place, with inverses to roll back a refused one, made
 //! 41.0 and 40.8; reading the log once, moving each prepare's operations
 //! into the transaction index and redoing each commit from the index by
-//! reference makes 20.0 and 19.8.
+//! reference made 20.0 and 19.8; handing recovery one copy of the records
+//! by value, instead of appending a copy to a log and reading a second
+//! copy back out, makes 12.7 and 12.7.
 
 use atomicity_core::{LogRecord, RecordKind};
 use atomicity_dist::deplog::serial_replay;
@@ -66,12 +68,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations per redone commit serial recovery may make: 20.0 are made.
-/// Most are the records' two copies (the one `serial_replay` appends to a
-/// log, the one recovery reads back from it), 7 each: the operation list
-/// and a name and an argument vector per operation. Two inverses and
-/// their list are the undo log's share.
-const MAX_ALLOCS_PER_COMMIT: f64 = 22.0;
+/// Allocations per redone commit serial recovery may make: 12.7 are made.
+/// Most are the one copy of the records `serial_replay` hands recovery by
+/// value, 7 per commit: the operation list and a name and an argument
+/// vector per operation. Two inverses and their list are the undo log's
+/// share.
+const MAX_ALLOCS_PER_COMMIT: f64 = 14.0;
 
 /// E15's recovery log as one shard writes it without dependency logging:
 /// a prepare and a commit record per marketplace transaction.
