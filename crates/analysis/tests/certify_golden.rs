@@ -9,7 +9,11 @@
 //! - 256 event soups — arbitrary, mostly malformed streams — drawn from a
 //!   fixed linear congruential generator, under all three properties;
 //! - twenty contended deposits, with and without a trailing withdraw
-//!   that conflicts with them, through both entry points.
+//!   that conflicts with them, through both entry points;
+//! - bank accounts that each commit a withdrawal from an empty balance
+//!   while one open depositor keeps every window from retiring, so every
+//!   object is refuted only when the stream finishes and the rows show
+//!   which object the monitor concludes first.
 //!
 //! The file was captured while `analysis::certify` still held its own
 //! post-hoc watermark procedure beside the streaming monitor, before the
@@ -199,6 +203,29 @@ fn contended_deposits(withdraw: bool) -> History {
     History::from_events(events)
 }
 
+/// `n` bank accounts, arriving in descending id order: one depositor
+/// stays open on all of them, and on each a liar commits a withdrawal
+/// that an empty account cannot have granted.
+fn liars(n: u32) -> (History, SystemSpec) {
+    let objects: Vec<ObjectId> = (1..=n).rev().map(ObjectId::new).collect();
+    let spec = objects.iter().fold(SystemSpec::new(), |spec, &x| {
+        spec.with_object(x, BankAccountSpec::new())
+    });
+    let holder = ActivityId::new(1_000);
+    let mut events = Vec::new();
+    for &x in &objects {
+        events.push(Event::invoke(holder, x, op("deposit", [1])));
+        events.push(Event::respond(holder, x, Value::ok()));
+    }
+    for &x in &objects {
+        let liar = ActivityId::new(x.raw());
+        events.push(Event::invoke(liar, x, op("withdraw", [5])));
+        events.push(Event::respond(liar, x, Value::ok()));
+        events.push(Event::commit(liar, x));
+    }
+    (History::from_events(events), spec)
+}
+
 fn transcript() -> String {
     let mut out = String::new();
     for (name, h) in paper_cases() {
@@ -222,6 +249,12 @@ fn transcript() -> String {
             let c = certify_with_relation(p, &h, &spec, &deposits);
             let flagged = violations(p, &h, &spec, Some(Arc::new(deposits)), &c);
             row(&mut out, &format!("{name}/with_relation"), &c, &flagged);
+        }
+    }
+    for n in [2, 3, 4, 8, 16] {
+        let (h, spec) = liars(n);
+        for p in PROPERTIES {
+            certify_row(&mut out, &format!("liars/{n:02}"), p, &h, &spec);
         }
     }
     out

@@ -89,9 +89,6 @@ impl<S: SequentialSpec, R: LockRelation<S>> AtomicObject for LockedObject<S, R> 
     }
 
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
         self.register_txn(txn);
         let me = txn.id();
         // Validity pre-check so ill-typed operations leave no events.

@@ -207,9 +207,6 @@ impl ReedRegister {
 
 impl AtomicObject for ReedRegister {
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
         let t = txn.start_ts().ok_or_else(|| TxnError::ProtocolMismatch {
             object: self.id,
             detail: "Reed's scheme requires start timestamps".into(),

@@ -2,7 +2,7 @@
 //!
 //! N OS threads each drive M transactions against a **private** bank
 //! account, so the only cross-thread serialization points are the shared
-//! infrastructure: the history recorder, the transaction table, the
+//! infrastructure: the history recorder, the transaction-id counter, the
 //! Lamport clock, and (under hybrid) the commit gate. E9 certifies a
 //! history of this shape and E10 runs the shared-account variant with the
 //! metrics registry attached; what the recorder *costs* is the

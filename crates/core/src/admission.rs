@@ -144,12 +144,9 @@ pub trait Admission: AtomicObject {
     }
 
     /// One non-blocking admission attempt for a live transaction:
-    /// checks liveness, registers the participant, then delegates to
+    /// registers the participant, then delegates to
     /// [`Admission::admit_one`].
     fn try_admit(&self, txn: &Txn, operation: Operation) -> AdmissionOutcome {
-        if !txn.is_active() {
-            return AdmissionOutcome::Rejected(TxnError::NotActive { txn: txn.id() });
-        }
         self.register_txn(txn);
         self.admit_one(&AdmissionRequest::from_txn(txn, operation))
     }
@@ -264,8 +261,9 @@ mod tests {
             .into_result(object),
             Err(TxnError::WouldBlock { object })
         );
-        let e = TxnError::NotActive {
+        let e = TxnError::Deadlock {
             txn: ActivityId::new(1),
+            object,
         };
         assert_eq!(
             AdmissionOutcome::Rejected(e.clone()).into_result(object),

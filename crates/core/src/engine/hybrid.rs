@@ -297,9 +297,6 @@ impl<S: SequentialSpec> AtomicObject for HybridObject<S> {
             // Read-only invocations never block.
             return self.try_invoke(txn, operation);
         }
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
         self.register_txn(txn);
         let request = AdmissionRequest::from_txn(txn, operation);
         let invoke_sw = self.core.metrics.stopwatch();

@@ -427,9 +427,6 @@ impl<S: SequentialSpec> AtomicObject for StaticObject<S> {
     }
 
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        if !txn.is_active() {
-            return Err(TxnError::NotActive { txn: txn.id() });
-        }
         self.register_txn(txn);
         let request = AdmissionRequest::from_txn(txn, operation);
         let invoke_sw = self.metrics.stopwatch();

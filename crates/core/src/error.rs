@@ -13,8 +13,6 @@ use std::fmt;
 /// pattern-matching the (non-exhaustive, payload-carrying) error enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum AbortReason {
-    /// The transaction was already committed or aborted.
-    NotActive,
     /// Waiting would deadlock (or wait-die killed the requester).
     Deadlock,
     /// Serializing at the transaction's timestamp would invalidate
@@ -34,8 +32,7 @@ pub enum AbortReason {
 
 impl AbortReason {
     /// Every reason, in taxonomy (index) order.
-    pub const ALL: [AbortReason; 8] = [
-        AbortReason::NotActive,
+    pub const ALL: [AbortReason; 7] = [
         AbortReason::Deadlock,
         AbortReason::TimestampConflict,
         AbortReason::InvalidOperation,
@@ -48,7 +45,6 @@ impl AbortReason {
     /// A short stable label (used as JSON keys in metrics reports).
     pub fn label(self) -> &'static str {
         match self {
-            AbortReason::NotActive => "not_active",
             AbortReason::Deadlock => "deadlock",
             AbortReason::TimestampConflict => "timestamp_conflict",
             AbortReason::InvalidOperation => "invalid_operation",
@@ -103,11 +99,6 @@ impl fmt::Display for AbortReason {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TxnError {
-    /// The transaction was already committed or aborted.
-    NotActive {
-        /// The transaction in question.
-        txn: ActivityId,
-    },
     /// Waiting for a conflicting transaction would deadlock (or the
     /// wait-die policy chose to kill the requester). The transaction must
     /// abort.
@@ -180,7 +171,6 @@ impl TxnError {
     /// The stable [`AbortReason`] code for this error.
     pub fn reason(&self) -> AbortReason {
         match self {
-            TxnError::NotActive { .. } => AbortReason::NotActive,
             TxnError::Deadlock { .. } => AbortReason::Deadlock,
             TxnError::TimestampConflict { .. } => AbortReason::TimestampConflict,
             TxnError::InvalidOperation { .. } => AbortReason::InvalidOperation,
@@ -195,7 +185,6 @@ impl TxnError {
 impl fmt::Display for TxnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TxnError::NotActive { txn } => write!(f, "transaction {txn} is not active"),
             TxnError::Deadlock { txn, object } => {
                 write!(f, "transaction {txn} would deadlock at {object}")
             }
@@ -239,7 +228,7 @@ mod tests {
         assert!(TxnError::Deadlock { txn, object }.must_abort());
         assert!(TxnError::TimestampConflict { txn, object }.must_abort());
         assert!(TxnError::TimestampTooOld { txn, object }.must_abort());
-        assert!(!TxnError::NotActive { txn }.must_abort());
+        assert!(!TxnError::PrepareFailed { txn, object }.must_abort());
         assert!(!TxnError::InvalidOperation {
             object,
             operation: "frob".into()

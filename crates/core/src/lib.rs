@@ -85,4 +85,4 @@ pub use trace::{
     HistogramSnapshot, LatencyHistogram, MetricsRegistry, MetricsSnapshot, ObjectMetrics,
     ObjectMetricsSnapshot, Stopwatch, TraceBuffer, TraceKind, TraceRecord,
 };
-pub use txn::{Txn, TxnKind, TxnStatus};
+pub use txn::{Txn, TxnKind};

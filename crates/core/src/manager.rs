@@ -7,15 +7,12 @@ use crate::log::HistoryLog;
 use crate::object::Participant;
 use crate::sync::{Mutex, Rank};
 use crate::trace::MetricsRegistry;
-use crate::txn::{Txn, TxnKind, TxnStatus};
+use crate::txn::{Txn, TxnKind};
 use atomicity_spec::{ActivityId, History, Timestamp};
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-
-/// Number of shards for the transaction table. Transactions map to shards
-/// by id, so begin/commit/abort of distinct transactions rarely contend.
-const TXN_SHARDS: usize = 16;
 
 /// Which local atomicity property the system is run under.
 ///
@@ -42,6 +39,10 @@ pub enum Protocol {
 /// drives the two-phase commit across participants, arbitrates deadlocks,
 /// and records every commit/abort into the shared [`HistoryLog`].
 ///
+/// The manager keeps no table of transactions: each [`Txn`] handle owns
+/// its record (the objects it touched), and committing or aborting
+/// consumes it.
+///
 /// Cloning is cheap and yields a handle to the **same** manager (workload
 /// threads each hold a clone).
 ///
@@ -51,7 +52,6 @@ pub enum Protocol {
 /// use atomicity_core::{TxnManager, Protocol};
 /// let mgr = TxnManager::new(Protocol::Dynamic);
 /// let t = mgr.begin();
-/// assert!(t.is_active());
 /// mgr.commit(t).unwrap();
 /// ```
 #[derive(Clone)]
@@ -69,11 +69,6 @@ pub(crate) struct ManagerInner {
     /// against read-only initiation, so a reader's timestamp cleanly
     /// partitions "committed before" from "committed after".
     commit_gate: Mutex<()>,
-    /// The transaction table, sharded by [`ActivityId`] so the hot
-    /// begin/commit/abort path contends only when two threads touch the
-    /// same transaction (or collide in a shard), not on every lifecycle
-    /// transition in the system.
-    txns: Box<[Mutex<HashMap<ActivityId, TxnRecord>>]>,
     waits: Mutex<WaitGraph>,
     /// Fast-path flag mirroring "the wait graph has at least one waiter".
     /// Maintained under the `waits` lock; read without it by `finish`, so
@@ -133,9 +128,6 @@ impl ManagerBuilder {
                 clock: Arc::new(LamportClock::new()),
                 log: self.log,
                 commit_gate: Mutex::new(Rank::ManagerCommitGate, ()),
-                txns: (0..TXN_SHARDS)
-                    .map(|_| Mutex::new(Rank::ManagerTxnShard, HashMap::new()))
-                    .collect(),
                 waits: Mutex::new(Rank::ManagerWaits, WaitGraph::new()),
                 has_waiters: AtomicBool::new(false),
                 metrics: self.metrics,
@@ -144,9 +136,10 @@ impl ManagerBuilder {
     }
 }
 
-struct TxnRecord {
-    status: TxnStatus,
-    participants: Vec<Arc<dyn Participant>>,
+/// How [`TxnManager::finish`] ends a transaction at its participants.
+enum Outcome {
+    Committed,
+    Aborted,
 }
 
 impl TxnManager {
@@ -260,18 +253,12 @@ impl TxnManager {
 
     fn make_txn(&self, kind: TxnKind, start_ts: Option<Timestamp>) -> Txn {
         let id = ActivityId::new(self.inner.next_id.fetch_add(1, Ordering::SeqCst));
-        self.inner.txn_shard(id).lock().insert(
-            id,
-            TxnRecord {
-                status: TxnStatus::Active,
-                participants: Vec::new(),
-            },
-        );
         self.inner.metrics.txn_begun(id);
         Txn {
             id,
             kind,
             start_ts,
+            participants: RefCell::new(Vec::new()),
             inner: Arc::clone(&self.inner),
         }
     }
@@ -283,28 +270,31 @@ impl TxnManager {
     /// Returns the commit timestamp for hybrid updates, the start
     /// timestamp for static transactions, `None` otherwise.
     ///
+    /// The handle is consumed, so a completed transaction cannot be
+    /// committed (or aborted) again:
+    ///
+    /// ```compile_fail,E0382
+    /// use atomicity_core::{Protocol, TxnManager};
+    /// let mgr = TxnManager::new(Protocol::Dynamic);
+    /// let t = mgr.begin();
+    /// mgr.commit(t).unwrap();
+    /// mgr.commit(t).unwrap();
+    /// ```
+    ///
     /// # Errors
     ///
-    /// - [`TxnError::NotActive`] if the transaction already completed.
-    /// - [`TxnError::PrepareFailed`] if a participant vetoed; the
-    ///   transaction has then been aborted at every participant.
+    /// [`TxnError::PrepareFailed`] if a participant vetoed; the
+    /// transaction has then been aborted at every participant.
     pub fn commit(&self, txn: Txn) -> Result<Option<Timestamp>, TxnError> {
         let id = txn.id;
-        let participants = {
-            let mut shard = self.inner.txn_shard(id).lock();
-            let rec = shard.get_mut(&id).ok_or(TxnError::NotActive { txn: id })?;
-            if rec.status != TxnStatus::Active {
-                return Err(TxnError::NotActive { txn: id });
-            }
-            rec.participants.clone()
-        };
+        let participants = txn.participants.into_inner();
         let sw = self.inner.metrics.stopwatch();
 
         // Phase 1: prepare.
         self.inner.metrics.txn_prepare(id);
         for p in &participants {
             if let Err(_veto) = p.prepare(id) {
-                self.finish(id, &participants, TxnStatus::Aborted, None);
+                self.finish(id, &participants, Outcome::Aborted);
                 self.inner
                     .metrics
                     .txn_aborted(id, Some(crate::AbortReason::PrepareFailed));
@@ -321,8 +311,7 @@ impl TxnManager {
                 // The gate's invariant is only about timestamp assignment
                 // and version installation racing read-only initiation, so
                 // the critical section is exactly that: tick + installs.
-                // Record bookkeeping (status, wait edges) happens after the
-                // gate is released.
+                // Waking waiters happens after the gate is released.
                 let ts = {
                     let _gate = self.inner.commit_gate.lock();
                     let ts = self.inner.clock.tick();
@@ -331,11 +320,11 @@ impl TxnManager {
                     }
                     ts
                 };
-                self.complete(id, TxnStatus::Committed);
+                self.complete(id);
                 Some(ts)
             }
             _ => {
-                self.finish(id, &participants, TxnStatus::Committed, None);
+                self.finish(id, &participants, Outcome::Committed);
                 txn.start_ts
             }
         };
@@ -344,51 +333,31 @@ impl TxnManager {
     }
 
     /// Aborts `txn`, discarding its effects at every participant and
-    /// recording abort events. Aborting a completed transaction is a
-    /// no-op.
+    /// recording abort events.
     pub fn abort(&self, txn: Txn) {
         let id = txn.id;
-        let participants = {
-            let mut shard = self.inner.txn_shard(id).lock();
-            match shard.get_mut(&id) {
-                Some(rec) if rec.status == TxnStatus::Active => rec.participants.clone(),
-                _ => return,
-            }
-        };
-        self.finish(id, &participants, TxnStatus::Aborted, None);
+        self.finish(id, &txn.participants.into_inner(), Outcome::Aborted);
         self.inner.metrics.txn_aborted(id, None);
     }
 
-    /// Applies the final status at every participant and updates records.
-    fn finish(
-        &self,
-        id: ActivityId,
-        participants: &[Arc<dyn Participant>],
-        status: TxnStatus,
-        ts: Option<Timestamp>,
-    ) {
+    /// Ends the transaction at every participant, then wakes its waiters.
+    fn finish(&self, id: ActivityId, participants: &[Arc<dyn Participant>], outcome: Outcome) {
         for p in participants {
-            match status {
-                TxnStatus::Committed => p.commit(id, ts),
-                TxnStatus::Aborted => p.abort(id),
-                TxnStatus::Active => unreachable!("finish with Active status"),
+            match outcome {
+                Outcome::Committed => p.commit(id, None),
+                Outcome::Aborted => p.abort(id),
             }
         }
-        self.complete(id, status);
+        self.complete(id);
     }
 
-    /// Final record bookkeeping: status transition and wake-up of waiters.
+    /// Clears the waits-for edges into a completed transaction.
     ///
     /// When nothing is blocked (`has_waiters` false) the wait-graph lock is
-    /// skipped entirely. The flag is maintained under the `waits` lock; the
-    /// unlocked read here can race a waiter inserting its first edge, in
-    /// which case that waiter's timed wait simply expires and it re-checks
-    /// the (now completed) holder — the same bounded retry that already
-    /// backstops the status-check/edge-insert race in the engines.
-    fn complete(&self, id: ActivityId, status: TxnStatus) {
-        if let Some(rec) = self.inner.txn_shard(id).lock().get_mut(&id) {
-            rec.status = status;
-        }
+    /// skipped entirely. The flag is maintained under the `waits` lock and
+    /// cannot miss a waiter on `id`: the waiter set it while holding an
+    /// object lock that `id`'s participants had still to take.
+    fn complete(&self, id: ActivityId) {
         if self.inner.has_waiters.load(Ordering::SeqCst) {
             let mut waits = self.inner.waits.lock();
             waits.clear_target(id);
@@ -396,11 +365,6 @@ impl TxnManager {
                 .has_waiters
                 .store(waits.waiter_count() > 0, Ordering::SeqCst);
         }
-    }
-
-    /// The status of a transaction, if known.
-    pub fn status(&self, id: ActivityId) -> Option<TxnStatus> {
-        self.inner.status(id)
     }
 
     /// Number of transactions currently blocked in waits.
@@ -419,49 +383,14 @@ impl std::fmt::Debug for TxnManager {
 }
 
 impl ManagerInner {
-    /// The transaction-table shard holding `id`'s record.
-    fn txn_shard(&self, id: ActivityId) -> &Mutex<HashMap<ActivityId, TxnRecord>> {
-        &self.txns[id.raw() as usize % TXN_SHARDS]
-    }
-
-    pub(crate) fn status(&self, id: ActivityId) -> Option<TxnStatus> {
-        self.txn_shard(id).lock().get(&id).map(|r| r.status)
-    }
-
-    pub(crate) fn register_participant(&self, id: ActivityId, p: Arc<dyn Participant>) {
-        let mut shard = self.txn_shard(id).lock();
-        if let Some(rec) = shard.get_mut(&id) {
-            let oid = p.object_id();
-            if !rec.participants.iter().any(|q| q.object_id() == oid) {
-                rec.participants.push(p);
-            }
-        }
-    }
-
+    /// See [`Txn::request_wait`]: every holder is active.
     pub(crate) fn request_wait(
         &self,
         waiter: ActivityId,
-        holders: &std::collections::BTreeSet<ActivityId>,
+        holders: &BTreeSet<ActivityId>,
     ) -> WaitDecision {
-        // Never wait on transactions that already completed: their effects
-        // are final, waiting on them cannot help.
-        let live: std::collections::BTreeSet<ActivityId> = holders
-            .iter()
-            .filter(|h| {
-                self.txn_shard(**h)
-                    .lock()
-                    .get(h)
-                    .map(|r| r.status == TxnStatus::Active)
-                    .unwrap_or(false)
-            })
-            .copied()
-            .collect();
-        if live.is_empty() {
-            // Nothing live to wait on: let the caller retry immediately.
-            return WaitDecision::Wait;
-        }
         let mut waits = self.waits.lock();
-        let decision = waits.request_wait(waiter, &live, self.policy);
+        let decision = waits.request_wait(waiter, holders, self.policy);
         self.has_waiters
             .store(waits.waiter_count() > 0, Ordering::SeqCst);
         decision
@@ -522,11 +451,10 @@ mod tests {
         let probe = Arc::new(Probe::default());
         let t = mgr.begin();
         t.register(Arc::clone(&probe) as Arc<dyn Participant>);
-        let id = t.id();
         assert_eq!(mgr.commit(t).unwrap(), None);
         assert_eq!(probe.prepared.load(Ordering::SeqCst), 1);
         assert_eq!(probe.committed.load(Ordering::SeqCst), 1);
-        assert_eq!(mgr.status(id), Some(TxnStatus::Committed));
+        assert_eq!(probe.aborted.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -538,12 +466,11 @@ mod tests {
         });
         let t = mgr.begin();
         t.register(Arc::clone(&probe) as Arc<dyn Participant>);
-        let id = t.id();
         let err = mgr.commit(t).unwrap_err();
         assert!(matches!(err, TxnError::PrepareFailed { .. }));
+        assert_eq!(probe.prepared.load(Ordering::SeqCst), 1);
         assert_eq!(probe.aborted.load(Ordering::SeqCst), 1);
         assert_eq!(probe.committed.load(Ordering::SeqCst), 0);
-        assert_eq!(mgr.status(id), Some(TxnStatus::Aborted));
     }
 
     #[test]
@@ -594,38 +521,17 @@ mod tests {
     }
 
     #[test]
-    fn double_commit_rejected() {
-        let mgr = TxnManager::new(Protocol::Dynamic);
-        let t = mgr.begin();
-        let id = t.id();
-        mgr.commit(t).unwrap();
-        // Forge a second handle to simulate a stale user.
-        let stale = Txn {
-            id,
-            kind: TxnKind::Update,
-            start_ts: None,
-            inner: Arc::clone(&mgr.inner),
-        };
-        assert!(matches!(mgr.commit(stale), Err(TxnError::NotActive { .. })));
-    }
-
-    #[test]
     fn abort_after_commit_is_noop() {
         let mgr = TxnManager::new(Protocol::Dynamic);
         let probe = Arc::new(Probe::default());
         let t = mgr.begin();
         t.register(Arc::clone(&probe) as Arc<dyn Participant>);
-        let id = t.id();
         mgr.commit(t).unwrap();
-        let stale = Txn {
-            id,
-            kind: TxnKind::Update,
-            start_ts: None,
-            inner: Arc::clone(&mgr.inner),
-        };
-        mgr.abort(stale);
+        // The committed handle is gone; a later transaction's abort never
+        // reaches the object the committed one touched.
+        mgr.abort(mgr.begin());
+        assert_eq!(probe.committed.load(Ordering::SeqCst), 1);
         assert_eq!(probe.aborted.load(Ordering::SeqCst), 0);
-        assert_eq!(mgr.status(id), Some(TxnStatus::Committed));
     }
 
     #[test]
@@ -681,19 +587,5 @@ mod tests {
         let t = mgr.begin();
         mgr.commit(t).unwrap();
         assert_eq!(mgr.metrics().snapshot().txns_begun, 0);
-    }
-
-    #[test]
-    fn waits_on_dead_transactions_are_skipped() {
-        let mgr = TxnManager::new(Protocol::Dynamic);
-        let t1 = mgr.begin();
-        let t2 = mgr.begin();
-        let id1 = t1.id();
-        mgr.commit(t1).unwrap();
-        // t2 asks to wait on the committed t1: allowed (immediate retry).
-        let holders = [id1].into_iter().collect();
-        assert_eq!(t2.request_wait(&holders), WaitDecision::Wait);
-        assert_eq!(mgr.blocked_count(), 0);
-        mgr.abort(t2);
     }
 }

@@ -59,7 +59,6 @@ pub trait AtomicObject: Participant {
     ///   by the object's specification; the transaction may continue.
     /// - [`TxnError::ProtocolMismatch`]: the transaction kind or timestamp
     ///   discipline does not fit this object's protocol.
-    /// - [`TxnError::NotActive`]: the transaction already completed.
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError>;
 
     /// Non-blocking variant of [`AtomicObject::invoke`]: a single

@@ -32,8 +32,8 @@ pub use parking_lot::WaitTimeoutResult;
 ///
 /// The layers, outermost first: the hybrid commit gate; the object locks,
 /// each held across history recording and the deadlock policy's
-/// `request_wait`; the manager's transaction table; the recovery stores and
-/// the write-ahead log; the history log and wait graph; the leaves.
+/// `request_wait`; the recovery stores and the write-ahead log; the
+/// history log and wait graph; the leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rank {
     /// `deplog.ready`: the parallel-replay work queue, never held while
@@ -65,9 +65,6 @@ pub enum Rank {
     /// `static_ts.mu`: a `StaticObject`'s log, held across `request_wait`
     /// by the blocking invoke.
     StaticTsMu,
-    /// `manager.txn_shard`: one shard of the transaction table, read by
-    /// `request_wait` under every object lock.
-    ManagerTxnShard,
     /// `recovery.durable`: an `UndoStore`'s durable cell.
     RecoveryDurable,
     /// `recovery.index`: an `IntentionsStore`'s per-transaction index.
@@ -282,19 +279,19 @@ mod tests {
 
     #[test]
     fn an_inverted_acquisition_panics_and_names_both_locks() {
-        let shard = Mutex::new(Rank::ManagerTxnShard, ());
+        let shard = Mutex::new(Rank::LogShard, ());
         let object = Mutex::new(Rank::StaticTsMu, ());
         let msg = panic_message(|| {
             let _shard = shard.lock();
             let _object = object.lock();
         });
         assert!(msg.contains("`StaticTsMu`"), "{msg}");
-        assert!(msg.contains("`ManagerTxnShard`"), "{msg}");
+        assert!(msg.contains("`LogShard`"), "{msg}");
         assert!(held_now().is_empty(), "unwinding released the outer guard");
         // The documented order itself is fine.
         let _object = object.lock();
         let _shard = shard.lock();
-        assert_eq!(held_now(), [Rank::StaticTsMu, Rank::ManagerTxnShard]);
+        assert_eq!(held_now(), [Rank::StaticTsMu, Rank::LogShard]);
     }
 
     #[test]

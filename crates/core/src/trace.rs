@@ -426,7 +426,7 @@ struct RegistryInner {
     wal_batch: LatencyHistogram,
     /// Aborts by [`AbortReason::index`]; unattributed aborts are the
     /// difference between `txns_aborted` and this array's sum.
-    abort_reasons: [AtomicU64; 8],
+    abort_reasons: [AtomicU64; AbortReason::ALL.len()],
     /// Events ingested by an online certifier tapping the stamp stream.
     certifier_observed: AtomicU64,
     /// High-water mark of the online certifier's retained-event set

@@ -4,6 +4,7 @@ use crate::deadlock::WaitDecision;
 use crate::manager::ManagerInner;
 use crate::object::Participant;
 use atomicity_spec::{ActivityId, Timestamp};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -22,29 +23,21 @@ pub enum TxnKind {
     ReadOnly,
 }
 
-/// The lifecycle state of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TxnStatus {
-    /// Running; may invoke operations.
-    Active,
-    /// Successfully completed; effects are permanent.
-    Committed,
-    /// Rolled back; effects are discarded.
-    Aborted,
-}
-
-/// A handle to an active transaction.
+/// A handle to an active transaction, and its only record.
 ///
 /// Created by [`crate::TxnManager::begin`] /
 /// [`crate::TxnManager::begin_read_only`]; consumed by
-/// [`crate::TxnManager::commit`] / [`crate::TxnManager::abort`]. The handle
-/// is intentionally neither `Clone` nor `Sync`-shared: a transaction is a
-/// single sequential thread of control, exactly as the paper's
-/// well-formedness conditions demand.
+/// [`crate::TxnManager::commit`] / [`crate::TxnManager::abort`], so a live
+/// handle is an active transaction and a completed one cannot be named
+/// again. The handle owns the list of objects the transaction touched
+/// and is neither `Clone` nor `Sync`: a transaction is a single
+/// sequential thread of control, exactly as the paper's well-formedness
+/// conditions demand.
 pub struct Txn {
     pub(crate) id: ActivityId,
     pub(crate) kind: TxnKind,
     pub(crate) start_ts: Option<Timestamp>,
+    pub(crate) participants: RefCell<Vec<Arc<dyn Participant>>>,
     pub(crate) inner: Arc<ManagerInner>,
 }
 
@@ -66,20 +59,25 @@ impl Txn {
         self.start_ts
     }
 
-    /// Whether the transaction is still active.
-    pub fn is_active(&self) -> bool {
-        self.inner.status(self.id) == Some(TxnStatus::Active)
-    }
-
     /// Registers `participant` for the commit/abort protocol; idempotent
     /// per object. Objects call this on first use by the transaction.
     pub fn register(&self, participant: Arc<dyn Participant>) {
-        self.inner.register_participant(self.id, participant);
+        let mut participants = self.participants.borrow_mut();
+        let oid = participant.object_id();
+        if !participants.iter().any(|q| q.object_id() == oid) {
+            participants.push(participant);
+        }
     }
 
     /// Asks the deadlock policy whether this transaction may block waiting
     /// for `holders`. On [`WaitDecision::Wait`] the waits-for edges are
     /// recorded and must be cleared with [`Txn::clear_wait`] after waking.
+    ///
+    /// Every holder must be active: the caller computes `holders` under
+    /// the lock that a holder's participant `commit` or `abort` takes, and
+    /// still holds it here. The manager runs those hooks before it clears
+    /// the holder's edges, so no edge can point at a completed
+    /// transaction.
     pub fn request_wait(&self, holders: &BTreeSet<ActivityId>) -> WaitDecision {
         self.inner.request_wait(self.id, holders)
     }
