@@ -217,7 +217,10 @@ mod tests {
         let mgr = TxnManager::new(Protocol::Dynamic);
         let acct =
             CommutativityLockedObject::new(x(), BankAccountSpec::new(), &mgr, bank_commutativity);
+        let invalid = |r| matches!(r, Err(TxnError::InvalidOperation { .. }));
         let a = mgr.begin();
+        // An invalid operation is refused and takes no mode.
+        assert!(invalid(acct.try_invoke(&a, op("frob", [1]))));
         acct.invoke(&a, op("deposit", [5])).unwrap();
         let b = mgr.begin();
         // Deposits commute: admitted without blocking.
@@ -225,6 +228,11 @@ mod tests {
         // Withdraw conflicts with the held deposits: refused.
         let err = acct.try_invoke(&b, op("withdraw", [1])).unwrap_err();
         assert!(matches!(err, TxnError::WouldBlock { .. }));
+        // Under the same conflict, an invalid operation is still invalid.
+        let c = mgr.begin();
+        assert!(invalid(acct.try_invoke(&c, op("frob", [1]))));
+        assert!(invalid(acct.invoke(&c, op("frob", [1]))));
+        mgr.abort(c);
         mgr.commit(a).unwrap();
         mgr.commit(b).unwrap();
     }

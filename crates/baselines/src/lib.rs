@@ -20,14 +20,17 @@
 //!
 //! All baselines record the histories they produce into the shared
 //! [`atomicity_core::HistoryLog`], so the same checkers and experiment
-//! harnesses apply to them.
+//! harnesses apply to them. The lock-based object and Reed's register
+//! implement the engines' one admission step
+//! ([`atomicity_core::engine::Engine`]) and block in their one wait loop
+//! ([`atomicity_core::engine::invoke_blocking`]), so they refuse, block,
+//! die and count exactly as the engines do.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod commutativity_lock;
 mod locked;
-mod locks;
 mod reed_rw;
 mod rw_2pl;
 mod scheduler_model;
@@ -37,9 +40,8 @@ pub use commutativity_lock::{
     CommutativityLockedObject, Commutes,
 };
 pub use locked::LockedObject;
-pub use locks::{LockMode, ModeLock};
 pub use reed_rw::ReedRegister;
-pub use rw_2pl::TwoPhaseLockedObject;
+pub use rw_2pl::{LockMode, TwoPhaseLockedObject};
 pub use scheduler_model::SchedulerModel;
 
 use atomicity_core::engine::{candidates, replay_frontier_to, replay_into};
@@ -94,21 +96,9 @@ impl<S: SequentialSpec> Deferred<S> {
         }
     }
 
-    /// Executes `operation` for `me` (whose lock is already held): picks
-    /// the result and appends the intention. `None` if the specification
-    /// never permits the operation.
-    pub(crate) fn execute(
-        &mut self,
-        spec: &S,
-        me: ActivityId,
-        operation: Operation,
-    ) -> Option<Value> {
-        let v = self.results_for(spec, me, &operation).into_iter().next()?;
-        self.intentions
-            .entry(me)
-            .or_default()
-            .push((operation, v.clone()));
-        Some(v)
+    /// Appends `(operation, v)` to `me`'s intentions list.
+    pub(crate) fn intend(&mut self, me: ActivityId, operation: Operation, v: Value) {
+        self.intentions.entry(me).or_default().push((operation, v));
     }
 
     /// Applies `txn`'s intentions list to the committed frontier.

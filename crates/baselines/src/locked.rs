@@ -8,15 +8,16 @@
 //! [`TwoPhaseLockedObject`]: crate::TwoPhaseLockedObject
 //! [`CommutativityLockedObject`]: crate::CommutativityLockedObject
 
-use crate::locks::ModeLock;
 use crate::{invalid_operation, Deferred};
-use atomicity_core::sync::{Mutex, Rank};
+use atomicity_core::engine::{attempt, invoke_blocking, Engine};
+use atomicity_core::sync::{Condvar, Mutex, Rank};
 use atomicity_core::trace::ObjectMetrics;
 use atomicity_core::{
     Admission, AdmissionOutcome, AdmissionRequest, AtomicObject, HistoryLog, Participant, Txn,
     TxnError, TxnManager,
 };
 use atomicity_spec::{ActivityId, Event, ObjectId, Operation, SequentialSpec, Timestamp, Value};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Weak};
 
 /// The state-independent compatibility relation a [`LockedObject`] locks
@@ -33,18 +34,29 @@ pub trait LockRelation<S>: Send + Sync + 'static {
     fn compatible(&self, a: &Self::Mode, b: &Self::Mode) -> bool;
 }
 
+/// What a [`LockedObject`]'s one mutex guards: the deferred updates and,
+/// per active transaction, the modes it holds.
+struct Locked<S: SequentialSpec, M> {
+    deferred: Deferred<S>,
+    held: BTreeMap<ActivityId, Vec<M>>,
+}
+
 /// An object protected by operation locks held to commit (strict
 /// two-phase), with deferred updates: an invocation waits until its mode
 /// is compatible, per `R`, with every mode held by other active
 /// transactions; intentions are applied at commit, matching the recovery
 /// model the locking literature assumes.
+///
+/// It admits through the engines' one step ([`Engine`]) and blocks in
+/// their one wait loop ([`invoke_blocking`]), so it refuses, blocks and
+/// counts exactly as they do.
 pub struct LockedObject<S: SequentialSpec, R: LockRelation<S>> {
     id: ObjectId,
     spec: S,
     relation: R,
     log: HistoryLog,
-    lock: ModeLock<R::Mode>,
-    state: Mutex<Deferred<S>>,
+    state: Mutex<Locked<S, R::Mode>>,
+    cv: Condvar,
     metrics: ObjectMetrics,
     self_ref: Weak<LockedObject<S, R>>,
 }
@@ -57,14 +69,17 @@ impl<S: SequentialSpec, R: LockRelation<S>> LockedObject<S, R> {
     /// from the `atomicity-lint` synthesis pass — and wires it to the
     /// manager's history log.
     pub fn with_relation(id: ObjectId, spec: S, mgr: &TxnManager, relation: R) -> Arc<Self> {
-        let state = Mutex::new(Rank::LockedState, Deferred::new(&spec));
+        let locked = Locked {
+            deferred: Deferred::new(&spec),
+            held: BTreeMap::new(),
+        };
         Arc::new_cyclic(|self_ref| LockedObject {
             id,
             spec,
             relation,
             log: mgr.log(),
-            lock: ModeLock::new(),
-            state,
+            state: Mutex::new(Rank::LockedState, locked),
+            cv: Condvar::new(),
             metrics: mgr.metrics().object(id),
             self_ref: self_ref.clone(),
         })
@@ -72,14 +87,61 @@ impl<S: SequentialSpec, R: LockRelation<S>> LockedObject<S, R> {
 
     /// Number of transactions currently holding locks here.
     pub fn holder_count(&self) -> usize {
-        self.lock.holder_count()
+        self.state.lock().held.len()
+    }
+}
+
+impl<S: SequentialSpec, R: LockRelation<S>> Engine<Locked<S, R::Mode>> for LockedObject<S, R> {
+    fn meter(&self) -> &ObjectMetrics {
+        &self.metrics
     }
 
-    /// Executes `operation` for `me`, whose lock mode is already held.
-    fn execute_locked(&self, me: ActivityId, operation: Operation) -> Result<Value, TxnError> {
-        let invalid = invalid_operation(self.id, &operation);
-        let mut st = self.state.lock();
-        st.execute(&self.spec, me, operation).ok_or(invalid)
+    /// Validity first, as in every engine: an operation the specification
+    /// never permits is rejected with nothing recorded and no mode taken.
+    /// Then the mode: held incompatibly by another transaction, the
+    /// request is blocked on those holders; otherwise it is taken, the
+    /// intention appended and invoke (unless logged) and respond recorded.
+    fn admission_step(
+        &self,
+        st: &mut Locked<S, R::Mode>,
+        request: &AdmissionRequest,
+        invoked: bool,
+    ) -> AdmissionOutcome {
+        let me = request.txn;
+        let operation = &request.operation;
+        let results = st.deferred.results_for(&self.spec, me, operation);
+        let Some(v) = results.into_iter().next() else {
+            return AdmissionOutcome::Rejected(invalid_operation(self.id, operation));
+        };
+        let mode = self.relation.mode(&self.spec, operation);
+        let holders: BTreeSet<ActivityId> = st
+            .held
+            .iter()
+            .filter(|(id, modes)| {
+                **id != me && modes.iter().any(|m| !self.relation.compatible(&mode, m))
+            })
+            .map(|(id, _)| *id)
+            .collect();
+        if !holders.is_empty() {
+            return AdmissionOutcome::Blocked { holders };
+        }
+        st.held.entry(me).or_default().push(mode);
+        st.deferred.intend(me, operation.clone(), v.clone());
+        let invoke = (!invoked).then(|| Event::invoke(me, self.id, operation.clone()));
+        self.log.record_all(
+            invoke
+                .into_iter()
+                .chain([Event::respond(me, self.id, v.clone())]),
+        );
+        AdmissionOutcome::Admitted(v)
+    }
+
+    fn record_invoke(&self, _st: &mut Locked<S, R::Mode>, request: &AdmissionRequest) {
+        self.log.record(Event::invoke(
+            request.txn,
+            self.id,
+            request.operation.clone(),
+        ));
     }
 }
 
@@ -90,34 +152,10 @@ impl<S: SequentialSpec, R: LockRelation<S>> AtomicObject for LockedObject<S, R> 
 
     fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
         self.register_txn(txn);
-        let me = txn.id();
-        // Validity pre-check so ill-typed operations leave no events.
-        let results = self.state.lock().results_for(&self.spec, me, &operation);
-        if results.is_empty() {
-            return Err(invalid_operation(self.id, &operation));
-        }
-        self.log
-            .record(Event::invoke(me, self.id, operation.clone()));
-        let mode = || self.relation.mode(&self.spec, &operation);
-        let compatible = |a: &R::Mode, b: &R::Mode| self.relation.compatible(a, b);
+        let request = AdmissionRequest::from_txn(txn, operation);
         let invoke_sw = self.metrics.stopwatch();
-        // Fast path first so the blocking path (and its wait timing) is
-        // only entered when the lock is actually contended.
-        if !self.lock.try_acquire(txn, mode(), compatible) {
-            self.metrics.record_block_round(me);
-            let block_sw = self.metrics.stopwatch();
-            if let Err(e) = self.lock.acquire(txn, self.id, mode(), compatible) {
-                if matches!(e, TxnError::Deadlock { .. }) {
-                    self.metrics.record_deadlock_kill(me);
-                }
-                return Err(e);
-            }
-            self.metrics.record_block_wait(&block_sw);
-        }
-        let v = self.execute_locked(me, operation)?;
-        self.metrics.record_admission(me, &invoke_sw);
-        self.log.record(Event::respond(me, self.id, v.clone()));
-        Ok(v)
+        let mut st = self.state.lock();
+        invoke_blocking(self, txn, &request, &mut st, &self.cv, &invoke_sw)
     }
 
     fn metrics(&self) -> ObjectMetrics {
@@ -135,31 +173,12 @@ impl<S: SequentialSpec, R: LockRelation<S>> Admission for LockedObject<S, R> {
     }
 
     fn admit_one(&self, request: &AdmissionRequest) -> AdmissionOutcome {
-        let me = request.txn;
-        let operation = &request.operation;
-        let mode = self.relation.mode(&self.spec, operation);
-        let invoke_sw = self.metrics.stopwatch();
-        if let Err(holders) = self
-            .lock
-            .try_acquire_id(me, mode, |a, b| self.relation.compatible(a, b))
-        {
-            self.metrics.record_block_round(me);
-            return AdmissionOutcome::Blocked { holders };
-        }
-        // Lock taken; execute and record invoke+respond atomically. On an
-        // invalid operation the mode stays held until commit/abort, as in
-        // the blocking path.
-        match self.execute_locked(me, operation.clone()) {
-            Ok(v) => {
-                self.metrics.record_admission(me, &invoke_sw);
-                self.log.record_all([
-                    Event::invoke(me, self.id, operation.clone()),
-                    Event::respond(me, self.id, v.clone()),
-                ]);
-                AdmissionOutcome::Admitted(v)
-            }
-            Err(e) => AdmissionOutcome::Rejected(e),
-        }
+        attempt(self, &mut self.state.lock(), request)
+    }
+
+    fn admit_batch(&self, requests: &[AdmissionRequest]) -> Vec<AdmissionOutcome> {
+        let mut st = self.state.lock();
+        requests.iter().map(|r| attempt(self, &mut st, r)).collect()
     }
 }
 
@@ -170,22 +189,24 @@ impl<S: SequentialSpec, R: LockRelation<S>> Participant for LockedObject<S, R> {
 
     fn commit(&self, txn: ActivityId, ts: Option<Timestamp>) {
         let mut st = self.state.lock();
-        st.install(&self.spec, txn);
+        st.deferred.install(&self.spec, txn);
+        st.held.remove(&txn);
         let event = match ts {
             Some(t) => Event::commit_ts(txn, self.id, t),
             None => Event::commit(txn, self.id),
         };
         self.metrics.record_commit(txn);
         self.log.record(event);
-        drop(st);
-        self.lock.release_all(txn);
+        self.cv.notify_all();
     }
 
     fn abort(&self, txn: ActivityId) {
-        self.state.lock().discard(txn);
+        let mut st = self.state.lock();
+        st.deferred.discard(txn);
+        st.held.remove(&txn);
         self.metrics.record_abort(txn);
         self.log.record(Event::abort(txn, self.id));
-        self.lock.release_all(txn);
+        self.cv.notify_all();
     }
 }
 

@@ -2,14 +2,17 @@
 //! ([Reed 78]) — the special case that
 //! [`atomicity_core::StaticObject`] generalizes to arbitrary operations.
 
+use crate::invalid_operation;
+use atomicity_core::engine::{attempt, invoke_blocking, Engine};
 use atomicity_core::sync::{Condvar, Mutex, Rank};
-use atomicity_core::{AtomicObject, HistoryLog, Participant, Txn, TxnError, TxnManager};
+use atomicity_core::trace::ObjectMetrics;
+use atomicity_core::{
+    AdmissionOutcome, AdmissionRequest, AtomicObject, HistoryLog, Participant, Txn, TxnError,
+    TxnManager,
+};
 use atomicity_spec::{ActivityId, Event, ObjectId, Operation, Timestamp, Value};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Weak};
-use std::time::Duration;
-
-const WAIT_SLICE: Duration = Duration::from_millis(5);
 
 /// A multi-version integer register in the style of Reed's scheme.
 ///
@@ -41,6 +44,7 @@ pub struct ReedRegister {
     log: HistoryLog,
     mu: Mutex<Inner>,
     cv: Condvar,
+    metrics: ObjectMetrics,
     self_ref: Weak<ReedRegister>,
 }
 
@@ -81,6 +85,7 @@ impl ReedRegister {
                 },
             ),
             cv: Condvar::new(),
+            metrics: mgr.metrics().object(id),
             self_ref: self_ref.clone(),
         })
     }
@@ -96,130 +101,161 @@ impl ReedRegister {
             .expect("ReedRegister used after its Arc was dropped")
     }
 
+    /// Records what must precede a response or a wait: the initiation
+    /// event on the transaction's first visit, and the invoke event
+    /// unless an earlier round already logged it.
     fn record_first_events(
         &self,
         inner: &mut Inner,
-        me: ActivityId,
+        request: &AdmissionRequest,
         t: Timestamp,
-        operation: &Operation,
-        invoked: &mut bool,
+        invoked: bool,
     ) {
+        let me = request.txn;
         let mut events = Vec::with_capacity(2);
         if inner.initiated.insert(me) {
             events.push(Event::initiate(me, self.id, t));
         }
-        if !*invoked {
-            events.push(Event::invoke(me, self.id, operation.clone()));
-            *invoked = true;
+        if !invoked {
+            events.push(Event::invoke(me, self.id, request.operation.clone()));
         }
         self.log.record_all(events);
     }
 
-    fn read(&self, txn: &Txn, t: Timestamp, operation: &Operation) -> Result<Value, TxnError> {
-        let me = txn.id();
-        let mut inner = self.mu.lock();
-        let mut invoked = false;
-        self.record_first_events(&mut inner, me, t, operation, &mut invoked);
-        loop {
-            let idx = match inner.versions.iter().rposition(|v| v.wts <= t) {
-                Some(i) => i,
-                None => {
-                    return Err(TxnError::TimestampTooOld {
-                        txn: me,
-                        object: self.id,
-                    })
-                }
-            };
-            let version = &inner.versions[idx];
-            if version.committed || version.owner == Some(me) {
-                let value = version.value;
-                inner.versions[idx].read_horizon = inner.versions[idx].read_horizon.max(t);
-                self.log
-                    .record(Event::respond(me, self.id, Value::from(value)));
-                return Ok(Value::from(value));
-            }
+    fn read(
+        &self,
+        inner: &mut Inner,
+        request: &AdmissionRequest,
+        t: Timestamp,
+        invoked: bool,
+    ) -> AdmissionOutcome {
+        let me = request.txn;
+        let version = inner
+            .versions
+            .iter_mut()
+            .rfind(|v| v.wts <= t)
+            .expect("the initial version has timestamp 0 and is never removed");
+        if !version.committed && version.owner != Some(me) {
             // The selected version is uncommitted: wait for its writer.
             let owner = version.owner.expect("uncommitted version has an owner");
-            let holders: BTreeSet<ActivityId> = [owner].into_iter().collect();
-            match txn.request_wait(&holders) {
-                atomicity_core::WaitDecision::Die => {
-                    txn.clear_wait();
-                    return Err(TxnError::Deadlock {
-                        txn: me,
-                        object: self.id,
-                    });
-                }
-                atomicity_core::WaitDecision::Wait => {
-                    self.cv.wait_for(&mut inner, WAIT_SLICE);
-                    txn.clear_wait();
-                }
-            }
+            return AdmissionOutcome::Blocked {
+                holders: BTreeSet::from([owner]),
+            };
         }
+        version.read_horizon = version.read_horizon.max(t);
+        let value = Value::from(version.value);
+        self.record_first_events(inner, request, t, invoked);
+        self.log.record(Event::respond(me, self.id, value.clone()));
+        AdmissionOutcome::Admitted(value)
     }
 
     fn write(
         &self,
-        txn: &Txn,
+        inner: &mut Inner,
+        request: &AdmissionRequest,
         t: Timestamp,
         value: i64,
-        operation: &Operation,
-    ) -> Result<Value, TxnError> {
-        let me = txn.id();
-        let mut inner = self.mu.lock();
-        let mut invoked = false;
-        self.record_first_events(&mut inner, me, t, operation, &mut invoked);
-        // Re-write by the same transaction: update its version in place.
+        invoked: bool,
+    ) -> AdmissionOutcome {
+        let me = request.txn;
+        self.record_first_events(inner, request, t, invoked);
         if let Some(v) = inner
             .versions
             .iter_mut()
             .find(|v| v.owner == Some(me) && v.wts == t)
         {
+            // Re-write by the same transaction: update its version in place.
             v.value = value;
-            self.log.record(Event::respond(me, self.id, Value::ok()));
-            return Ok(Value::ok());
+        } else if inner
+            .versions
+            .iter()
+            .rfind(|v| v.wts <= t)
+            .is_some_and(|prev| prev.read_horizon > t)
+        {
+            // A later-timestamp transaction already read the version this
+            // write would supersede; installing it would invalidate that
+            // read.
+            self.metrics.record_timestamp_conflict(me);
+            return AdmissionOutcome::Rejected(TxnError::TimestampConflict {
+                txn: me,
+                object: self.id,
+            });
+        } else {
+            let pos = inner.versions.partition_point(|v| v.wts <= t);
+            inner.versions.insert(
+                pos,
+                Version {
+                    wts: t,
+                    value,
+                    owner: Some(me),
+                    committed: false,
+                    read_horizon: 0,
+                },
+            );
         }
-        // The version this write would supersede.
-        if let Some(prev) = inner.versions.iter().rfind(|v| v.wts <= t) {
-            if prev.read_horizon > t {
-                // A later-timestamp transaction already read the previous
-                // version; installing this write would invalidate it.
-                return Err(TxnError::TimestampConflict {
-                    txn: me,
-                    object: self.id,
-                });
-            }
-        }
-        let pos = inner.versions.partition_point(|v| v.wts <= t);
-        inner.versions.insert(
-            pos,
-            Version {
-                wts: t,
-                value,
-                owner: Some(me),
-                committed: false,
-                read_horizon: 0,
-            },
-        );
         self.log.record(Event::respond(me, self.id, Value::ok()));
-        Ok(Value::ok())
+        AdmissionOutcome::Admitted(Value::ok())
+    }
+}
+
+impl Engine<Inner> for ReedRegister {
+    fn meter(&self) -> &ObjectMetrics {
+        &self.metrics
+    }
+
+    /// A read of an uncommitted version another transaction wrote is
+    /// blocked on its writer; a write under a later read records the
+    /// initiation and invoke events and is rejected with
+    /// [`TxnError::TimestampConflict`], as in [`atomicity_core::StaticObject`].
+    fn admission_step(
+        &self,
+        inner: &mut Inner,
+        request: &AdmissionRequest,
+        invoked: bool,
+    ) -> AdmissionOutcome {
+        let Some(t) = request.start_ts else {
+            return AdmissionOutcome::Rejected(TxnError::ProtocolMismatch {
+                object: self.id,
+                detail: "Reed's scheme requires start timestamps".into(),
+            });
+        };
+        let operation = &request.operation;
+        match (
+            operation.name(),
+            operation.int_arg(0),
+            operation.args().len(),
+        ) {
+            ("read", _, 0) => self.read(inner, request, t, invoked),
+            ("write", Some(v), 1) => self.write(inner, request, t, v, invoked),
+            _ => AdmissionOutcome::Rejected(invalid_operation(self.id, operation)),
+        }
+    }
+
+    fn record_invoke(&self, inner: &mut Inner, request: &AdmissionRequest) {
+        let t = request
+            .start_ts
+            .expect("a request without a timestamp is rejected, never blocked");
+        self.record_first_events(inner, request, t, false);
     }
 }
 
 impl AtomicObject for ReedRegister {
-    fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        let t = txn.start_ts().ok_or_else(|| TxnError::ProtocolMismatch {
-            object: self.id,
-            detail: "Reed's scheme requires start timestamps".into(),
-        })?;
+    fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
         txn.register(self.self_participant());
-        match (operation.name(), operation.int_arg(0)) {
-            ("read", None) if operation.args().is_empty() => self.read(txn, t, &operation),
-            ("write", Some(v)) if operation.args().len() == 1 => self.write(txn, t, v, &operation),
-            _ => Err(TxnError::InvalidOperation {
-                object: self.id,
-                operation: operation.to_string(),
-            }),
-        }
+        let request = AdmissionRequest::from_txn(txn, operation);
+        attempt(self, &mut self.mu.lock(), &request).into_result(self.id)
+    }
+
+    fn invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
+        txn.register(self.self_participant());
+        let request = AdmissionRequest::from_txn(txn, operation);
+        let invoke_sw = self.metrics.stopwatch();
+        let mut inner = self.mu.lock();
+        invoke_blocking(self, txn, &request, &mut inner, &self.cv, &invoke_sw)
+    }
+
+    fn metrics(&self) -> ObjectMetrics {
+        self.metrics.clone()
     }
 }
 
@@ -236,6 +272,7 @@ impl Participant for ReedRegister {
             }
         }
         self.log.record(Event::commit(txn, self.id));
+        self.metrics.record_commit(txn);
         self.cv.notify_all();
     }
 
@@ -245,6 +282,7 @@ impl Participant for ReedRegister {
             .versions
             .retain(|v| v.owner != Some(txn) || v.committed);
         self.log.record(Event::abort(txn, self.id));
+        self.metrics.record_abort(txn);
         self.cv.notify_all();
     }
 }
@@ -265,6 +303,7 @@ mod tests {
     use atomicity_spec::atomicity::is_static_atomic;
     use atomicity_spec::specs::RegisterSpec;
     use atomicity_spec::{op, SystemSpec};
+    use std::time::Duration;
 
     fn x() -> ObjectId {
         ObjectId::new(1)
@@ -326,6 +365,33 @@ mod tests {
         assert_eq!(h.join().unwrap(), Value::from(9));
         let spec = SystemSpec::new().with_object(x(), RegisterSpec::new());
         assert!(is_static_atomic(&mgr.history(), &spec));
+    }
+
+    #[test]
+    fn try_invoke_on_an_uncommitted_version_would_block() {
+        let mgr = TxnManager::new(Protocol::Static);
+        let reg = ReedRegister::new(x(), 0, &mgr);
+        let w = mgr.begin(); // ts 1
+        reg.invoke(&w, op("write", [9])).unwrap();
+        let before = mgr.history().len();
+        let reg2 = Arc::clone(&reg);
+        let mgr2 = mgr.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // On its own thread, so that an attempt that blocks fails the
+        // test instead of hanging it.
+        let h = std::thread::spawn(move || {
+            let r = mgr2.begin(); // ts 2
+            let outcome = reg2.try_invoke(&r, read_op());
+            tx.send((outcome, mgr2.history().len())).unwrap();
+            mgr2.abort(r);
+        });
+        let (outcome, after) = rx
+            .recv_timeout(Duration::from_secs(3))
+            .expect("try_invoke must not wait for the writer");
+        assert!(matches!(outcome, Err(TxnError::WouldBlock { .. })));
+        assert_eq!(after, before, "a refused attempt records nothing");
+        mgr.commit(w).unwrap();
+        h.join().unwrap();
     }
 
     #[test]

@@ -121,9 +121,7 @@ impl<S: SequentialSpec> DynamicObject<S> {
     }
 }
 
-impl<S: SequentialSpec> Engine for DynamicObject<S> {
-    type Guarded = Intentions<S>;
-
+impl<S: SequentialSpec> Engine<Intentions<S>> for DynamicObject<S> {
     fn meter(&self) -> &ObjectMetrics {
         &self.core.metrics
     }

@@ -219,9 +219,7 @@ impl<S: SequentialSpec> HybridObject<S> {
     }
 }
 
-impl<S: SequentialSpec> Engine for HybridObject<S> {
-    type Guarded = Inner<S>;
-
+impl<S: SequentialSpec> Engine<Inner<S>> for HybridObject<S> {
     fn meter(&self) -> &ObjectMetrics {
         &self.core.metrics
     }

@@ -12,11 +12,13 @@
 //! - [`hybrid::HybridObject`] — the dynamic engine for updates plus
 //!   commit-timestamped versions served to read-only transactions (§4.3).
 //!
-//! What the three share lives here (crate-private). Every engine has
-//! **one admission step** (`Engine::admission_step`: decide, record,
-//! install — object lock already held); `attempt` is that step once
-//! (`try_invoke`, `admit_one`, each element of `admit_batch`) and
-//! `invoke_blocking` is the only wait/die loop. `DynamicCore` with its
+//! What the three share lives here. Every engine has **one admission
+//! step** ([`Engine::admission_step`]: decide, record, install — object
+//! lock already held); [`attempt`] is that step once (`try_invoke`,
+//! `admit_one`, each element of `admit_batch`) and [`invoke_blocking`] is
+//! the only wait/die loop. The lock baselines and Reed's register
+//! implement [`Engine`] as well, so they block, refuse and count exactly
+//! as the engines do. `DynamicCore` with its
 //! lock-guarded `Intentions` is the whole of §4.1:
 //! [`dynamic::DynamicObject`] is nothing more, and
 //! [`hybrid::HybridObject`] contains one and adds only what §4.3 adds.
@@ -250,11 +252,12 @@ fn invalid_operation(object: ObjectId, operation: &Operation) -> AdmissionOutcom
 }
 
 /// What the shared entry points ([`attempt`], [`invoke_blocking`]) need
-/// from an engine.
-pub(crate) trait Engine {
-    /// What the engine's object mutex guards.
-    type Guarded;
-
+/// from an object: its one admission step over `G`, the state its mutex
+/// guards. The lock baselines implement it too, so every blocking object
+/// in the workspace waits in [`invoke_blocking`]. `G` is a parameter
+/// rather than an associated type so that an implementor's guarded state
+/// can stay private to its crate.
+pub trait Engine<G> {
     /// The object's metrics handle (which also names the object).
     fn meter(&self) -> &ObjectMetrics;
 
@@ -266,21 +269,21 @@ pub(crate) trait Engine {
     /// refused non-blocking attempt is as if it never happened.
     fn admission_step(
         &self,
-        guarded: &mut Self::Guarded,
+        guarded: &mut G,
         request: &AdmissionRequest,
         invoked: bool,
     ) -> AdmissionOutcome;
 
     /// Puts on the log the invoke event of a request that now has to wait.
-    fn record_invoke(&self, guarded: &mut Self::Guarded, request: &AdmissionRequest);
+    fn record_invoke(&self, guarded: &mut G, request: &AdmissionRequest);
 }
 
 /// One step plus the bookkeeping every caller owes it: an admission is
 /// timed against `invoke_sw`, and every `Blocked` outcome counts as one
 /// block round, whichever entry point asked.
-fn counted_step<E: Engine>(
+fn counted_step<G, E: Engine<G>>(
     engine: &E,
-    guarded: &mut E::Guarded,
+    guarded: &mut G,
     request: &AdmissionRequest,
     invoked: bool,
     invoke_sw: &Stopwatch,
@@ -297,24 +300,32 @@ fn counted_step<E: Engine>(
 /// One non-blocking admission attempt with the object lock held: the
 /// whole of `try_invoke` and `admit_one`, and each element of
 /// `admit_batch`.
-pub(crate) fn attempt<E: Engine>(
+pub fn attempt<G, E: Engine<G>>(
     engine: &E,
-    guarded: &mut E::Guarded,
+    guarded: &mut G,
     request: &AdmissionRequest,
 ) -> AdmissionOutcome {
     counted_step(engine, guarded, request, false, &engine.meter().stopwatch())
 }
 
-/// The blocking `invoke` of every engine: step; while the step says
-/// `Blocked`, put the invoke event on the log (once), ask the deadlock
-/// policy, and either die or wait on `cv` for a commit or abort and step
-/// again. `invoke_sw` was started when the invocation entered the object,
-/// so the recorded invoke latency includes every round.
-pub(crate) fn invoke_blocking<E: Engine>(
+/// The blocking `invoke` of every object in the workspace, and its only
+/// wait/die loop: step; while the step says `Blocked`, put the invoke
+/// event on the log (once), ask the deadlock policy, and either die or
+/// wait on `cv` for a commit or abort and step again. `invoke_sw` was
+/// started when the invocation entered the object, so the recorded invoke
+/// latency includes every round.
+///
+/// `guarded` must be the guard of the mutex that the object's participant
+/// `commit` and `abort` take, and both must notify `cv`. Every
+/// holder a `Blocked` outcome names is then active while the wait-for
+/// edges are recorded: it is pending under that mutex, and the manager
+/// runs a transaction's participant hooks before it clears its edges, so
+/// no edge can point at a completed transaction.
+pub fn invoke_blocking<G, E: Engine<G>>(
     engine: &E,
     txn: &Txn,
     request: &AdmissionRequest,
-    guarded: &mut MutexGuard<'_, E::Guarded>,
+    guarded: &mut MutexGuard<'_, G>,
     cv: &Condvar,
     invoke_sw: &Stopwatch,
 ) -> Result<Value, TxnError> {

@@ -345,9 +345,7 @@ fn enumerate_futures(actives: &[ActivityId]) -> Vec<BTreeSet<ActivityId>> {
         .collect()
 }
 
-impl<S: SequentialSpec> Engine for StaticObject<S> {
-    type Guarded = Inner<S>;
-
+impl<S: SequentialSpec> Engine<Inner<S>> for StaticObject<S> {
     fn meter(&self) -> &ObjectMetrics {
         &self.metrics
     }

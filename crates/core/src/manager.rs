@@ -383,7 +383,7 @@ impl std::fmt::Debug for TxnManager {
 }
 
 impl ManagerInner {
-    /// See [`Txn::request_wait`]: every holder is active.
+    /// See [`crate::engine::invoke_blocking`]: every holder is active.
     pub(crate) fn request_wait(
         &self,
         waiter: ActivityId,

@@ -67,23 +67,14 @@ pub trait AtomicObject: Participant {
     /// rejected attempt is as if the invocation never happened — the basis
     /// for the exhaustive schedule explorer in the test suite.
     ///
-    /// The default implementation delegates to `invoke` (appropriate for
-    /// objects that never block).
-    ///
     /// # Errors
     ///
     /// [`TxnError::WouldBlock`] on contention, plus everything `invoke`
     /// can return except [`TxnError::Deadlock`].
-    fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError> {
-        self.invoke(txn, operation)
-    }
+    fn try_invoke(&self, txn: &Txn, operation: Operation) -> Result<Value, TxnError>;
 
     /// The object's metrics handle: always-on contention counters plus —
     /// when the owning manager's [`crate::MetricsRegistry`] is enabled —
-    /// latency histograms, event tracing, and abort causes. Objects that
-    /// do not track metrics return a detached handle whose counters stay
-    /// zero.
-    fn metrics(&self) -> crate::trace::ObjectMetrics {
-        crate::trace::ObjectMetrics::detached(self.object_id())
-    }
+    /// latency histograms, event tracing, and abort causes.
+    fn metrics(&self) -> crate::trace::ObjectMetrics;
 }

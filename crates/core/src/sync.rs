@@ -55,12 +55,11 @@ pub enum Rank {
     AdmissionWriter,
     /// `hybrid.readers`: a `HybridObject`'s read-only transactions.
     HybridReaders,
-    /// `locked.state`: a `LockedObject`'s deferred updates.
+    /// `locked.state`: a `LockedObject`'s deferred updates and held modes,
+    /// held across `request_wait` by the blocking invoke.
     LockedState,
-    /// `locks.held`: a `ModeLock`'s table, held across `request_wait`.
-    LocksHeld,
-    /// `reed_rw.mu`: a `ReedRegister`, held across `request_wait` while a
-    /// read waits for an uncommitted version.
+    /// `reed_rw.mu`: a `ReedRegister`'s versions, held across
+    /// `request_wait` while a read waits for an uncommitted version.
     ReedRwMu,
     /// `static_ts.mu`: a `StaticObject`'s log, held across `request_wait`
     /// by the blocking invoke.

@@ -72,18 +72,14 @@ impl Txn {
     /// Asks the deadlock policy whether this transaction may block waiting
     /// for `holders`. On [`WaitDecision::Wait`] the waits-for edges are
     /// recorded and must be cleared with [`Txn::clear_wait`] after waking.
-    ///
-    /// Every holder must be active: the caller computes `holders` under
-    /// the lock that a holder's participant `commit` or `abort` takes, and
-    /// still holds it here. The manager runs those hooks before it clears
-    /// the holder's edges, so no edge can point at a completed
-    /// transaction.
-    pub fn request_wait(&self, holders: &BTreeSet<ActivityId>) -> WaitDecision {
+    /// The one caller, [`crate::engine::invoke_blocking`], states what
+    /// makes every holder active.
+    pub(crate) fn request_wait(&self, holders: &BTreeSet<ActivityId>) -> WaitDecision {
         self.inner.request_wait(self.id, holders)
     }
 
     /// Clears this transaction's waits-for edges.
-    pub fn clear_wait(&self) {
+    pub(crate) fn clear_wait(&self) {
         self.inner.clear_wait(self.id);
     }
 }
